@@ -45,7 +45,10 @@ EXIT_ERROR = 2
 
 def _emit(text: str, out: "str | None") -> None:
     if out:
-        Path(out).write_text(text, encoding="utf-8")
+        try:
+            Path(out).write_text(text, encoding="utf-8")
+        except OSError as exc:
+            raise BadParameter(f"cannot write {out}: {exc.strerror or exc}") from exc
     else:
         sys.stdout.write(text)
 
@@ -248,7 +251,8 @@ def build_parser() -> argparse.ArgumentParser:
                        help="text output: per-Hausdorff-number rows")
     enum.add_argument("--t0-only", action="store_true",
                       help="restrict counts to T0 topologies")
-    enum.add_argument("--jobs", type=int, default=1, help="worker processes")
+    enum.add_argument("--jobs", type=int, default=1,
+                      help="accepted for compatibility; counting is serial")
     enum.add_argument("--cache-dir",
                       help="cache directory (default: $TOPO_CACHE_DIR or .topo-cache)")
     enum.add_argument("--format", choices=("json", "csv", "text"), default="json")

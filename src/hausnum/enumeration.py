@@ -1,27 +1,38 @@
-"""Exhaustive enumeration of topologies on n labeled points.
+"""Exhaustive enumeration and count tables of topologies on n labeled points.
 
-Topologies are enumerated as specialization preorders (reflexive transitive
-relation matrices) by backtracking with incremental transitivity checks; the
-relation-matrix search space collapses far faster than the 2^(2^n) space of
-open-set families.  Homeomorphism classes come from a canonical form that
-minimizes the relation matrix over relabelings.
+A topology on n points is the same data as its specialization preorder:
+``rows[a]`` is the bit mask of the minimal open neighborhood of ``a``, i.e.
+of the points b with a <= b.  Two independent routes lead to the counts.
 
-The hot loops live in :mod:`hausnum._kernels` (compiled extension when
-available, pure Python otherwise); this module owns partitioning, merging,
-count tables, caching, and the independent naive oracle used to cross-check
-the enumerator at small n.
+The direct walk backtracks over relation matrices row by row with
+incremental transitivity checks, emitting row tuples in ascending order (rows
+compared as integers, row 0 outermost).  Homeomorphism classes come from a
+canonical form that minimizes the relation matrix over relabelings.  The walk
+streams every labeled topology, gives one representative per class and
+counts labeled and T0 topologies.
+
+The count tables come from T0 quotients instead.  Every topology is a set
+partition into k blocks plus a partial order on the blocks, and its Hausdorff
+number is 1 + the largest total size of the blocks at or below one block.
+Unlabeled posets are generated up to isomorphism with their automorphism
+groups (Erne & Stege, Order 8, 1991; Brinkmann & McKay, Order 19, 2002); a
+poset with block sizes s is one class of n!/(prod s_i! * |Stab s|) labeled
+topologies.  The tests check the two routes against each other, and the
+naive open-family filter at the end against both.
 """
 
 from __future__ import annotations
 
+import contextlib
 import json
 import os
-from concurrent.futures import ProcessPoolExecutor
+import tempfile
 from dataclasses import dataclass, field
+from itertools import combinations, permutations, product
+from math import factorial, prod
 from pathlib import Path
 from typing import Iterator
 
-from . import _kernels
 from .core import FiniteTopology, Preorder, topology_from_preorder
 from .errors import TooLarge
 
@@ -94,12 +105,129 @@ class CountsTable:
         return "\n".join(lines) + "\n"
 
 
+def _row_candidates(rows: list[int], k: int, full: int):
+    """Yield legal masks for row k given rows 0..k-1, ascending.
+
+    A candidate m must contain bit k, stay inside every earlier row that
+    contains k, and contain every earlier row whose index it contains;
+    pairs involving rows > k are checked when those rows are assigned.
+    """
+    allowed = full
+    for j in range(k):
+        if rows[j] >> k & 1:
+            allowed &= rows[j]
+    base = 1 << k
+    vary = allowed & ~base
+    below = base - 1
+    s = 0
+    while True:
+        m = base | s
+        mm = m & below
+        while mm:
+            low = mm & -mm
+            if rows[low.bit_length() - 1] & ~m:
+                break
+            mm ^= low
+        else:
+            yield m
+        if s == vary:
+            return
+        s = (s - vary) & vary
+
+
+def _complete(rows: list[int], k: int, n: int, full: int):
+    if k == n:
+        yield rows
+        return
+    for m in _row_candidates(rows, k, full):
+        rows[k] = m
+        yield from _complete(rows, k + 1, n, full)
+
+
+def _walk(n: int):
+    """The direct walk: every preorder's row list on n points, ascending.
+
+    The same list object is refilled between yields; copy what you keep.
+    """
+    return _complete([0] * n, 0, n, (1 << n) - 1)
+
+
+def _canonical(rows) -> tuple[bytes, list[list[int]]]:
+    """Lexicographically minimal byte serialization over relabelings.
+
+    Byte i carries row i of the permuted relation matrix (bit j set iff
+    perm(i) <= perm(j)).  Minimization runs over the permutations that keep
+    points grouped by the invariant (row popcount, column popcount) with
+    groups in ascending key order; the invariant is relabeling-covariant, so
+    equal outputs still characterize homeomorphism exactly.
+
+    Also returns every permutation that reaches the minimum.  They form one
+    coset of the automorphism group: any two differ by an automorphism, and
+    an automorphism keeps the invariant, so there are exactly |Aut| of them.
+    """
+    n = len(rows)
+    colpc = [0] * n
+    for row in rows:
+        for x in range(n):
+            colpc[x] += row >> x & 1
+    keys = [(rows[a].bit_count(), colpc[a]) for a in range(n)]
+    order = sorted(range(n), key=keys.__getitem__)
+
+    blocks: list[list[int]] = []
+    for a in order:
+        if blocks and keys[blocks[-1][-1]] == keys[a]:
+            blocks[-1].append(a)
+        else:
+            blocks.append([a])
+
+    best = None
+    reaching: list[list[int]] = []
+    for parts in product(*(permutations(b) for b in blocks)):
+        perm = [p for part in parts for p in part]
+        enc = bytes(
+            sum(((rows[perm[i]] >> perm[j]) & 1) << j for j in range(n))
+            for i in range(n)
+        )
+        if best is None or enc < best:
+            best, reaching = enc, [perm]
+        elif enc == best:
+            reaching.append(perm)
+    return best, reaching
+
+
+def classify(n: int, want_classes: bool = True, t0_only: bool = False):
+    """Aggregate per-topology statistics over the direct walk.
+
+    Returns ``(hist, t0_count, class_map)`` where ``hist`` maps Hausdorff
+    number to labeled count, ``t0_count`` counts topologies with pairwise
+    distinct rows (all of them, ignoring ``t0_only``), and ``class_map``
+    maps canonical encodings to ``(hausdorff_number, representative rows)``,
+    the representative being the first topology of the class walked.
+    With ``t0_only`` the histogram and class map only see T0 topologies.
+    """
+    hist: dict[int, int] = {}
+    t0_count = 0
+    class_map: dict[bytes, tuple[int, tuple[int, ...]]] = {}
+    for rows in _walk(n):
+        h = 1 + max(sum(rows[a] >> x & 1 for a in range(n)) for x in range(n))
+        t0 = len(set(rows)) == n
+        if t0:
+            t0_count += 1
+        if t0_only and not t0:
+            continue
+        hist[h] = hist.get(h, 0) + 1
+        if want_classes:
+            enc = _canonical(rows)[0]
+            if enc not in class_map:
+                class_map[enc] = (h, tuple(rows))
+    return hist, t0_count, class_map
+
+
 def enumerate_preorders(n: int) -> Iterator[Preorder]:
     """Every specialization preorder on n points, in ascending matrix order."""
     _check_cap(n, ENUM_MAX_POINTS)
-    for first in _kernels.first_row_candidates(n):
-        for rows in _kernels.preorder_rows(n, first):
-            yield Preorder(n, rows)
+    for rows in _walk(n):
+        yield Preorder(n, tuple(rows))
 
 
 def enumerate_labeled(n: int) -> Iterator[FiniteTopology]:
@@ -113,64 +241,76 @@ def canonical_form(topology: FiniteTopology) -> CanonicalForm:
     _check_cap(topology.n, ENUM_MAX_POINTS)
     from .core import specialization_preorder
 
-    rows = specialization_preorder(topology).rows
-    return CanonicalForm(_kernels.canonical_rows(topology.n, rows))
-
-
-def _classify_task(args):
-    n, first_rows, want_classes, t0_only = args
-    return _kernels.classify(n, first_rows=list(first_rows),
-                             want_classes=want_classes, t0_only=t0_only)
-
-
-def _merge_class_maps(target: dict, extra: dict) -> None:
-    for enc, (h, rows) in extra.items():
-        prev = target.get(enc)
-        if prev is None or rows < prev[1]:
-            if prev is not None and prev[0] != h:
-                raise AssertionError("canonical form maps to two Hausdorff numbers")
-            target[enc] = (h, rows)
-
-
-def _classify_all(n: int, jobs: int = 1, want_classes: bool = True,
-                  t0_only: bool = False):
-    """Run the classifier, optionally fanned out over a process pool.
-
-    The tree is partitioned by the first matrix row; merging histograms is
-    commutative addition and representative merging takes the lexicographic
-    minimum, so results never depend on worker completion order.
-    """
-    if jobs < 1:
-        raise TooLarge(f"worker count must be >= 1, got {jobs}")
-    first_rows = _kernels.first_row_candidates(n)
-
-    if jobs == 1 or len(first_rows) == 1:
-        parts = [_kernels.classify(n, want_classes=want_classes, t0_only=t0_only)]
-    else:
-        buckets = [first_rows[i::jobs] for i in range(min(jobs, len(first_rows)))]
-        with ProcessPoolExecutor(max_workers=len(buckets)) as pool:
-            parts = list(pool.map(
-                _classify_task,
-                [(n, tuple(b), want_classes, t0_only) for b in buckets]))
-
-    hist: dict[int, int] = {}
-    t0_count = 0
-    class_map: dict[bytes, tuple[int, tuple[int, ...]]] = {}
-    for part_hist, part_t0, part_classes in parts:
-        for h, c in part_hist.items():
-            hist[h] = hist.get(h, 0) + c
-        t0_count += part_t0
-        _merge_class_maps(class_map, part_classes)
-    return hist, t0_count, class_map
+    return CanonicalForm(_canonical(specialization_preorder(topology).rows)[0])
 
 
 def enumerate_classes(n: int) -> Iterator[tuple[CanonicalForm, FiniteTopology]]:
     """One (canonical form, representative) pair per homeomorphism class."""
     _check_cap(n, ENUM_MAX_POINTS)
-    _, _, class_map = _classify_all(n)
+    _, _, class_map = classify(n)
     for enc in sorted(class_map):
         _, rows = class_map[enc]
         yield CanonicalForm(enc), topology_from_preorder(Preorder(n, rows))
+
+
+def _posets(n: int) -> list[dict[bytes, list[tuple[int, ...]]]]:
+    """Unlabeled posets on k = 1..n points: canonical encoding -> automorphisms.
+
+    Byte i of an encoding is row i of the poset in its canonical labeling,
+    on which the automorphisms act.  Removing a maximal element from a poset
+    on k points leaves one on k - 1 points, below which the removed element
+    sat over a down-set; so growing every poset on k - 1 points by a maximal
+    element over each of its down-sets reaches every poset on k points.
+    """
+    levels = [{b"\x01": [(0,)]}]
+    for k in range(2, n + 1):
+        top = 1 << (k - 1)
+        found: dict[bytes, list[tuple[int, ...]]] = {}
+        for enc in levels[-1]:
+            for down in range(top):
+                # a down-set meets no up-set of a point outside it
+                if any(row & down for a, row in enumerate(enc) if not down >> a & 1):
+                    continue
+                rows = [row | top if down >> a & 1 else row for a, row in enumerate(enc)]
+                rows.append(top)
+                key, reaching = _canonical(rows)
+                if key not in found:
+                    inverse = [0] * k
+                    for i, p in enumerate(reaching[0]):
+                        inverse[p] = i
+                    found[key] = [tuple(inverse[p] for p in perm) for perm in reaching]
+        levels.append(found)
+    return levels
+
+
+def _quotient_counts(n: int, t0_only: bool):
+    """(labeled histogram, class histogram, T0 labeled count) from T0 quotients.
+
+    A T0 quotient P on k points with block sizes s (a composition of n) has
+    Hausdorff number 1 + max over b of the sizes of the blocks at or below
+    b.  Block sizes in one Aut(P)-orbit give the same class; that class has
+    n!/(prod s_i! * |Stab s|) labelings.  T0 topologies are k = n.
+    """
+    hist: dict[int, int] = {}
+    class_hist: dict[int, int] = {}
+    t0_count = 0
+    levels = _posets(n)
+    for k in range(n if t0_only else 1, n + 1):
+        for enc, autos in levels[k - 1].items():
+            for cuts in combinations(range(1, n), k - 1):
+                sizes = tuple(hi - lo for lo, hi in zip((0,) + cuts, cuts + (n,)))
+                orbit = {tuple(sizes[i] for i in auto) for auto in autos}
+                if min(orbit) != sizes:
+                    continue
+                h = 1 + max(sum(s for s, row in zip(sizes, enc) if row >> b & 1)
+                            for b in range(k))
+                stabilizer = len(autos) // len(orbit)
+                labeled = factorial(n) // (prod(map(factorial, sizes)) * stabilizer)
+                hist[h] = hist.get(h, 0) + labeled
+                class_hist[h] = class_hist.get(h, 0) + 1
+                if k == n:
+                    t0_count += labeled
+    return hist, class_hist, t0_count
 
 
 def resolve_cache_dir(explicit: "str | os.PathLike | None" = None) -> Path:
@@ -184,6 +324,47 @@ def _cache_file(cache_dir: Path, n: int, t0_only: bool) -> Path:
     return cache_dir / f"counts-n{n}-{tag}.json"
 
 
+def _read_cache(path: Path, n: int, t0_only: bool) -> "CountsTable | None":
+    """The cached table for (n, t0_only), or None unless it is well formed.
+
+    Well formed: exactly the document this version writes, integer counts,
+    and totals that equal the row sums.
+    """
+    try:
+        doc = json.loads(path.read_text(encoding="utf-8"))
+        table = CountsTable.from_dict(doc)
+        counts = [table.n, table.labeled_total, table.class_total,
+                  table.t0_labeled_count, *table.rows,
+                  *(c for row in table.rows.values() for c in row)]
+        well_formed = (
+            table.to_dict() == doc and table.n == n
+            and type(table.t0_only) is bool and table.t0_only == t0_only
+            and all(type(c) is int for c in counts)
+            and table.labeled_total == sum(c for c, _ in table.rows.values())
+            and table.class_total == sum(c for _, c in table.rows.values()))
+    except (OSError, ValueError, LookupError, TypeError):
+        return None
+    return table if well_formed else None
+
+
+def _write_cache(path: Path, table: "CountsTable") -> None:
+    """Best effort; a temp file and a rename, so readers never see half a file."""
+    text = json.dumps(table.to_dict(), sort_keys=True, separators=(",", ":")) + "\n"
+    tmp = None
+    try:
+        path.parent.mkdir(parents=True, exist_ok=True)
+        with tempfile.NamedTemporaryFile("w", encoding="utf-8", dir=path.parent,
+                                         prefix=f".{path.name}.", suffix=".tmp",
+                                         delete=False) as fh:
+            tmp = fh.name
+            fh.write(text)
+        os.replace(tmp, path)
+    except OSError:
+        if tmp is not None:
+            with contextlib.suppress(OSError):
+                os.unlink(tmp)
+
+
 def count_by_hausdorff(n: int, jobs: int = 1,
                        cache_dir: "str | os.PathLike | None" = None,
                        use_cache: bool = True,
@@ -191,49 +372,41 @@ def count_by_hausdorff(n: int, jobs: int = 1,
     """Classify every topology (and class) on n points by Hausdorff number.
 
     Results are cached as JSON keyed by (n, filter, cache version); a stale
-    version triggers recomputation.  ``t0_only`` restricts the histogram and
-    class counts to T0 topologies; ``t0_labeled_count`` is always the count
-    of T0 topologies among all of them.
+    or malformed file triggers recomputation.  ``t0_only`` restricts the
+    histogram and class counts to T0 topologies; ``t0_labeled_count`` is
+    always the count of T0 topologies among all of them.  ``jobs`` is
+    accepted for compatibility; the computation is serial.
     """
     _check_cap(n, TABLE_MAX_POINTS)
+    if jobs < 1:
+        raise TooLarge(f"worker count must be >= 1, got {jobs}")
     cache_path = _cache_file(resolve_cache_dir(cache_dir), n, t0_only)
-    if use_cache and cache_path.is_file():
-        try:
-            doc = json.loads(cache_path.read_text(encoding="utf-8"))
-        except (OSError, json.JSONDecodeError):
-            doc = None
-        if doc and doc.get("cache_version") == CACHE_VERSION and doc.get("n") == n:
-            return CountsTable.from_dict(doc)
+    if use_cache:
+        cached = _read_cache(cache_path, n, t0_only)
+        if cached is not None:
+            return cached
 
-    hist, t0_count, class_map = _classify_all(n, jobs=jobs, t0_only=t0_only)
-    class_hist: dict[int, int] = {}
-    for h, _ in class_map.values():
-        class_hist[h] = class_hist.get(h, 0) + 1
+    hist, class_hist, t0_count = _quotient_counts(n, t0_only)
     table = CountsTable(
         n=n,
-        rows={k: (hist.get(k, 0), class_hist.get(k, 0))
-              for k in sorted(set(hist) | set(class_hist))},
+        rows={k: (hist[k], class_hist[k]) for k in sorted(hist)},
         labeled_total=sum(hist.values()),
-        class_total=len(class_map),
+        class_total=sum(class_hist.values()),
         t0_labeled_count=t0_count,
         t0_only=t0_only,
     )
-
     if use_cache:
-        try:
-            cache_path.parent.mkdir(parents=True, exist_ok=True)
-            cache_path.write_text(
-                json.dumps(table.to_dict(), sort_keys=True, separators=(",", ":"))
-                + "\n", encoding="utf-8")
-        except OSError:
-            pass  # caching is best-effort
+        _write_cache(cache_path, table)
     return table
 
 
 def labeled_and_t0_counts(n: int) -> tuple[int, int]:
-    """(number of topologies, number of T0 topologies) on n labeled points."""
+    """(number of topologies, number of T0 topologies) on n labeled points.
+
+    Counted on the direct walk, independently of ``count_by_hausdorff``.
+    """
     _check_cap(n, ENUM_MAX_POINTS)
-    hist, t0_count, _ = _classify_all(n, want_classes=False)
+    hist, t0_count, _ = classify(n, want_classes=False)
     return sum(hist.values()), t0_count
 
 

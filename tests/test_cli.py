@@ -124,6 +124,20 @@ class TestEnumerate:
         assert code == 0 and out == ""
         assert json.loads(out_path.read_text())["labeled_total"] == 4
 
+    def test_out_to_missing_directory(self, tmp_path, capsys):
+        out_path = tmp_path / "missing" / "table.json"
+        code = main(["enumerate", "2", "--out", str(out_path),
+                     "--cache-dir", str(tmp_path / "cache")])
+        captured = capsys.readouterr()
+        assert code == 2 and captured.out == ""
+        assert captured.err.startswith("error (bad-parameter): cannot write ")
+        assert not out_path.exists()
+
+    def test_jobs_must_be_positive(self, tmp_path, capsys):
+        code, out = run_cli(capsys, "enumerate", "2", "--jobs", "0",
+                            "--cache-dir", str(tmp_path))
+        assert code == 2 and out == ""
+
 
 class TestExample:
     def test_emit_three_point(self, capsys):

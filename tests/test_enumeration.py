@@ -8,6 +8,7 @@ from hausnum.enumeration import (
     CACHE_VERSION,
     CountsTable,
     canonical_form,
+    classify,
     count_by_hausdorff,
     enumerate_classes,
     enumerate_labeled,
@@ -24,6 +25,12 @@ LABELED = {1: 1, 2: 4, 3: 29, 4: 355, 5: 6942}
 CLASSES = {1: 1, 2: 3, 3: 9, 4: 33, 5: 139}
 T0_LABELED = {1: 1, 2: 3, 3: 19, 4: 219}
 
+# n = 6 rows of the direct walk: {H: labeled count}, {H: class count}
+SIX_ALL = ({2: 1, 3: 1821, 4: 23700, 5: 62980, 6: 73401, 7: 47624},
+           {2: 1, 3: 18, 4: 96, 5: 199, 6: 218, 7: 186})
+SIX_T0 = ({2: 1, 3: 1056, 4: 14865, 5: 41660, 6: 47055, 7: 25386},
+          {2: 1, 3: 10, 4: 47, 5: 96, 6: 101, 7: 63})
+
 
 def permute_topology(t, perm):
     return validate_topology(
@@ -33,7 +40,9 @@ def permute_topology(t, perm):
 class TestEnumerateLabeled:
     @pytest.mark.parametrize("n", [1, 2, 3, 4, 5])
     def test_totals(self, n):
-        assert labeled_and_t0_counts(n)[0] == LABELED[n]
+        labeled, t0 = labeled_and_t0_counts(n)
+        assert labeled == LABELED[n]
+        assert count_by_hausdorff(n, use_cache=False).t0_labeled_count == t0
 
     def test_no_duplicates_and_all_valid(self):
         for n in (1, 2, 3, 4):
@@ -177,6 +186,29 @@ class TestCountsTable:
                 for x in range(3))
             assert top == meets_all
 
+    @pytest.mark.parametrize("t0_only", [False, True])
+    @pytest.mark.parametrize("n", [1, 2, 3, 4, 5])
+    def test_matches_direct_walk(self, n, t0_only):
+        hist, t0_count, class_map = classify(n, t0_only=t0_only)
+        class_hist = {}
+        for h, _ in class_map.values():
+            class_hist[h] = class_hist.get(h, 0) + 1
+        table = count_by_hausdorff(n, use_cache=False, t0_only=t0_only)
+        assert {h: c for h, (c, _) in table.rows.items()} == hist
+        assert {h: c for h, (_, c) in table.rows.items()} == class_hist
+        assert table.t0_labeled_count == t0_count
+
+    @pytest.mark.parametrize("t0_only, expected", [(False, SIX_ALL), (True, SIX_T0)])
+    def test_six_points_pinned(self, t0_only, expected):
+        table = count_by_hausdorff(6, use_cache=False, t0_only=t0_only)
+        assert {h: c for h, (c, _) in table.rows.items()} == expected[0]
+        assert {h: c for h, (_, c) in table.rows.items()} == expected[1]
+        assert table.t0_labeled_count == 130023
+
+    def test_jobs_must_be_positive(self):
+        with pytest.raises(TooLarge):
+            count_by_hausdorff(2, jobs=0, use_cache=False)
+
     def test_t0_filter(self):
         table = count_by_hausdorff(3, use_cache=False, t0_only=True)
         assert table.labeled_total == T0_LABELED[3]
@@ -222,6 +254,40 @@ class TestCache:
         assert table.labeled_total == 4
         refreshed = json.loads(path.read_text())
         assert refreshed["cache_version"] == CACHE_VERSION
+
+    def corrupt(self, tmp_path, n, edit, t0_only=False):
+        """Cache a table, rewrite its file with ``edit``, then load it again."""
+        expected = count_by_hausdorff(n, cache_dir=tmp_path, t0_only=t0_only)
+        path = next(tmp_path.glob("counts-*.json"))
+        doc = json.loads(path.read_text())
+        edit(doc)
+        path.write_text(json.dumps(doc))
+        assert count_by_hausdorff(n, cache_dir=tmp_path, t0_only=t0_only) == expected
+        assert json.loads(path.read_text()) == expected.to_dict()
+
+    def test_missing_rows_recomputes(self, tmp_path):
+        self.corrupt(tmp_path, 2, lambda doc: doc.pop("rows"))
+
+    def test_rows_not_matching_totals_recomputes(self, tmp_path):
+        self.corrupt(tmp_path, 2, lambda doc: doc["rows"][0].update(labeled_count=999))
+
+    def test_wrong_filter_recomputes(self, tmp_path):
+        self.corrupt(tmp_path, 3, lambda doc: doc.update(t0_only=False), t0_only=True)
+
+    def test_non_integer_count_recomputes(self, tmp_path):
+        self.corrupt(tmp_path, 2, lambda doc: doc["rows"][0].update(class_count="1"))
+
+    def test_unparsable_file_recomputes(self, tmp_path):
+        expected = count_by_hausdorff(2, cache_dir=tmp_path)
+        path = next(tmp_path.glob("counts-*.json"))
+        path.write_text('{"rows": [')
+        assert count_by_hausdorff(2, cache_dir=tmp_path) == expected
+
+    def test_write_leaves_no_temp_files(self, tmp_path):
+        count_by_hausdorff(2, cache_dir=tmp_path)
+        count_by_hausdorff(2, cache_dir=tmp_path, t0_only=True)
+        assert sorted(p.name for p in tmp_path.iterdir()) == [
+            "counts-n2-all.json", "counts-n2-t0.json"]
 
     def test_env_var_controls_default(self, tmp_path, monkeypatch):
         monkeypatch.setenv("TOPO_CACHE_DIR", str(tmp_path))

@@ -18,7 +18,7 @@ from pathlib import Path
 
 from .constructions import build_example
 from .enumeration import TABLE_MAX_POINTS, count_by_hausdorff
-from .errors import BadParameter, ParseError, TopologyError, TooLarge
+from .errors import BadParameter, ParseError, TopologyError
 from .jsonio import dumps_canonical, load_topology, topology_to_dict
 from .separation import (
     ORACLE_MAX_POINTS,
@@ -70,10 +70,6 @@ def _cmd_analyze(args) -> int:
     report = analysis_report(topology)
     status = EXIT_OK
     if args.oracle:
-        if topology.n > ORACLE_MAX_POINTS:
-            raise TooLarge(
-                f"--oracle supports up to {ORACLE_MAX_POINTS} points, "
-                f"the input has {topology.n}")
         oracle = hausdorff_number_oracle(topology)
         report["oracle_hausdorff_number"] = oracle.value
         report["oracle_agrees"] = oracle.value == report["hausdorff_number"]

@@ -24,9 +24,11 @@ from .errors import (
     NotReflexive,
     NotTransitive,
     PointOutOfRange,
+    TooLarge,
 )
 
 MAX_POINTS = 64
+MAX_OPENS = 1 << 16
 
 
 def _check_n(n: int) -> None:
@@ -195,31 +197,14 @@ def validate_topology(n: int, family: Iterable["PointSet | Iterable[int]"]) -> F
 def generate_from_subbasis(n: int, subbasis: Iterable["PointSet | Iterable[int]"]) -> FiniteTopology:
     """Smallest topology containing ``subbasis``.
 
-    Closes under pairwise intersection (the empty intersection contributes
-    the full set), then under pairwise union (the empty union contributes
-    the empty set).  Both closures are fixpoints, sufficient for arbitrary
-    intersections/unions on a finite carrier.
+    The minimal neighbourhood of a point is the intersection of the subbasis
+    members containing it (the full set if none does); the topology is every
+    union of those neighbourhoods.  Raises :class:`TooLarge` past
+    ``MAX_OPENS`` open sets.
     """
     _check_n(n)
-    full = (1 << n) - 1
-    sets = {full}
-    sets.update(_as_mask(n, s) for s in subbasis)
-
-    # intersection closure first, union closure second: distributivity makes
-    # one fixpoint pass of each sufficient
-    for closure_op in (int.__and__, int.__or__):
-        frontier = list(sets)
-        while frontier:
-            nxt = set()
-            for a in frontier:
-                for b in sets:
-                    c = closure_op(a, b)
-                    if c not in sets and c not in nxt:
-                        nxt.add(c)
-            sets.update(nxt)
-            frontier = list(nxt)
-    sets.add(0)
-    return _topology_from_masks(n, sets)
+    rows = _rows_from_masks(n, [_as_mask(n, s) for s in subbasis])
+    return _topology_from_masks(n, _up_sets(rows))
 
 
 def _check_point(n: int, a: int) -> None:
@@ -237,17 +222,34 @@ def minimal_neighborhood(topology: FiniteTopology, a: int) -> PointSet:
     return PointSet(topology.n, mask)
 
 
-def _minimal_rows(topology: FiniteTopology) -> tuple[int, ...]:
-    n = topology.n
-    full = (1 << n) - 1
-    rows = [full] * n
-    for u in topology.open_masks:
+def _rows_from_masks(n: int, masks: Iterable[int]) -> tuple[int, ...]:
+    """``rows[a]``: the intersection of the masks containing a (full if none)."""
+    rows = [(1 << n) - 1] * n
+    for u in masks:
         m = u
         while m:
             low = m & -m
             rows[low.bit_length() - 1] &= u
             m ^= low
     return tuple(rows)
+
+
+def _minimal_rows(topology: FiniteTopology) -> tuple[int, ...]:
+    return _rows_from_masks(topology.n, topology.open_masks)
+
+
+def _up_sets(rows: Iterable[int]) -> set[int]:
+    """Every union of ``rows``, the empty union included.
+
+    Raises :class:`TooLarge` as soon as the family passes ``MAX_OPENS``, so
+    it never holds more than about twice that many sets.
+    """
+    sets = {0}
+    for row in rows:
+        sets |= {u | row for u in sets}
+        if len(sets) > MAX_OPENS:
+            raise TooLarge(f"more than {MAX_OPENS} open sets")
+    return sets
 
 
 @dataclass(frozen=True, slots=True)
@@ -311,28 +313,10 @@ def specialization_preorder(topology: FiniteTopology) -> Preorder:
 def topology_from_preorder(preorder: Preorder) -> FiniteTopology:
     """All up-closed sets of the preorder, i.e. all unions of its rows.
 
-    Inverse of :func:`specialization_preorder` in both directions.
+    Inverse of :func:`specialization_preorder` in both directions.  Raises
+    :class:`TooLarge` past ``MAX_OPENS`` open sets.
     """
-    sets = {0}
-    frontier = [0]
-    for row in preorder.rows:
-        if row not in sets:
-            sets.add(row)
-            frontier.append(row)
-    # close under pairwise union; every up-set is a union of rows
-    while frontier:
-        nxt = []
-        for a in frontier:
-            for b in list(sets):
-                c = a | b
-                if c not in sets:
-                    nxt.append(c)
-        for c in nxt:
-            sets.add(c)
-        frontier = nxt
-    full = (1 << preorder.n) - 1
-    sets.add(full)
-    return _topology_from_masks(preorder.n, sets)
+    return _topology_from_masks(preorder.n, _up_sets(preorder.rows))
 
 
 class SubspaceResult(NamedTuple):

@@ -91,6 +91,12 @@ def verify_witness(topology: FiniteTopology, points: "PointSet | object",
     return common == 0
 
 
+def _closures(rows: tuple[int, ...]) -> list[int]:
+    """``closures[x]`` = {a : x in N(a)}, the closure of the point x."""
+    return [sum(1 << a for a, row in enumerate(rows) if row >> x & 1)
+            for x in range(len(rows))]
+
+
 def hausdorff_number(topology: FiniteTopology) -> HausdorffNumber:
     """Closed-form Hausdorff number via minimal neighborhoods.
 
@@ -98,17 +104,11 @@ def hausdorff_number(topology: FiniteTopology) -> HausdorffNumber:
     witness point x, so H = 1 + max |S_x|; the maximizing S_x is the largest
     non-separable set.
     """
-    n = topology.n
     rows = _minimal_rows(topology)
-    best_x = 0
-    best_count = 0
-    for x in range(n):
-        count = sum(rows[a] >> x & 1 for a in range(n))
-        if count > best_count:
-            best_count = count
-            best_x = x
-    largest = sum(1 << a for a in range(n) if rows[a] >> best_x & 1)
-    return HausdorffNumber(1 + best_count, PointSet(n, largest))
+    closures = _closures(rows)
+    best_x = max(range(topology.n), key=lambda x: closures[x].bit_count())
+    return HausdorffNumber(1 + closures[best_x].bit_count(),
+                           PointSet(topology.n, closures[best_x]))
 
 
 def _choice_separable(open_masks: tuple[int, ...], members: tuple[int, ...],
@@ -173,56 +173,30 @@ class AxiomsReport:
 
 
 def axioms_report(topology: FiniteTopology) -> AxiomsReport:
-    """Classical separation axioms, each decided from first principles.
+    """Classical separation axioms, each decided from the minimal neighbourhoods.
 
-    Finite spaces are always compact.  Regularity and normality reduce to
-    disjointness of open hulls: the smallest open set containing a closed C
-    is the union of the minimal neighborhoods of its points.
+    Finite spaces are always compact.  The open hull of a closed set C is the
+    union of the minimal neighbourhoods N(c) of its points, and C contains
+    the closure of each of them.  So the space is regular iff y in N(x)
+    implies x in N(y) (the specialization preorder is symmetric: every
+    closure equals the minimal neighbourhood), and normal iff any two points
+    with disjoint closures have disjoint minimal neighbourhoods.
     """
     n = topology.n
     rows = _minimal_rows(topology)
+    closures = _closures(rows)
     open_set = set(topology.open_masks)
-    full = (1 << n) - 1
+    pairs = [(a, b) for a in range(n) for b in range(a + 1, n)]
 
-    t0 = len(set(rows)) == n
-    t1 = all(rows[a] == 1 << a for a in range(n))
-    hausdorff = all(rows[a] & rows[b] == 0
-                    for a in range(n) for b in range(a + 1, n))
-    discrete = all((1 << a) in open_set for a in range(n))
-
-    closed = [u ^ full for u in topology.open_masks]
-
-    def open_hull(c: int) -> int:
-        hull = 0
-        m = c
-        while m:
-            low = m & -m
-            hull |= rows[low.bit_length() - 1]
-            m ^= low
-        return hull
-
-    regular = True
-    for c in closed:
-        if not regular:
-            break
-        hull = open_hull(c)
-        outside = full & ~c
-        m = outside
-        while m:
-            low = m & -m
-            if rows[low.bit_length() - 1] & hull:
-                regular = False
-                break
-            m ^= low
-
-    normal = all(
-        open_hull(c1) & open_hull(c2) == 0
-        for i, c1 in enumerate(closed) for c2 in closed[i + 1:]
-        if c1 & c2 == 0
-    )
-
-    return AxiomsReport(t0=t0, t1=t1, hausdorff=hausdorff, regular=regular,
-                        normal=normal, discrete=discrete, compact=True)
+    return AxiomsReport(
+        t0=len(set(rows)) == n,
+        t1=all(rows[a] == 1 << a for a in range(n)),
+        hausdorff=all(rows[a] & rows[b] == 0 for a, b in pairs),
+        regular=closures == list(rows),
+        normal=all(rows[a] & rows[b] == 0 for a, b in pairs
+                   if closures[a] & closures[b] == 0),
+        discrete=all((1 << a) in open_set for a in range(n)),
+        compact=True)
 
 
 def analysis_report(topology: FiniteTopology) -> dict:

@@ -1,8 +1,19 @@
+import os
 import random
+from pathlib import Path
 
 import pytest
 
 from hausnum.core import Preorder
+
+
+def pytest_configure(config):
+    # pyproject's pytest ``pythonpath`` puts src/ on this process's path;
+    # tests that run ``python -m hausnum`` in a subprocess need it in the
+    # environment too.
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    os.environ["PYTHONPATH"] = os.pathsep.join(
+        p for p in (src, os.environ.get("PYTHONPATH")) if p)
 
 
 def transitive_closure(rows: list[int]) -> tuple[int, ...]:

@@ -166,6 +166,14 @@ class TestExample:
         code, _ = run_cli(capsys, "example", "klein-bottle")
         assert code == 2
 
+    def test_doubled_past_open_cap(self, capsys):
+        # doubled:17 has 3 * 2**15 = 98,304 opens, past MAX_OPENS
+        code = main(["example", "doubled:17"])
+        captured = capsys.readouterr()
+        assert code == 2
+        assert captured.out == ""
+        assert captured.err.startswith("error (too-large): ")
+
     def test_roundtrip_through_analyze(self, tmp_path, capsys):
         out_path = tmp_path / "tb4.json"
         code, _ = run_cli(capsys, "example", "two-block:4", "--out", str(out_path))

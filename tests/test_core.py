@@ -1,8 +1,11 @@
+import random
+
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
 from hausnum.core import (
+    MAX_OPENS,
     PointSet,
     Preorder,
     generate_from_subbasis,
@@ -19,6 +22,7 @@ from hausnum.errors import (
     NotReflexive,
     NotTransitive,
     PointOutOfRange,
+    TooLarge,
 )
 
 from conftest import random_preorder
@@ -130,6 +134,35 @@ class TestGenerateFromSubbasis:
     def test_idempotent_on_topologies(self):
         for t in enumerate_labeled(3):
             assert generate_from_subbasis(t.n, t.opens) == t
+
+    @pytest.mark.parametrize("seed", range(4))
+    def test_matches_fixpoint_closure(self, seed):
+        # reference: close under pairwise intersection and union until stable
+        rng = random.Random(seed)
+        for _ in range(100):
+            n = rng.randint(1, 7)
+            subbasis = [rng.getrandbits(n) for _ in range(rng.randint(0, 6))]
+            if subbasis and rng.random() < 0.3:
+                subbasis.append(rng.choice(subbasis))
+            sets = {0, (1 << n) - 1, *subbasis}
+            while True:
+                grown = (sets | {u & v for u in sets for v in sets}
+                         | {u | v for u in sets for v in sets})
+                if grown == sets:
+                    break
+                sets = grown
+            t = generate_from_subbasis(n, [PointSet(n, m) for m in subbasis])
+            assert set(t.open_masks) == sets
+            assert validate_topology(n, t.opens) == t
+
+    def test_open_family_cap(self):
+        # 17 singletons generate all 2**17 subsets, past MAX_OPENS
+        assert 1 << 16 <= MAX_OPENS < 1 << 17
+        assert len(generate_from_subbasis(16, [[p] for p in range(16)]).opens) == 1 << 16
+        with pytest.raises(TooLarge):
+            generate_from_subbasis(17, [[p] for p in range(17)])
+        with pytest.raises(TooLarge):
+            topology_from_preorder(Preorder(17, tuple(1 << a for a in range(17))))
 
 
 class TestMinimalNeighborhood:

@@ -1,7 +1,14 @@
 import pytest
 
 from hausnum.constructions import filtered_four_point, two_block_topology
-from hausnum.core import PointSet, generate_from_subbasis, subspace, validate_topology
+from hausnum.core import (
+    PointSet,
+    generate_from_subbasis,
+    minimal_neighborhood,
+    subspace,
+    topology_from_preorder,
+    validate_topology,
+)
 from hausnum.enumeration import enumerate_labeled
 from hausnum.errors import BadParameter, SetTooSmall, TooLarge
 from hausnum.separation import (
@@ -13,6 +20,8 @@ from hausnum.separation import (
     is_separable,
     verify_witness,
 )
+
+from conftest import random_preorder
 
 
 def topo(n, *sets):
@@ -199,6 +208,49 @@ class TestAxiomsReport:
                 for c1 in closed for c2 in closed if c1 & c2 == 0)
             assert report.regular == regular
             assert report.normal == normal
+
+
+def regular_and_normal_by_definition(t):
+    """Both axioms straight from their definitions over the closed sets.
+
+    The closed sets are the complements of the opens, and the smallest open
+    set containing a set is the union of the minimal neighbourhoods of its
+    points.
+    """
+    n = t.n
+    full = (1 << n) - 1
+    rows = [minimal_neighborhood(t, a).mask for a in range(n)]
+
+    def hull(c):
+        return sum(1 << b for b in range(n)
+                   if any(c >> a & 1 and rows[a] >> b & 1 for a in range(n)))
+
+    closed = [u ^ full for u in t.open_masks]
+    regular = all(rows[x] & hull(c) == 0
+                  for c in closed for x in range(n) if not c >> x & 1)
+    normal = all(hull(c1) & hull(c2) == 0
+                 for c1 in closed for c2 in closed if c1 & c2 == 0)
+    return regular, normal
+
+
+class TestRegularNormalDefinitions:
+    def test_every_topology_up_to_four_points(self):
+        seen = set()
+        for n in range(1, 5):
+            for t in enumerate_labeled(n):
+                report = axioms_report(t)
+                flags = (report.regular, report.normal)
+                assert flags == regular_and_normal_by_definition(t)
+                seen.add(flags)
+        # finite regular spaces are partitions, hence normal
+        assert seen == {(True, True), (False, True), (False, False)}
+
+    @pytest.mark.parametrize("n", [5, 6])
+    def test_random_preorders(self, n, rng):
+        for _ in range(200):
+            t = topology_from_preorder(random_preorder(n, rng))
+            report = axioms_report(t)
+            assert (report.regular, report.normal) == regular_and_normal_by_definition(t)
 
 
 class TestSubspaceMonotonicity:

@@ -158,14 +158,25 @@ def _topology_from_masks(n: int, masks: Iterable[int]) -> FiniteTopology:
 def validate_topology(n: int, family: Iterable["PointSet | Iterable[int]"]) -> FiniteTopology:
     """Check that ``family`` is a topology on {0..n-1} and canonicalize it.
 
-    Closure is checked pairwise only; closure under arbitrary unions and
-    intersections follows because the family is finite.  Raises
-    :class:`InvalidTopology` carrying every defect found.
+    The family is a topology iff it holds the empty set and ``u | N(a)`` for
+    every member u and every point a, where N(a) is the intersection of the
+    members containing a (the full set if none does).  It then holds every
+    union of the N(a), the full set among them, and each member is the union
+    of the N(a) of its points, so it is closed under union and intersection.
+    That is O(n * |family|).  Only a rejected family is scanned pair by pair,
+    so that :class:`InvalidTopology` names every defect found and the first
+    failing pair in canonical order.  Raises :class:`TooLarge` past
+    ``MAX_OPENS`` distinct sets.
     """
     _check_n(n)
     masks = _canonical_masks(_as_mask(n, s) for s in family)
+    if len(masks) > MAX_OPENS:
+        raise TooLarge(f"more than {MAX_OPENS} open sets")
     full = (1 << n) - 1
     mask_set = set(masks)
+    if 0 in mask_set and all(u | row in mask_set
+                             for row in set(_rows_from_masks(n, masks)) for u in masks):
+        return _topology_from_masks(n, masks)
 
     issues: list = []
     if 0 not in mask_set:
@@ -188,10 +199,7 @@ def validate_topology(n: int, family: Iterable["PointSet | Iterable[int]"]) -> F
         issues.append(union_issue)
     if intersection_issue is not None:
         issues.append(intersection_issue)
-
-    if issues:
-        raise InvalidTopology(issues)
-    return _topology_from_masks(n, masks)
+    raise InvalidTopology(issues)
 
 
 def generate_from_subbasis(n: int, subbasis: Iterable["PointSet | Iterable[int]"]) -> FiniteTopology:

@@ -104,11 +104,15 @@ def hausdorff_number(topology: FiniteTopology) -> HausdorffNumber:
     witness point x, so H = 1 + max |S_x|; the maximizing S_x is the largest
     non-separable set.
     """
-    rows = _minimal_rows(topology)
+    return _hausdorff_from_rows(_minimal_rows(topology))
+
+
+def _hausdorff_from_rows(rows: tuple[int, ...]) -> HausdorffNumber:
+    n = len(rows)
     closures = _closures(rows)
-    best_x = max(range(topology.n), key=lambda x: closures[x].bit_count())
+    best_x = max(range(n), key=lambda x: closures[x].bit_count())
     return HausdorffNumber(1 + closures[best_x].bit_count(),
-                           PointSet(topology.n, closures[best_x]))
+                           PointSet(n, closures[best_x]))
 
 
 def _choice_separable(open_masks: tuple[int, ...], members: tuple[int, ...],
@@ -182,8 +186,11 @@ def axioms_report(topology: FiniteTopology) -> AxiomsReport:
     closure equals the minimal neighbourhood), and normal iff any two points
     with disjoint closures have disjoint minimal neighbourhoods.
     """
+    return _axioms_from_rows(topology, _minimal_rows(topology))
+
+
+def _axioms_from_rows(topology: FiniteTopology, rows: tuple[int, ...]) -> AxiomsReport:
     n = topology.n
-    rows = _minimal_rows(topology)
     closures = _closures(rows)
     open_set = set(topology.open_masks)
     pairs = [(a, b) for a in range(n) for b in range(a + 1, n)]
@@ -201,8 +208,9 @@ def axioms_report(topology: FiniteTopology) -> AxiomsReport:
 
 def analysis_report(topology: FiniteTopology) -> dict:
     """JSON-ready report combining the axiom flags and the Hausdorff number."""
-    axioms = axioms_report(topology)
-    h = hausdorff_number(topology)
+    rows = _minimal_rows(topology)
+    axioms = _axioms_from_rows(topology, rows)
+    h = _hausdorff_from_rows(rows)
     return {
         "n": topology.n,
         "hausdorff_number": h.value,

@@ -70,6 +70,19 @@ class TestAnalyze:
         code, _ = run_cli(capsys, "analyze", str(path))
         assert code == 2
 
+    def test_opens_past_open_cap(self, tmp_path, capsys):
+        # every subset of 17 points: 2**17 distinct opens, past MAX_OPENS
+        path = tmp_path / "discrete17.json"
+        path.write_text(json.dumps({
+            "format": "finite-topology/v1", "n": 17,
+            "opens": [[p for p in range(17) if m >> p & 1] for m in range(1 << 17)],
+        }))
+        code = main(["analyze", str(path)])
+        captured = capsys.readouterr()
+        assert code == 2
+        assert captured.out == ""
+        assert captured.err == "error (too-large): more than 65536 open sets\n"
+
     def test_text_format(self, tmp_path, capsys):
         code, out = run_cli(capsys, "analyze", "--format", "text",
                             self.write_example(tmp_path))

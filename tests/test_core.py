@@ -1,3 +1,5 @@
+import itertools
+import operator
 import random
 
 import pytest
@@ -19,6 +21,10 @@ from hausnum.enumeration import enumerate_labeled, enumerate_preorders
 from hausnum.errors import (
     EmptySubset,
     InvalidTopology,
+    MissingEmptySet,
+    MissingFullSet,
+    NotClosedUnderIntersection,
+    NotClosedUnderUnion,
     NotReflexive,
     NotTransitive,
     PointOutOfRange,
@@ -114,6 +120,65 @@ class TestValidateTopology:
             validate_topology(2, [[], [0, 5], [0, 1]])
 
 
+def pairwise_reference(n, masks):
+    """The definition checked on every pair of distinct members, in canonical
+    order: the canonical family and the issues ``validate_topology`` must
+    report (none for a topology)."""
+    canonical = sorted(set(masks), key=lambda m: (m.bit_count(), m))
+    present = set(canonical)
+    issues = []
+    if 0 not in present:
+        issues.append(MissingEmptySet())
+    if (1 << n) - 1 not in present:
+        issues.append(MissingFullSet())
+    pairs = list(itertools.combinations(canonical, 2))
+    for op, issue in ((operator.or_, NotClosedUnderUnion),
+                      (operator.and_, NotClosedUnderIntersection)):
+        bad = next(((u, v) for u, v in pairs if op(u, v) not in present), None)
+        if bad is not None:
+            issues.append(issue(first=tuple(PointSet(n, bad[0])),
+                                second=tuple(PointSet(n, bad[1]))))
+    return tuple(canonical), issues
+
+
+def matches_pairwise_reference(n, masks):
+    """Assert that validate_topology agrees with the reference; True if accepted."""
+    canonical, issues = pairwise_reference(n, masks)
+    family = [PointSet(n, m) for m in masks]
+    if not issues:
+        assert validate_topology(n, family).open_masks == canonical
+        return True
+    with pytest.raises(InvalidTopology) as err:
+        validate_topology(n, family)
+    assert err.value.issues == tuple(issues)
+    assert str(err.value) == str(InvalidTopology(issues))
+    return False
+
+
+class TestValidateAgainstPairwise:
+    def test_every_family_up_to_three_points(self):
+        accepted = []
+        for n in range(1, 4):
+            subsets = range(1 << n)
+            accepted.append(sum(
+                matches_pairwise_reference(n, [m for m in subsets if family >> m & 1])
+                for family in range(1 << (1 << n))))
+        assert accepted == [1, 4, 29]  # OEIS A000798
+
+    @pytest.mark.parametrize("n", range(4, 9))
+    def test_near_topologies(self, n, rng):
+        full = (1 << n) - 1
+        for _ in range(40):
+            opens = list(topology_from_preorder(random_preorder(n, rng)).open_masks)
+            i = rng.randrange(len(opens))
+            for masks in (opens,
+                          opens[:i] + opens[i + 1:],
+                          opens + [rng.getrandbits(n)],
+                          [u for u in opens if u != 0],
+                          [u for u in opens if u != full]):
+                matches_pairwise_reference(n, masks)
+
+
 class TestGenerateFromSubbasis:
     def test_doubled_point_basis_on_three(self):
         t = generate_from_subbasis(3, [[1], [2], [0, 1]])
@@ -158,7 +223,9 @@ class TestGenerateFromSubbasis:
     def test_open_family_cap(self):
         # 17 singletons generate all 2**17 subsets, past MAX_OPENS
         assert 1 << 16 <= MAX_OPENS < 1 << 17
-        assert len(generate_from_subbasis(16, [[p] for p in range(16)]).opens) == 1 << 16
+        discrete16 = generate_from_subbasis(16, [[p] for p in range(16)])
+        assert len(discrete16.opens) == 1 << 16
+        assert validate_topology(16, discrete16.opens) == discrete16
         with pytest.raises(TooLarge):
             generate_from_subbasis(17, [[p] for p in range(17)])
         with pytest.raises(TooLarge):

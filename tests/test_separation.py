@@ -1,8 +1,12 @@
+import hashlib
+import random
+
 import pytest
 
 from hausnum.constructions import filtered_four_point, two_block_topology
 from hausnum.core import (
     PointSet,
+    Preorder,
     generate_from_subbasis,
     minimal_neighborhood,
     subspace,
@@ -11,6 +15,7 @@ from hausnum.core import (
 )
 from hausnum.enumeration import enumerate_labeled
 from hausnum.errors import BadParameter, SetTooSmall, TooLarge
+from hausnum.jsonio import FORMAT_TAG, dumps_canonical, topology_from_dict
 from hausnum.separation import (
     analysis_report,
     axioms_report,
@@ -275,3 +280,23 @@ class TestAnalysisReport:
         assert report["hausdorff_number"] == 3
         assert report["largest_nonseparable"] == [1, 2]
         assert report["compact"] is True
+
+    def test_large_documents_pinned(self):
+        # the reports of opens and subbasis documents on 9..12 points, paired
+        # and random rows, must stay byte-identical
+        rng = random.Random(20124)
+        digest = hashlib.sha256()
+        for n in range(9, 13):
+            a, b = rng.sample(range(n), 2)
+            paired = [1 << p for p in range(n)]
+            paired[a] = paired[b] = 1 << a | 1 << b
+            for rows in (tuple(paired), random_preorder(n, rng).rows):
+                opens = [list(u) for u in topology_from_preorder(Preorder(n, rows)).opens]
+                rng.shuffle(opens)
+                subbasis = [list(PointSet(n, row)) for row in rows]
+                for key, family in (("opens", opens), ("subbasis", subbasis)):
+                    topology, _ = topology_from_dict(
+                        {"format": FORMAT_TAG, "n": n, key: family})
+                    digest.update(dumps_canonical(analysis_report(topology)).encode())
+        assert digest.hexdigest() == (
+            "2ce34c7b58420ae49094637b10753e9454c5e6bae0c3573b185feb65dbd61f4a")

@@ -8,32 +8,19 @@ is for humans and carries no stability guarantee.
 Exit codes: 0 on success (queries that answer "no" still succeed), 1 when a
 requested check fails (--verify violations, --oracle disagreement), 2 on
 usage, parse, or validation errors.
+
+Each handler imports the package modules it uses in its own body, so a call
+loads only what its subcommand needs; ``TestImportSet`` in the tests pins
+which modules that is.
 """
 
 from __future__ import annotations
 
 import argparse
 import sys
-from pathlib import Path
 
-from .constructions import build_example
-from .enumeration import TABLE_MAX_POINTS, count_by_hausdorff
 from .errors import BadParameter, ParseError, TopologyError
-from .jsonio import dumps_canonical, load_topology, topology_to_dict
-from .separation import (
-    ORACLE_MAX_POINTS,
-    analysis_report,
-    hausdorff_number_oracle,
-)
-from .symbolic import (
-    OMEGA,
-    BugEyedSpace,
-    hausdorff_number_symbolic,
-    parse_point,
-    parse_points,
-    separable,
-    t1_status,
-)
+from .limits import ORACLE_MAX_POINTS, TABLE_MAX_POINTS
 
 EXIT_OK = 0
 EXIT_CHECK_FAILED = 1
@@ -43,7 +30,8 @@ EXIT_ERROR = 2
 def _emit(text: str, out: "str | None") -> None:
     if out:
         try:
-            Path(out).write_text(text, encoding="utf-8")
+            with open(out, "w", encoding="utf-8") as handle:
+                handle.write(text)
         except OSError as exc:
             raise BadParameter(f"cannot write {out}: {exc.strerror or exc}") from exc
     else:
@@ -63,6 +51,9 @@ def _report_text(report: dict) -> str:
 
 
 def _cmd_analyze(args) -> int:
+    from .jsonio import dumps_canonical, load_topology
+    from .separation import analysis_report, hausdorff_number_oracle
+
     topology, _ = load_topology(args.input)
     report = analysis_report(topology)
     status = EXIT_OK
@@ -97,6 +88,9 @@ def _table_text(table, mode: str) -> str:
 
 
 def _cmd_enumerate(args) -> int:
+    from .enumeration import count_by_hausdorff
+    from .jsonio import dumps_canonical
+
     if args.jobs < 1:
         raise BadParameter(f"--jobs must be >= 1, got {args.jobs}")
     table = count_by_hausdorff(args.n, jobs=args.jobs, cache_dir=args.cache_dir,
@@ -114,6 +108,8 @@ def _cmd_enumerate(args) -> int:
 
 
 def _verification_checks(name: str, topology) -> list[dict]:
+    from .separation import analysis_report, hausdorff_number_oracle
+
     report = analysis_report(topology)
     h = report["hausdorff_number"]
     checks = []
@@ -149,6 +145,9 @@ def _verification_checks(name: str, topology) -> list[dict]:
 
 
 def _cmd_example(args) -> int:
+    from .constructions import build_example
+    from .jsonio import dumps_canonical, topology_to_dict
+
     name, topology = build_example(args.name)
     doc = topology_to_dict(topology, name=name)
     if not args.verify:
@@ -175,6 +174,17 @@ def _cmd_example(args) -> int:
 
 
 def _cmd_symbolic(args) -> int:
+    from .jsonio import dumps_canonical
+    from .symbolic import (
+        OMEGA,
+        BugEyedSpace,
+        hausdorff_number_symbolic,
+        parse_point,
+        parse_points,
+        separable,
+        t1_status,
+    )
+
     verticals = OMEGA if args.verticals.strip().lower() == "omega" else None
     if verticals is None:
         try:

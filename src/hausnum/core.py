@@ -26,9 +26,7 @@ from .errors import (
     PointOutOfRange,
     TooLarge,
 )
-
-MAX_POINTS = 64
-MAX_OPENS = 1 << 16
+from .limits import MAX_OPENS, MAX_POINTS
 
 
 def _check_n(n: int) -> None:

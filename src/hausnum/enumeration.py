@@ -35,11 +35,12 @@ from typing import Iterator
 
 from .core import FiniteTopology, Preorder, topology_from_preorder
 from .errors import TooLarge
-
-ENUM_MAX_POINTS = 7       # labeled enumeration and canonical forms
-TABLE_MAX_POINTS = 6      # full count tables (classes included)
-STIRLING_MAX_POINTS = 5
-NAIVE_MAX_POINTS = 4
+from .limits import (
+    ENUM_MAX_POINTS,
+    NAIVE_MAX_POINTS,
+    STIRLING_MAX_POINTS,
+    TABLE_MAX_POINTS,
+)
 
 CACHE_VERSION = "counts-v1"
 CACHE_ENV_VAR = "TOPO_CACHE_DIR"

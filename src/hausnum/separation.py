@@ -22,8 +22,7 @@ from dataclasses import dataclass
 
 from .core import FiniteTopology, PointSet, _as_mask, _minimal_rows
 from .errors import BadParameter, SetTooSmall, TooLarge
-
-ORACLE_MAX_POINTS = 5
+from .limits import ORACLE_MAX_POINTS
 
 
 @dataclass(frozen=True, slots=True)

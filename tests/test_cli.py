@@ -272,3 +272,52 @@ class TestStability:
             capture_output=True, text=True)
         assert proc.returncode == 0
         assert json.loads(proc.stdout)["n"] == 3
+
+
+class TestImportSet:
+    """Each subcommand loads only the package modules it uses."""
+
+    PROBE = ("import contextlib, io, json, sys\n"
+             "from hausnum.cli import main\n"
+             "with contextlib.redirect_stdout(io.StringIO()):\n"
+             "    code = main(json.loads(sys.argv[1]))\n"
+             "print(code, *sorted(m for m in sys.modules if m.startswith('hausnum.')))\n")
+
+    def loaded(self, argv) -> set[str]:
+        proc = subprocess.run([sys.executable, "-c", self.PROBE, json.dumps(argv)],
+                              capture_output=True, text=True)
+        assert proc.returncode == 0, proc.stderr
+        code, *modules = proc.stdout.split()
+        assert code == "0"
+        return {m.removeprefix("hausnum.") for m in modules}
+
+    def test_analyze(self, tmp_path):
+        path = tmp_path / "space.json"
+        path.write_text(topology_to_json(three_point_example()))
+        loaded = self.loaded(["analyze", str(path)])
+        assert {"separation", "jsonio"} <= loaded
+        assert not loaded & {"symbolic", "enumeration", "constructions"}
+
+    def test_enumerate_cache_hit(self, tmp_path, capsys):
+        run_cli(capsys, "enumerate", "3", "--cache-dir", str(tmp_path))
+        loaded = self.loaded(["enumerate", "3", "--cache-dir", str(tmp_path)])
+        assert {"enumeration", "jsonio"} <= loaded
+        assert not loaded & {"symbolic", "separation", "constructions"}
+
+    def test_example_verify(self):
+        loaded = self.loaded(["example", "three-point", "--verify"])
+        assert {"constructions", "separation", "jsonio"} <= loaded
+        assert not loaded & {"symbolic", "enumeration"}
+
+    def test_symbolic(self):
+        loaded = self.loaded(["symbolic", "--verticals", "2", "hnumber"])
+        assert {"symbolic", "jsonio"} <= loaded
+        assert not loaded & {"separation", "enumeration", "constructions"}
+
+    def test_bare_package_import(self):
+        proc = subprocess.run(
+            [sys.executable, "-c", "import sys, hausnum\n"
+             "print(*sorted(m for m in sys.modules if m.startswith('hausnum')))"],
+            capture_output=True, text=True)
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout.split() == ["hausnum"]

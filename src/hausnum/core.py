@@ -11,9 +11,9 @@ pure function, so values can be shared freely across threads or processes.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import Iterable, Iterator, NamedTuple
 
+from ._records import FrozenRecord
 from .errors import (
     EmptySubset,
     InvalidTopology,
@@ -34,18 +34,17 @@ def _check_n(n: int) -> None:
         raise PointOutOfRange(f"point count must be in 1..{MAX_POINTS}, got {n!r}")
 
 
-@dataclass(frozen=True, slots=True)
-class PointSet:
+class PointSet(FrozenRecord):
     """A subset of {0..n-1}, stored as a bit mask over an n-point space."""
 
-    n: int
-    mask: int
+    __slots__ = ("n", "mask")
 
-    def __post_init__(self):
-        _check_n(self.n)
-        if not 0 <= self.mask < (1 << self.n):
-            raise PointOutOfRange(
-                f"mask {self.mask:#x} does not fit in a {self.n}-point space")
+    def __init__(self, n: int, mask: int):
+        _check_n(n)
+        if not 0 <= mask < (1 << n):
+            raise PointOutOfRange(f"mask {mask:#x} does not fit in a {n}-point space")
+        object.__setattr__(self, "n", n)
+        object.__setattr__(self, "mask", mask)
 
     @classmethod
     def from_points(cls, n: int, points: Iterable[int]) -> "PointSet":
@@ -126,16 +125,18 @@ def _canonical_masks(masks: Iterable[int]) -> tuple[int, ...]:
     return tuple(sorted(set(masks), key=lambda m: (m.bit_count(), m)))
 
 
-@dataclass(frozen=True, slots=True)
-class FiniteTopology:
+class FiniteTopology(FrozenRecord):
     """A validated family of open sets on n points, in canonical order.
 
     Construct via :func:`validate_topology` or :func:`generate_from_subbasis`
     unless the family is already known to be a topology.
     """
 
-    n: int
-    opens: tuple[PointSet, ...]
+    __slots__ = ("n", "opens")
+
+    def __init__(self, n: int, opens: tuple[PointSet, ...]):
+        object.__setattr__(self, "n", n)
+        object.__setattr__(self, "opens", opens)
 
     @property
     def open_masks(self) -> tuple[int, ...]:
@@ -258,37 +259,37 @@ def _up_sets(rows: Iterable[int]) -> set[int]:
     return sets
 
 
-@dataclass(frozen=True, slots=True)
-class Preorder:
+class Preorder(FrozenRecord):
     """A reflexive transitive relation; ``rows[a]`` is the mask {b : a <= b}.
 
     ``a <= b`` holds exactly when b lies in every open set containing a, so a
     preorder is the same data as a finite topology.
     """
 
-    n: int
-    rows: tuple[int, ...]
+    __slots__ = ("n", "rows")
 
-    def __post_init__(self):
-        _check_n(self.n)
-        if len(self.rows) != self.n:
-            raise PointOutOfRange(f"expected {self.n} rows, got {len(self.rows)}")
-        full = (1 << self.n) - 1
-        for a, row in enumerate(self.rows):
+    def __init__(self, n: int, rows: tuple[int, ...]):
+        _check_n(n)
+        if len(rows) != n:
+            raise PointOutOfRange(f"expected {n} rows, got {len(rows)}")
+        full = (1 << n) - 1
+        for a, row in enumerate(rows):
             if not 0 <= row <= full:
-                raise PointOutOfRange(f"row {a} does not fit in {self.n} bits")
+                raise PointOutOfRange(f"row {a} does not fit in {n} bits")
             if not row >> a & 1:
                 raise NotReflexive(f"{a} <= {a} fails")
-        for a, row in enumerate(self.rows):
+        for a, row in enumerate(rows):
             m = row
             while m:
                 low = m & -m
                 b = low.bit_length() - 1
-                if self.rows[b] & ~row:
-                    c = (self.rows[b] & ~row)
+                if rows[b] & ~row:
+                    c = (rows[b] & ~row)
                     c = (c & -c).bit_length() - 1
                     raise NotTransitive(f"{a} <= {b} and {b} <= {c} but not {a} <= {c}")
                 m ^= low
+        object.__setattr__(self, "n", n)
+        object.__setattr__(self, "rows", rows)
 
     def leq(self, a: int, b: int) -> bool:
         _check_point(self.n, a)

@@ -27,12 +27,12 @@ import contextlib
 import json
 import os
 import tempfile
-from dataclasses import dataclass, field
 from itertools import combinations, permutations, product
 from math import factorial, prod
 from pathlib import Path
 from typing import Iterator
 
+from ._records import FrozenRecord, Record
 from .core import FiniteTopology, Preorder, topology_from_preorder
 from .errors import TooLarge
 from .limits import (
@@ -54,23 +54,28 @@ def _check_cap(n: int, cap: int) -> None:
         raise TooLarge(f"supported up to {cap} points here, got {n}")
 
 
-@dataclass(frozen=True, slots=True)
-class CanonicalForm:
+class CanonicalForm(FrozenRecord):
     """Relabeling-invariant identity of a topology: minimal matrix bytes."""
 
-    encoding: bytes
+    __slots__ = ("encoding",)
+
+    def __init__(self, encoding: bytes):
+        self._assign(encoding)
 
 
-@dataclass(slots=True)
-class CountsTable:
+class CountsTable(Record):
     """Topology counts on n points classified by Hausdorff number."""
 
-    n: int
-    rows: dict[int, tuple[int, int]]  # H -> (labeled_count, class_count)
-    labeled_total: int
-    class_total: int
-    t0_labeled_count: int
-    t0_only: bool = False
+    __slots__ = ("n", "rows", "labeled_total", "class_total", "t0_labeled_count", "t0_only")
+
+    def __init__(self, n: int, rows: dict[int, tuple[int, int]], labeled_total: int,
+                 class_total: int, t0_labeled_count: int, t0_only: bool = False):
+        self.n = n
+        self.rows = rows  # H -> (labeled_count, class_count)
+        self.labeled_total = labeled_total
+        self.class_total = class_total
+        self.t0_labeled_count = t0_labeled_count
+        self.t0_only = t0_only
 
     def to_dict(self) -> dict:
         return {
@@ -423,13 +428,16 @@ def stirling2(n: int, k: int) -> int:
     return table[k]
 
 
-@dataclass(slots=True)
-class StirlingReport:
-    n: int
-    holds: bool
-    topology_count: int
-    combination_total: int
-    terms: list[tuple[int, int, int]] = field(default_factory=list)  # (k, S(n,k), T0(k))
+class StirlingReport(Record):
+    __slots__ = ("n", "holds", "topology_count", "combination_total", "terms")
+
+    def __init__(self, n: int, holds: bool, topology_count: int, combination_total: int,
+                 terms: list[tuple[int, int, int]] | None = None):
+        self.n = n
+        self.holds = holds
+        self.topology_count = topology_count
+        self.combination_total = combination_total
+        self.terms = [] if terms is None else terms  # (k, S(n,k), T0(k))
 
     def to_dict(self) -> dict:
         return {

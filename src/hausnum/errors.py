@@ -2,7 +2,7 @@
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from ._records import FrozenRecord
 
 
 class TopologyError(Exception):
@@ -57,35 +57,43 @@ class ConstructionClaimError(TopologyError):
     code = "construction-claim"
 
 
-@dataclass(frozen=True)
-class ValidationIssue:
+class ValidationIssue(FrozenRecord):
     """One structural defect found while validating an open-set family."""
 
-    code: str
+    __slots__ = ("code",)
+
+    def __init__(self, code: str):
+        self._assign(code)
 
 
-@dataclass(frozen=True)
 class MissingEmptySet(ValidationIssue):
-    code: str = "missing-empty-set"
+    __slots__ = ()
+
+    def __init__(self, code: str = "missing-empty-set"):
+        self._assign(code)
 
 
-@dataclass(frozen=True)
 class MissingFullSet(ValidationIssue):
-    code: str = "missing-full-set"
+    __slots__ = ()
+
+    def __init__(self, code: str = "missing-full-set"):
+        self._assign(code)
 
 
-@dataclass(frozen=True)
 class NotClosedUnderUnion(ValidationIssue):
-    first: tuple[int, ...] = ()
-    second: tuple[int, ...] = ()
-    code: str = "not-closed-under-union"
+    __slots__ = ("first", "second")
+
+    def __init__(self, code: str = "not-closed-under-union",
+                 first: tuple[int, ...] = (), second: tuple[int, ...] = ()):
+        self._assign(code, first, second)
 
 
-@dataclass(frozen=True)
 class NotClosedUnderIntersection(ValidationIssue):
-    first: tuple[int, ...] = ()
-    second: tuple[int, ...] = ()
-    code: str = "not-closed-under-intersection"
+    __slots__ = ("first", "second")
+
+    def __init__(self, code: str = "not-closed-under-intersection",
+                 first: tuple[int, ...] = (), second: tuple[int, ...] = ()):
+        self._assign(code, first, second)
 
 
 class InvalidTopology(TopologyError):

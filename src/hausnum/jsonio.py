@@ -12,9 +12,12 @@ from __future__ import annotations
 
 import json
 from pathlib import Path
+from typing import TYPE_CHECKING
 
-from .core import FiniteTopology, generate_from_subbasis, validate_topology
 from .errors import ParseError
+
+if TYPE_CHECKING:
+    from .core import FiniteTopology
 
 FORMAT_TAG = "finite-topology/v1"
 
@@ -79,6 +82,8 @@ def topology_from_dict(doc: dict) -> tuple[FiniteTopology, str | None]:
     if not isinstance(family, list):
         raise ParseError(f'"{key}" must be an array of arrays')
     sets = [_point_list(entry, n, f'"{key}"[{i}]') for i, entry in enumerate(family)]
+
+    from .core import generate_from_subbasis, validate_topology
 
     if has_opens:
         return validate_topology(n, sets), name

@@ -18,31 +18,35 @@ intersection), hence H >= 2 always, and H = 2 on a one-point space.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
+from ._records import FrozenRecord
 from .core import FiniteTopology, PointSet, _as_mask, _minimal_rows
 from .errors import BadParameter, SetTooSmall, TooLarge
 from .limits import ORACLE_MAX_POINTS
 
 
-@dataclass(frozen=True, slots=True)
-class SeparationWitness:
+class SeparationWitness(FrozenRecord):
     """One open neighborhood per queried point, with empty intersection."""
 
-    assignments: tuple[tuple[int, PointSet], ...]
+    __slots__ = ("assignments",)
+
+    def __init__(self, assignments: tuple[tuple[int, PointSet], ...]):
+        self._assign(assignments)
 
 
-@dataclass(frozen=True, slots=True)
-class SeparationDecision:
-    separable: bool
-    witness: SeparationWitness | None
-    certificate: int | None  # a point inside every open meeting the queried set
+class SeparationDecision(FrozenRecord):
+    # certificate: a point inside every open meeting the queried set
+    __slots__ = ("separable", "witness", "certificate")
+
+    def __init__(self, separable: bool, witness: SeparationWitness | None,
+                 certificate: int | None):
+        self._assign(separable, witness, certificate)
 
 
-@dataclass(frozen=True, slots=True)
-class HausdorffNumber:
-    value: int
-    largest_nonseparable: PointSet
+class HausdorffNumber(FrozenRecord):
+    __slots__ = ("value", "largest_nonseparable")
+
+    def __init__(self, value: int, largest_nonseparable: PointSet):
+        self._assign(value, largest_nonseparable)
 
 
 def is_separable(topology: FiniteTopology, points: "PointSet | object") -> SeparationDecision:
@@ -164,15 +168,12 @@ def is_n_hausdorff(topology: FiniteTopology, bound: int) -> bool:
     return hausdorff_number(topology).value <= bound
 
 
-@dataclass(frozen=True, slots=True)
-class AxiomsReport:
-    t0: bool
-    t1: bool
-    hausdorff: bool
-    regular: bool
-    normal: bool
-    discrete: bool
-    compact: bool
+class AxiomsReport(FrozenRecord):
+    __slots__ = ("t0", "t1", "hausdorff", "regular", "normal", "discrete", "compact")
+
+    def __init__(self, t0: bool, t1: bool, hausdorff: bool, regular: bool,
+                 normal: bool, discrete: bool, compact: bool):
+        self._assign(t0, t1, hausdorff, regular, normal, discrete, compact)
 
 
 def axioms_report(topology: FiniteTopology) -> AxiomsReport:

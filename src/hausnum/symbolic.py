@@ -22,10 +22,10 @@ witness search that knows nothing about it.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterable, Union
 
+from ._records import FrozenRecord, Record
 from .errors import (
     BadParameter,
     DuplicatePoints,
@@ -55,8 +55,7 @@ class _Omega:
 OMEGA = _Omega()
 
 
-@dataclass(frozen=True, slots=True)
-class BugEyedSpace:
+class BugEyedSpace(FrozenRecord):
     """Unit interval plus ``vertical_count`` points stacked above 1/2.
 
     ``t1_variant`` selects punctured stacked-point neighborhoods (the space
@@ -64,14 +63,14 @@ class BugEyedSpace:
     neighborhood swallows the base point at 1/2.
     """
 
-    vertical_count: "int | _Omega"
-    t1_variant: bool = True
+    __slots__ = ("vertical_count", "t1_variant")
 
-    def __post_init__(self):
-        v = self.vertical_count
+    def __init__(self, vertical_count: "int | _Omega", t1_variant: bool = True):
+        v = vertical_count
         if v is not OMEGA and (not isinstance(v, int) or isinstance(v, bool) or v < 1):
             raise BadParameter(
                 f"vertical count must be a positive integer or OMEGA, got {v!r}")
+        self._assign(vertical_count, t1_variant)
 
     def has_vertical(self, index: int) -> bool:
         if index < 1:
@@ -79,28 +78,27 @@ class BugEyedSpace:
         return self.vertical_count is OMEGA or index <= self.vertical_count
 
 
-@dataclass(frozen=True, slots=True)
-class BasePoint:
+class BasePoint(FrozenRecord):
     """⟨q, 0⟩ on the base line, q an exact rational in [0,1]."""
 
-    coordinate: Fraction
+    __slots__ = ("coordinate",)
 
-    def __post_init__(self):
-        q = Fraction(self.coordinate)
-        object.__setattr__(self, "coordinate", q)
+    def __init__(self, coordinate: Fraction):
+        q = Fraction(coordinate)
         if not 0 <= q <= 1:
             raise BadParameter(f"base coordinate must lie in [0,1], got {q}")
+        self._assign(q)
 
 
-@dataclass(frozen=True, slots=True)
-class VerticalPoint:
+class VerticalPoint(FrozenRecord):
     """⟨1/2, 1/m⟩, the m-th stacked point (m >= 1)."""
 
-    index: int
+    __slots__ = ("index",)
 
-    def __post_init__(self):
-        if not isinstance(self.index, int) or isinstance(self.index, bool) or self.index < 1:
-            raise BadParameter(f"vertical index must be a positive integer, got {self.index!r}")
+    def __init__(self, index: int):
+        if not isinstance(index, int) or isinstance(index, bool) or index < 1:
+            raise BadParameter(f"vertical index must be a positive integer, got {index!r}")
+        self._assign(index)
 
 
 SymbolicPoint = Union[BasePoint, VerticalPoint]
@@ -124,34 +122,30 @@ def _check_point(space: BugEyedSpace, p: SymbolicPoint) -> None:
         raise SpaceMismatch(f"not a symbolic point: {p!r}")
 
 
-@dataclass(frozen=True, slots=True)
-class BallNeighborhood:
+class BallNeighborhood(FrozenRecord):
     """((q - ε, q + ε) ∩ [0,1]) × {0}: the base-line trace of an ε-ball."""
 
-    space: BugEyedSpace
-    owner: BasePoint
-    radius: Fraction
+    __slots__ = ("space", "owner", "radius")
 
-    def __post_init__(self):
-        object.__setattr__(self, "radius", Fraction(self.radius))
-        if self.radius <= 0:
-            raise BadParameter(f"radius must be positive, got {self.radius}")
-        _check_point(self.space, self.owner)
+    def __init__(self, space: BugEyedSpace, owner: BasePoint, radius: Fraction):
+        radius = Fraction(radius)
+        if radius <= 0:
+            raise BadParameter(f"radius must be positive, got {radius}")
+        _check_point(space, owner)
+        self._assign(space, owner, radius)
 
 
-@dataclass(frozen=True, slots=True)
-class VerticalNeighborhood:
+class VerticalNeighborhood(FrozenRecord):
     """The owner itself plus the interval (1/2 - 1/k, 1/2 + 1/k) on the base
     line, punctured at 1/2 exactly in the space's T1 variant."""
 
-    space: BugEyedSpace
-    owner: VerticalPoint
-    k: int
+    __slots__ = ("space", "owner", "k")
 
-    def __post_init__(self):
-        if not isinstance(self.k, int) or isinstance(self.k, bool) or self.k < 1:
-            raise BadParameter(f"neighborhood parameter must be a positive integer, got {self.k!r}")
-        _check_point(self.space, self.owner)
+    def __init__(self, space: BugEyedSpace, owner: VerticalPoint, k: int):
+        if not isinstance(k, int) or isinstance(k, bool) or k < 1:
+            raise BadParameter(f"neighborhood parameter must be a positive integer, got {k!r}")
+        _check_point(space, owner)
+        self._assign(space, owner, k)
 
 
 BasisNeighborhood = Union[BallNeighborhood, VerticalNeighborhood]
@@ -179,16 +173,19 @@ def membership(nbhd: BasisNeighborhood, p: SymbolicPoint) -> bool:
     return abs(p.coordinate - HALF) < Fraction(1, nbhd.k)
 
 
-@dataclass(slots=True)
-class _Interval:
+class _Interval(Record):
     """Rational interval with per-end strictness and an optional puncture
     at 1/2; the base-line part of one or more neighborhoods."""
 
-    lo: Fraction
-    lo_strict: bool
-    hi: Fraction
-    hi_strict: bool
-    punctured: bool
+    __slots__ = ("lo", "lo_strict", "hi", "hi_strict", "punctured")
+
+    def __init__(self, lo: Fraction, lo_strict: bool, hi: Fraction, hi_strict: bool,
+                 punctured: bool):
+        self.lo = lo
+        self.lo_strict = lo_strict
+        self.hi = hi
+        self.hi_strict = hi_strict
+        self.punctured = punctured
 
     def intersect(self, other: "_Interval") -> "_Interval":
         lo, lo_strict = max(
@@ -255,21 +252,25 @@ def intersection_nonempty(nbhds: Iterable[BasisNeighborhood]) -> SymbolicPoint |
     return None if q is None else BasePoint(q)
 
 
-@dataclass(frozen=True, slots=True)
-class HubCertificate:
+class HubCertificate(FrozenRecord):
     """Why a set is non-separable: it sits inside the hub over 1/2."""
 
-    description: str
+    __slots__ = ("description",)
+
+    def __init__(self, description: str):
+        self._assign(description)
 
     def to_dict(self) -> dict:
         return {"kind": "hub", "description": self.description}
 
 
-@dataclass(frozen=True, slots=True)
-class SeparabilityVerdict:
-    separable: bool
-    witness: tuple[tuple[SymbolicPoint, BasisNeighborhood], ...] | None
-    certificate: HubCertificate | None
+class SeparabilityVerdict(FrozenRecord):
+    __slots__ = ("separable", "witness", "certificate")
+
+    def __init__(self, separable: bool,
+                 witness: tuple[tuple[SymbolicPoint, BasisNeighborhood], ...] | None,
+                 certificate: HubCertificate | None):
+        self._assign(separable, witness, certificate)
 
     def to_dict(self) -> dict:
         if self.separable:
@@ -332,12 +333,13 @@ def separable(space: BugEyedSpace, points: Iterable[SymbolicPoint]) -> Separabil
     return SeparabilityVerdict(True, witness, None)
 
 
-@dataclass(frozen=True, slots=True)
-class Cardinal:
+class Cardinal(FrozenRecord):
     """Finite value or omega_1, ordered with every finite below omega_1."""
 
-    kind: str  # "finite" | "omega_1"
-    value: int | None = None
+    __slots__ = ("kind", "value")
+
+    def __init__(self, kind: str, value: int | None = None):  # kind: "finite" | "omega_1"
+        self._assign(kind, value)
 
     def __lt__(self, other: "Cardinal") -> bool:
         if self.kind == "finite" and other.kind == "omega_1":
@@ -403,12 +405,12 @@ def _excluding_neighborhood(space: BugEyedSpace, owner: SymbolicPoint,
     return VerticalNeighborhood(space, owner, k)
 
 
-@dataclass(frozen=True, slots=True)
-class T1Result:
-    holds: bool
-    first_excludes_second: BasisNeighborhood | None
-    second_excludes_first: BasisNeighborhood | None
-    explanation: str | None
+class T1Result(FrozenRecord):
+    __slots__ = ("holds", "first_excludes_second", "second_excludes_first", "explanation")
+
+    def __init__(self, holds: bool, first_excludes_second: BasisNeighborhood | None,
+                 second_excludes_first: BasisNeighborhood | None, explanation: str | None):
+        self._assign(holds, first_excludes_second, second_excludes_first, explanation)
 
     def to_dict(self, p: SymbolicPoint, q: SymbolicPoint) -> dict:
         doc = {"pair": [format_point(p), format_point(q)], "t1": self.holds}

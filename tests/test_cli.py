@@ -1,6 +1,9 @@
+import functools
 import json
 import subprocess
 import sys
+
+import pytest
 
 from hausnum.cli import main
 from hausnum.jsonio import topology_to_json
@@ -274,22 +277,38 @@ class TestStability:
         assert json.loads(proc.stdout)["n"] == 3
 
 
+@functools.cache
+def bare_interpreter_modules() -> frozenset[str]:
+    """What ``python -c`` has loaded before running any code (site hooks too)."""
+    proc = subprocess.run([sys.executable, "-c", "import sys; print(*sys.modules)"],
+                          capture_output=True, text=True)
+    assert proc.returncode == 0, proc.stderr
+    return frozenset(proc.stdout.split())
+
+
 class TestImportSet:
-    """Each subcommand loads only the package modules it uses."""
+    """Each subcommand loads only the package modules it uses, and no call
+    loads ``dataclasses`` or ``inspect``."""
 
     PROBE = ("import contextlib, io, json, sys\n"
              "from hausnum.cli import main\n"
-             "with contextlib.redirect_stdout(io.StringIO()):\n"
-             "    code = main(json.loads(sys.argv[1]))\n"
-             "print(code, *sorted(m for m in sys.modules if m.startswith('hausnum.')))\n")
+             "with contextlib.redirect_stdout(io.StringIO()), \\\n"
+             "        contextlib.redirect_stderr(io.StringIO()):\n"
+             "    try:\n"
+             "        code = main(json.loads(sys.argv[1]))\n"
+             "    except SystemExit as exc:\n"
+             "        code = exc.code\n"
+             "print(code, *sorted(sys.modules))\n")
 
-    def loaded(self, argv) -> set[str]:
+    def loaded(self, argv, expected_code: int = 0) -> set[str]:
         proc = subprocess.run([sys.executable, "-c", self.PROBE, json.dumps(argv)],
                               capture_output=True, text=True)
         assert proc.returncode == 0, proc.stderr
         code, *modules = proc.stdout.split()
-        assert code == "0"
-        return {m.removeprefix("hausnum.") for m in modules}
+        assert code == str(expected_code)
+        added = set(modules) - bare_interpreter_modules()
+        assert not added & {"dataclasses", "inspect"}
+        return {m.removeprefix("hausnum.") for m in added if m.startswith("hausnum.")}
 
     def test_analyze(self, tmp_path):
         path = tmp_path / "space.json"
@@ -312,7 +331,18 @@ class TestImportSet:
     def test_symbolic(self):
         loaded = self.loaded(["symbolic", "--verticals", "2", "hnumber"])
         assert {"symbolic", "jsonio"} <= loaded
-        assert not loaded & {"separation", "enumeration", "constructions"}
+        assert not loaded & {"core", "separation", "enumeration", "constructions"}
+
+    @pytest.mark.parametrize("argv", [
+        ["enumerate"],
+        ["enumerate", "9"],
+        ["analyze", "no-such-dir/space.json"],
+    ])
+    def test_error_exits(self, argv):
+        self.loaded(argv, expected_code=2)
+
+    def test_help_loads_only_the_front_end(self):
+        assert self.loaded(["--help"]) == {"cli", "errors", "limits", "_records"}
 
     def test_bare_package_import(self):
         proc = subprocess.run(

@@ -1,7 +1,10 @@
 """Value semantics for the package's record types, read from ``__slots__``.
 
 A record lists its fields in ``__slots__`` (a subclass lists only the fields
-it adds) and writes its own ``__init__`` taking them in that order.
+it adds) and writes its own ``__init__`` taking them in that order.  A slot
+whose name starts with an underscore is not a field: a record may keep data
+derived from its fields there (a cache), which equality, hashing, the repr,
+``__match_args__`` and pickling leave out.
 ``Record`` compares two records of the same class field by field and prints
 ``Name(field=value, ...)``.  ``FrozenRecord`` also hashes like the tuple of
 its fields and refuses assignment, so its ``__init__`` sets the fields with
@@ -22,7 +25,8 @@ class Record:
     def __init_subclass__(cls, **kwargs):
         super().__init_subclass__(**kwargs)
         fields = tuple(name for base in reversed(cls.__mro__)
-                       for name in base.__dict__.get("__slots__", ()))
+                       for name in base.__dict__.get("__slots__", ())
+                       if not name.startswith("_"))
         cls._fields = cls.__match_args__ = fields
         # ``_astuple(record)``: the tuple of its field values
         if len(fields) == 1:

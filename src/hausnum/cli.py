@@ -11,13 +11,17 @@ usage, parse, or validation errors.
 
 Each handler imports the package modules it uses in its own body, so a call
 loads only what its subcommand needs; ``TestImportSet`` in the tests pins
-which modules that is.
+which modules that is.  The grammar is declared once, in ``COMMANDS``.
+``main`` reads a plainly spelled command line from it directly and hands any
+other (``--help``, usage errors, abbreviations, ``--opt=value``, repeated
+options) to the argparse parser that ``build_parser`` makes from it, so
+argparse is imported only for help and errors.
 """
 
 from __future__ import annotations
 
-import argparse
 import sys
+from types import SimpleNamespace
 
 from .errors import BadParameter, ParseError, TopologyError
 from .limits import ORACLE_MAX_POINTS, TABLE_MAX_POINTS
@@ -228,74 +232,183 @@ def _symbolic_text(doc: dict) -> str:
     return f"t1 pair: no ({doc['explanation']})\n"
 
 
-def build_parser() -> argparse.ArgumentParser:
+# The command-line grammar, declared once.  A command is (help, handler,
+# arguments, nested commands); an argument is (name or flag, argparse keyword
+# arguments), and a list of arguments is a mutually exclusive group; nested
+# commands are (destination, commands) and must be given.  ``build_parser``
+# builds argparse from this table, and ``_read_plain`` reads plainly spelled
+# argv from it.
+_FORMAT = ("--format", {"choices": ("json", "text"), "default": "json"})
+
+COMMANDS = {
+    "analyze": ("separation report for a topology file", _cmd_analyze, [
+        ("input", {"help": "finite-topology/v1 JSON file"}),
+        ("--oracle", {"action": "store_true",
+                      "help": "cross-check with the exhaustive oracle (n <= 5)"}),
+        _FORMAT,
+        ("--out", {"help": "write the report here instead of stdout"}),
+    ], None),
+    "enumerate": ("count topologies by Hausdorff number", _cmd_enumerate, [
+        ("n", {"type": int, "help": f"point count (1..{TABLE_MAX_POINTS})"}),
+        [("--labeled", {"action": "store_true",
+                        "help": "text output: labeled total only"}),
+         ("--classes", {"action": "store_true",
+                        "help": "text output: homeomorphism-class total only"}),
+         ("--histogram", {"action": "store_true",
+                          "help": "text output: per-Hausdorff-number rows"})],
+        ("--t0-only", {"action": "store_true",
+                       "help": "restrict counts to T0 topologies"}),
+        ("--jobs", {"type": int, "default": 1,
+                    "help": "accepted for compatibility; counting is serial"}),
+        ("--cache-dir",
+         {"help": "cache directory (default: $TOPO_CACHE_DIR or .topo-cache)"}),
+        ("--format", {"choices": ("json", "csv", "text"), "default": "json"}),
+        ("--out", {"help": "write the table here instead of stdout"}),
+    ], None),
+    "example": ("emit a named construction", _cmd_example, [
+        ("name", {"help": "three-point | four-point | two-block:N | doubled:N"}),
+        ("--verify", {"action": "store_true",
+                      "help": "check the construction's claims; nonzero exit on failure"}),
+        _FORMAT,
+        ("--out", {"help": "write the topology JSON here"}),
+    ], None),
+    "symbolic": ("query a doubled-interval space", _cmd_symbolic, [
+        ("--verticals", {"required": True,
+                         "help": "number of stacked points, or 'omega'"}),
+        ("--no-t1", {"action": "store_true",
+                     "help": "use the unpunctured (non-T1) variant"}),
+        _FORMAT,
+        ("--out", {"help": "write the verdict here instead of stdout"}),
+    ], ("symbolic_command", {
+        "separable": ("separability of a point set", None, [
+            ("--points", {"required": True,
+                          "help": "comma-separated points, e.g. 'b:1/2,v:1'"}),
+        ], None),
+        "hnumber": ("symbolic Hausdorff number of the space", None, [], None),
+        "t1": ("mutual exclusion test for a pair", None, [
+            ("--pair", {"nargs": 2, "required": True, "metavar": ("P", "Q")}),
+        ], None),
+    })),
+}
+
+
+def _add_commands(parser, dest: str, commands: dict) -> None:
+    sub = parser.add_subparsers(dest=dest, required=True)
+    for name, (help_text, handler, arguments, nested) in commands.items():
+        command = sub.add_parser(name, help=help_text)
+        for argument in arguments:
+            if isinstance(argument, list):
+                group = command.add_mutually_exclusive_group()
+                for flag, kwargs in argument:
+                    group.add_argument(flag, **kwargs)
+            else:
+                command.add_argument(argument[0], **argument[1])
+        if nested is not None:
+            _add_commands(command, *nested)
+        if handler is not None:
+            command.set_defaults(func=handler)
+
+
+def build_parser() -> "argparse.ArgumentParser":
+    """The argparse parser of ``COMMANDS``, for help and usage errors."""
+    import argparse
+
     parser = argparse.ArgumentParser(
         prog="hausnum",
         description="Hausdorff numbers of finite topologies: analysis, "
                     "enumeration, named constructions, symbolic spaces.")
-    sub = parser.add_subparsers(dest="command", required=True)
-
-    analyze = sub.add_parser("analyze", help="separation report for a topology file")
-    analyze.add_argument("input", help="finite-topology/v1 JSON file")
-    analyze.add_argument("--oracle", action="store_true",
-                         help="cross-check with the exhaustive oracle (n <= 5)")
-    analyze.add_argument("--format", choices=("json", "text"), default="json")
-    analyze.add_argument("--out", help="write the report here instead of stdout")
-    analyze.set_defaults(func=_cmd_analyze)
-
-    enum = sub.add_parser("enumerate", help="count topologies by Hausdorff number")
-    enum.add_argument("n", type=int, help=f"point count (1..{TABLE_MAX_POINTS})")
-    group = enum.add_mutually_exclusive_group()
-    group.add_argument("--labeled", action="store_true",
-                       help="text output: labeled total only")
-    group.add_argument("--classes", action="store_true",
-                       help="text output: homeomorphism-class total only")
-    group.add_argument("--histogram", action="store_true",
-                       help="text output: per-Hausdorff-number rows")
-    enum.add_argument("--t0-only", action="store_true",
-                      help="restrict counts to T0 topologies")
-    enum.add_argument("--jobs", type=int, default=1,
-                      help="accepted for compatibility; counting is serial")
-    enum.add_argument("--cache-dir",
-                      help="cache directory (default: $TOPO_CACHE_DIR or .topo-cache)")
-    enum.add_argument("--format", choices=("json", "csv", "text"), default="json")
-    enum.add_argument("--out", help="write the table here instead of stdout")
-    enum.set_defaults(func=_cmd_enumerate)
-
-    example = sub.add_parser("example", help="emit a named construction")
-    example.add_argument("name",
-                         help="three-point | four-point | two-block:N | doubled:N")
-    example.add_argument("--verify", action="store_true",
-                         help="check the construction's claims; nonzero exit on failure")
-    example.add_argument("--format", choices=("json", "text"), default="json")
-    example.add_argument("--out", help="write the topology JSON here")
-    example.set_defaults(func=_cmd_example)
-
-    symbolic = sub.add_parser("symbolic", help="query a doubled-interval space")
-    symbolic.add_argument("--verticals", required=True,
-                          help="number of stacked points, or 'omega'")
-    symbolic.add_argument("--no-t1", action="store_true",
-                          help="use the unpunctured (non-T1) variant")
-    symbolic.add_argument("--format", choices=("json", "text"), default="json")
-    symbolic.add_argument("--out", help="write the verdict here instead of stdout")
-    symsub = symbolic.add_subparsers(dest="symbolic_command", required=True)
-
-    sep = symsub.add_parser("separable", help="separability of a point set")
-    sep.add_argument("--points", required=True,
-                     help="comma-separated points, e.g. 'b:1/2,v:1'")
-
-    symsub.add_parser("hnumber", help="symbolic Hausdorff number of the space")
-
-    t1 = symsub.add_parser("t1", help="mutual exclusion test for a pair")
-    t1.add_argument("--pair", nargs=2, required=True, metavar=("P", "Q"))
-
-    symbolic.set_defaults(func=_cmd_symbolic)
+    _add_commands(parser, "command", COMMANDS)
     return parser
 
 
+def _convert(kwargs: dict, token: str):
+    """``token`` as argparse stores it; ValueError where argparse would not."""
+    if token.startswith("-"):
+        raise ValueError(token)
+    value = kwargs.get("type", str)(token)
+    if value not in kwargs.get("choices", (value,)):
+        raise ValueError(token)
+    return value
+
+
+def _read_command(tokens: list, dest: str, commands: dict, values: dict) -> bool:
+    """Read ``tokens``, a command name and its arguments, into ``values``.
+
+    True if every token is plainly spelled: exact command and option names,
+    each option at most once, values that do not start with ``-``, no
+    missing or surplus argument.  Otherwise False, and argparse reads them.
+    """
+    if not tokens or tokens[0] not in commands:
+        return False
+    values[dest] = tokens[0]
+    _, handler, arguments, nested = commands[tokens[0]]
+    if handler is not None:
+        values["func"] = handler
+    options, positionals, groups = {}, [], []
+    for argument in arguments:
+        group = argument if isinstance(argument, list) else [argument]
+        groups.append([name for name, _ in group])
+        for name, kwargs in group:
+            key = name.lstrip("-").replace("-", "_")
+            values[key] = False if kwargs.get("action") else kwargs.get("default")
+            if name.startswith("-"):
+                options[name] = key, kwargs
+            else:
+                positionals.append((key, kwargs))
+
+    seen = set()
+    i = 1
+    try:
+        while i < len(tokens):
+            token = tokens[i]
+            if token in options and token not in seen:
+                seen.add(token)
+                key, kwargs = options[token]
+                if kwargs.get("action"):
+                    values[key] = True
+                    i += 1
+                    continue
+                count = kwargs.get("nargs", 1)
+                given = [_convert(kwargs, t) for t in tokens[i + 1:i + 1 + count]]
+                if len(given) != count:
+                    return False
+                values[key] = given if "nargs" in kwargs else given[0]
+                i += 1 + count
+            elif token.startswith("-"):
+                return False
+            elif positionals:
+                key, kwargs = positionals.pop(0)
+                values[key] = _convert(kwargs, token)
+                i += 1
+            else:
+                break
+    except ValueError:
+        return False
+    if (positionals
+            or any(kwargs.get("required") and flag not in seen
+                   for flag, (_, kwargs) in options.items())
+            or any(len(seen.intersection(group)) > 1 for group in groups)):
+        return False
+    if nested is None:
+        return i == len(tokens)
+    return _read_command(tokens[i:], *nested, values)
+
+
+def _read_plain(argv: list) -> "SimpleNamespace | None":
+    """The namespace argparse gives for plainly spelled ``argv``, or None."""
+    values = {}
+    if _read_command(argv, "command", COMMANDS, values):
+        return SimpleNamespace(**values)
+    return None
+
+
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    """Run one command line (``sys.argv[1:]`` if None); returns the exit code."""
+    if argv is None:
+        argv = sys.argv[1:]
+    args = _read_plain(list(argv))
+    if args is None:
+        args = build_parser().parse_args(argv)
     try:
         return args.func(args)
     except TopologyError as exc:

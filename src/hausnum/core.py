@@ -11,7 +11,7 @@ pure function, so values can be shared freely across threads or processes.
 
 from __future__ import annotations
 
-from typing import Iterable, Iterator, NamedTuple
+from typing import Iterable, Iterator, NamedTuple, Sequence
 
 from ._records import FrozenRecord
 from .errors import (
@@ -112,6 +112,21 @@ class PointSet(FrozenRecord):
         return f"PointSet({self.n}, {{{', '.join(map(str, self))}}})"
 
 
+_set_n = PointSet.n.__set__
+_set_mask = PointSet.mask.__set__
+
+
+def _pointsets(n: int, masks: Iterable[int]) -> tuple[PointSet, ...]:
+    """PointSets over n points for masks already known to fit, built unchecked."""
+    sets = []
+    for mask in masks:
+        s = object.__new__(PointSet)
+        _set_n(s, n)
+        _set_mask(s, mask)
+        sets.append(s)
+    return tuple(sets)
+
+
 def _as_mask(n: int, s: "PointSet | Iterable[int]") -> int:
     if isinstance(s, PointSet):
         if s.n != n:
@@ -122,7 +137,8 @@ def _as_mask(n: int, s: "PointSet | Iterable[int]") -> int:
 
 
 def _canonical_masks(masks: Iterable[int]) -> tuple[int, ...]:
-    return tuple(sorted(set(masks), key=lambda m: (m.bit_count(), m)))
+    # by cardinality, ties by value: the second sort is stable
+    return tuple(sorted(sorted(set(masks)), key=int.bit_count))
 
 
 class FiniteTopology(FrozenRecord):
@@ -130,28 +146,43 @@ class FiniteTopology(FrozenRecord):
 
     Construct via :func:`validate_topology` or :func:`generate_from_subbasis`
     unless the family is already known to be a topology.
+
+    The fields are ``n`` and ``opens``.  The slots ``_masks`` (the open masks,
+    in the order of ``opens``) and ``_rows`` (``rows[a]``, the mask of the
+    minimal neighbourhood of a) hold what is derived from them: the builders
+    of this module fill in what they already know, and ``open_masks`` and
+    ``_minimal_rows`` compute the rest on first use.  Equality, hashing, the
+    repr and pickling see the fields only.
     """
 
-    __slots__ = ("n", "opens")
+    __slots__ = ("n", "opens", "_masks", "_rows")
 
     def __init__(self, n: int, opens: tuple[PointSet, ...]):
         object.__setattr__(self, "n", n)
         object.__setattr__(self, "opens", opens)
+        object.__setattr__(self, "_masks", None)
+        object.__setattr__(self, "_rows", None)
 
     @property
     def open_masks(self) -> tuple[int, ...]:
-        return tuple(u.mask for u in self.opens)
+        if self._masks is None:
+            object.__setattr__(self, "_masks", tuple(u.mask for u in self.opens))
+        return self._masks
 
     def is_open(self, s: "PointSet | Iterable[int]") -> bool:
-        mask = _as_mask(self.n, s)
-        return any(u.mask == mask for u in self.opens)
+        return _as_mask(self.n, s) in self.open_masks
 
     def __repr__(self) -> str:
         return f"FiniteTopology(n={self.n}, opens={len(self.opens)})"
 
 
-def _topology_from_masks(n: int, masks: Iterable[int]) -> FiniteTopology:
-    return FiniteTopology(n, tuple(PointSet(n, m) for m in _canonical_masks(masks)))
+def _topology(n: int, masks: tuple[int, ...], rows: "tuple[int, ...] | None") -> FiniteTopology:
+    """The topology with these canonical, in-range open masks and minimal rows
+    (None if not known yet)."""
+    topology = FiniteTopology(n, _pointsets(n, masks))
+    object.__setattr__(topology, "_masks", masks)
+    object.__setattr__(topology, "_rows", rows)
+    return topology
 
 
 def validate_topology(n: int, family: Iterable["PointSet | Iterable[int]"]) -> FiniteTopology:
@@ -173,9 +204,10 @@ def validate_topology(n: int, family: Iterable["PointSet | Iterable[int]"]) -> F
         raise TooLarge(f"more than {MAX_OPENS} open sets")
     full = (1 << n) - 1
     mask_set = set(masks)
-    if 0 in mask_set and all(u | row in mask_set
-                             for row in set(_rows_from_masks(n, masks)) for u in masks):
-        return _topology_from_masks(n, masks)
+    rows = _rows_from_masks(n, masks)
+    if 0 in mask_set and all(mask_set.issuperset([u | row for u in masks])
+                             for row in set(rows)):
+        return _topology(n, masks, rows)
 
     issues: list = []
     if 0 not in mask_set:
@@ -211,7 +243,7 @@ def generate_from_subbasis(n: int, subbasis: Iterable["PointSet | Iterable[int]"
     """
     _check_n(n)
     rows = _rows_from_masks(n, [_as_mask(n, s) for s in subbasis])
-    return _topology_from_masks(n, _up_sets(rows))
+    return _topology(n, _canonical_masks(_up_sets(rows)), rows)
 
 
 def _check_point(n: int, a: int) -> None:
@@ -222,27 +254,27 @@ def _check_point(n: int, a: int) -> None:
 def minimal_neighborhood(topology: FiniteTopology, a: int) -> PointSet:
     """Intersection of all open sets containing ``a`` (open, since finite)."""
     _check_point(topology.n, a)
-    mask = (1 << topology.n) - 1
-    for u in topology.open_masks:
-        if u >> a & 1:
-            mask &= u
-    return PointSet(topology.n, mask)
+    return PointSet(topology.n, _minimal_rows(topology)[a])
 
 
-def _rows_from_masks(n: int, masks: Iterable[int]) -> tuple[int, ...]:
+def _rows_from_masks(n: int, masks: Sequence[int]) -> tuple[int, ...]:
     """``rows[a]``: the intersection of the masks containing a (full if none)."""
-    rows = [(1 << n) - 1] * n
-    for u in masks:
-        m = u
-        while m:
-            low = m & -m
-            rows[low.bit_length() - 1] &= u
-            m ^= low
+    rows = []
+    for a in range(n):
+        bit = 1 << a
+        row = (1 << n) - 1
+        for u in masks:
+            if u & bit:
+                row &= u
+        rows.append(row)
     return tuple(rows)
 
 
 def _minimal_rows(topology: FiniteTopology) -> tuple[int, ...]:
-    return _rows_from_masks(topology.n, topology.open_masks)
+    if topology._rows is None:
+        object.__setattr__(topology, "_rows",
+                           _rows_from_masks(topology.n, topology.open_masks))
+    return topology._rows
 
 
 def _up_sets(rows: Iterable[int]) -> set[int]:
@@ -323,7 +355,8 @@ def topology_from_preorder(preorder: Preorder) -> FiniteTopology:
     Inverse of :func:`specialization_preorder` in both directions.  Raises
     :class:`TooLarge` past ``MAX_OPENS`` open sets.
     """
-    return _topology_from_masks(preorder.n, _up_sets(preorder.rows))
+    return _topology(preorder.n, _canonical_masks(_up_sets(preorder.rows)),
+                     tuple(preorder.rows))
 
 
 class SubspaceResult(NamedTuple):
@@ -353,4 +386,4 @@ def subspace(topology: FiniteTopology, points: "PointSet | Iterable[int]") -> Su
             new_mask |= 1 << index_of[low.bit_length() - 1]
             m ^= low
         traces.add(new_mask)
-    return SubspaceResult(_topology_from_masks(len(labels), traces), labels)
+    return SubspaceResult(_topology(len(labels), _canonical_masks(traces), None), labels)

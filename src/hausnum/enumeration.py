@@ -30,10 +30,9 @@ import tempfile
 from itertools import combinations, permutations, product
 from math import factorial, prod
 from pathlib import Path
-from typing import Iterator
+from typing import TYPE_CHECKING, Iterator
 
 from ._records import FrozenRecord, Record
-from .core import FiniteTopology, Preorder, topology_from_preorder
 from .errors import TooLarge
 from .limits import (
     ENUM_MAX_POINTS,
@@ -41,6 +40,9 @@ from .limits import (
     STIRLING_MAX_POINTS,
     TABLE_MAX_POINTS,
 )
+
+if TYPE_CHECKING:
+    from .core import FiniteTopology, Preorder
 
 CACHE_VERSION = "counts-v1"
 CACHE_ENV_VAR = "TOPO_CACHE_DIR"
@@ -186,14 +188,16 @@ def _canonical(rows) -> tuple[bytes, list[list[int]]]:
         else:
             blocks.append([a])
 
+    # permuted row i has bit j iff perm[j] is a point of row perm[i]
+    points = [[x for x in range(n) if row >> x & 1] for row in rows]
+    bit = [0] * n
     best = None
     reaching: list[list[int]] = []
     for parts in product(*(permutations(b) for b in blocks)):
         perm = [p for part in parts for p in part]
-        enc = bytes(
-            sum(((rows[perm[i]] >> perm[j]) & 1) << j for j in range(n))
-            for i in range(n)
-        )
+        for i, p in enumerate(perm):
+            bit[p] = 1 << i
+        enc = bytes(sum(bit[x] for x in points[p]) for p in perm)
         if best is None or enc < best:
             best, reaching = enc, [perm]
         elif enc == best:
@@ -232,12 +236,16 @@ def classify(n: int, want_classes: bool = True, t0_only: bool = False):
 def enumerate_preorders(n: int) -> Iterator[Preorder]:
     """Every specialization preorder on n points, in ascending matrix order."""
     _check_cap(n, ENUM_MAX_POINTS)
+    from .core import Preorder
+
     for rows in _walk(n):
         yield Preorder(n, tuple(rows))
 
 
 def enumerate_labeled(n: int) -> Iterator[FiniteTopology]:
     """Every topology on n labeled points exactly once, deterministic order."""
+    from .core import topology_from_preorder
+
     for preorder in enumerate_preorders(n):
         yield topology_from_preorder(preorder)
 
@@ -254,6 +262,8 @@ def enumerate_classes(n: int) -> Iterator[tuple[CanonicalForm, FiniteTopology]]:
     """One (canonical form, representative) pair per homeomorphism class."""
     _check_cap(n, ENUM_MAX_POINTS)
     _, _, class_map = classify(n)
+    from .core import Preorder, topology_from_preorder
+
     for enc in sorted(class_map):
         _, rows = class_map[enc]
         yield CanonicalForm(enc), topology_from_preorder(Preorder(n, rows))

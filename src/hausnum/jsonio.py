@@ -15,6 +15,7 @@ from pathlib import Path
 from typing import TYPE_CHECKING
 
 from .errors import ParseError
+from .limits import MAX_POINTS
 
 if TYPE_CHECKING:
     from .core import FiniteTopology
@@ -22,11 +23,20 @@ if TYPE_CHECKING:
 FORMAT_TAG = "finite-topology/v1"
 
 
+def _points_of(mask: int) -> list[int]:
+    points = []
+    while mask:
+        low = mask & -mask
+        points.append(low.bit_length() - 1)
+        mask ^= low
+    return points
+
+
 def topology_to_dict(topology: FiniteTopology, name: str | None = None) -> dict:
     doc = {
         "format": FORMAT_TAG,
         "n": topology.n,
-        "opens": [list(u) for u in topology.opens],
+        "opens": [_points_of(u) for u in topology.open_masks],
     }
     if name is not None:
         doc["name"] = name
@@ -42,15 +52,31 @@ def topology_to_json(topology: FiniteTopology, name: str | None = None) -> str:
     return dumps_canonical(topology_to_dict(topology, name))
 
 
-def _point_list(value, n: int, where: str) -> list[int]:
+def _point_mask(value, n: int, key: str, i: int) -> int:
+    """The bit mask of ``value``, a strictly ascending list of points in 0..n-1.
+
+    Past ``MAX_POINTS`` the list is only checked and the mask is 0: the core
+    refuses such an n before it reads a set, and a point may be too large for
+    a mask.
+    """
     if not isinstance(value, list):
-        raise ParseError(f"{where} must be an array")
+        raise ParseError(f'"{key}"[{i}] must be an array')
+    fits = n <= MAX_POINTS
+    mask = 0
+    last = -1
+    ascending = True
     for p in value:
-        if not isinstance(p, int) or isinstance(p, bool) or not 0 <= p < n:
-            raise ParseError(f"{where} contains {p!r}, not a point in 0..{n - 1}")
-    if any(a >= b for a, b in zip(value, value[1:])):
-        raise ParseError(f"{where} is not strictly ascending")
-    return value
+        if (type(p) is not int and (not isinstance(p, int) or isinstance(p, bool))
+                or not 0 <= p < n):
+            raise ParseError(f'"{key}"[{i}] contains {p!r}, not a point in 0..{n - 1}')
+        if p <= last:
+            ascending = False
+        last = p
+        if fits:
+            mask |= 1 << p
+    if not ascending:
+        raise ParseError(f'"{key}"[{i}] is not strictly ascending')
+    return mask
 
 
 def topology_from_dict(doc: dict) -> tuple[FiniteTopology, str | None]:
@@ -81,10 +107,11 @@ def topology_from_dict(doc: dict) -> tuple[FiniteTopology, str | None]:
     family = doc[key]
     if not isinstance(family, list):
         raise ParseError(f'"{key}" must be an array of arrays')
-    sets = [_point_list(entry, n, f'"{key}"[{i}]') for i, entry in enumerate(family)]
+    masks = [_point_mask(entry, n, key, i) for i, entry in enumerate(family)]
 
-    from .core import generate_from_subbasis, validate_topology
+    from .core import _pointsets, generate_from_subbasis, validate_topology
 
+    sets = _pointsets(n, masks)
     if has_opens:
         return validate_topology(n, sets), name
     return generate_from_subbasis(n, sets), name

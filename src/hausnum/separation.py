@@ -184,32 +184,34 @@ def axioms_report(topology: FiniteTopology) -> AxiomsReport:
     the closure of each of them.  So the space is regular iff y in N(x)
     implies x in N(y) (the specialization preorder is symmetric: every
     closure equals the minimal neighbourhood), and normal iff any two points
-    with disjoint closures have disjoint minimal neighbourhoods.
+    with disjoint closures have disjoint minimal neighbourhoods.  The
+    singleton {a} is open iff N(a) = {a}, so the space is discrete iff it is
+    T1.
     """
-    return _axioms_from_rows(topology, _minimal_rows(topology))
+    return _axioms_from_rows(_minimal_rows(topology))
 
 
-def _axioms_from_rows(topology: FiniteTopology, rows: tuple[int, ...]) -> AxiomsReport:
-    n = topology.n
+def _axioms_from_rows(rows: tuple[int, ...]) -> AxiomsReport:
+    n = len(rows)
     closures = _closures(rows)
-    open_set = set(topology.open_masks)
+    t1 = all(rows[a] == 1 << a for a in range(n))
     pairs = [(a, b) for a in range(n) for b in range(a + 1, n)]
 
     return AxiomsReport(
         t0=len(set(rows)) == n,
-        t1=all(rows[a] == 1 << a for a in range(n)),
+        t1=t1,
         hausdorff=all(rows[a] & rows[b] == 0 for a, b in pairs),
         regular=closures == list(rows),
         normal=all(rows[a] & rows[b] == 0 for a, b in pairs
                    if closures[a] & closures[b] == 0),
-        discrete=all((1 << a) in open_set for a in range(n)),
+        discrete=t1,
         compact=True)
 
 
 def analysis_report(topology: FiniteTopology) -> dict:
     """JSON-ready report combining the axiom flags and the Hausdorff number."""
     rows = _minimal_rows(topology)
-    axioms = _axioms_from_rows(topology, rows)
+    axioms = _axioms_from_rows(rows)
     h = _hausdorff_from_rows(rows)
     return {
         "n": topology.n,

@@ -287,8 +287,9 @@ def bare_interpreter_modules() -> frozenset[str]:
 
 
 class TestImportSet:
-    """Each subcommand loads only the package modules it uses, and no call
-    loads ``dataclasses`` or ``inspect``."""
+    """Each subcommand loads only the package modules it uses, no call loads
+    ``dataclasses`` or ``inspect``, and a plainly spelled call is read
+    without ``argparse`` (and the ``gettext`` and ``locale`` it loads)."""
 
     PROBE = ("import contextlib, io, json, sys\n"
              "from hausnum.cli import main\n"
@@ -300,7 +301,7 @@ class TestImportSet:
              "        code = exc.code\n"
              "print(code, *sorted(sys.modules))\n")
 
-    def loaded(self, argv, expected_code: int = 0) -> set[str]:
+    def loaded(self, argv, expected_code: int = 0, plain: bool = True) -> set[str]:
         proc = subprocess.run([sys.executable, "-c", self.PROBE, json.dumps(argv)],
                               capture_output=True, text=True)
         assert proc.returncode == 0, proc.stderr
@@ -308,6 +309,8 @@ class TestImportSet:
         assert code == str(expected_code)
         added = set(modules) - bare_interpreter_modules()
         assert not added & {"dataclasses", "inspect"}
+        front_end = added & {"argparse", "gettext", "locale"}
+        assert front_end == (set() if plain else {"argparse", "gettext", "locale"})
         return {m.removeprefix("hausnum.") for m in added if m.startswith("hausnum.")}
 
     def test_analyze(self, tmp_path):
@@ -321,7 +324,13 @@ class TestImportSet:
         run_cli(capsys, "enumerate", "3", "--cache-dir", str(tmp_path))
         loaded = self.loaded(["enumerate", "3", "--cache-dir", str(tmp_path)])
         assert {"enumeration", "jsonio"} <= loaded
-        assert not loaded & {"symbolic", "separation", "constructions"}
+        assert not loaded & {"core", "symbolic", "separation", "constructions"}
+
+    def test_enumerate_cold_table(self, tmp_path):
+        loaded = self.loaded(["enumerate", "4", "--format", "csv", "--cache-dir", str(tmp_path)])
+        assert (tmp_path / "counts-n4-all.json").exists()
+        assert "enumeration" in loaded
+        assert not loaded & {"core", "symbolic", "separation", "constructions"}
 
     def test_example_verify(self):
         loaded = self.loaded(["example", "three-point", "--verify"])
@@ -333,16 +342,16 @@ class TestImportSet:
         assert {"symbolic", "jsonio"} <= loaded
         assert not loaded & {"core", "separation", "enumeration", "constructions"}
 
-    @pytest.mark.parametrize("argv", [
-        ["enumerate"],
-        ["enumerate", "9"],
-        ["analyze", "no-such-dir/space.json"],
-    ])
-    def test_error_exits(self, argv):
-        self.loaded(argv, expected_code=2)
+    @pytest.mark.parametrize("argv, plain", [
+        (["enumerate"], False),
+        (["enumerate", "9"], True),
+        (["analyze", "no-such-dir/space.json"], True),
+    ], ids=["argv0", "argv1", "argv2"])
+    def test_error_exits(self, argv, plain):
+        self.loaded(argv, expected_code=2, plain=plain)
 
     def test_help_loads_only_the_front_end(self):
-        assert self.loaded(["--help"]) == {"cli", "errors", "limits", "_records"}
+        assert self.loaded(["--help"], plain=False) == {"cli", "errors", "limits", "_records"}
 
     def test_bare_package_import(self):
         proc = subprocess.run(

@@ -364,3 +364,71 @@ class TestImmutability:
             PointSet(2, 1).mask = 3
         with pytest.raises(AttributeError):
             specialization_preorder(t).rows = ()
+
+
+class TestCarriedRows:
+    """A topology's ``_masks`` and ``_rows`` slots agree with its opens, however
+    it was made, and the builders that know the rows fill them in."""
+
+    @staticmethod
+    def check(t, carried: bool) -> None:
+        from hausnum.core import _minimal_rows, _rows_from_masks
+
+        masks = tuple(u.mask for u in t.opens)
+        assert all(u == PointSet(t.n, u.mask) for u in t.opens)
+        assert (t._rows is not None) == carried
+        assert t.open_masks == masks
+        assert _minimal_rows(t) == _rows_from_masks(t.n, masks)
+        assert t._rows == _rows_from_masks(t.n, masks)
+
+    def test_validate_from_point_lists_and_point_sets(self, rng):
+        for n in range(1, 7):
+            for _ in range(5):
+                opens = topology_from_preorder(random_preorder(n, rng)).opens
+                shuffled = list(opens)
+                rng.shuffle(shuffled)
+                self.check(validate_topology(n, [list(u) for u in shuffled]), True)
+                self.check(validate_topology(n, shuffled), True)
+
+    def test_subbasis_preorder_and_subspace(self, rng):
+        for n in range(1, 7):
+            for _ in range(5):
+                p = random_preorder(n, rng)
+                self.check(topology_from_preorder(p), True)
+                self.check(generate_from_subbasis(n, [PointSet(n, r) for r in p.rows]), True)
+                self.check(generate_from_subbasis(n, [[a] for a in range(n) if a % 2]), True)
+                carrier = [a for a in range(n) if rng.random() < 0.6] or [0]
+                self.check(subspace(topology_from_preorder(p), carrier).topology, False)
+
+    def test_constructions_and_loader(self, tmp_path):
+        from hausnum.constructions import (
+            doubled_point_topology,
+            filtered_four_point,
+            three_point_example,
+            two_block_topology,
+        )
+        from hausnum.jsonio import load_topology, topology_to_json
+
+        for t in (three_point_example(), filtered_four_point(), two_block_topology(5),
+                  two_block_topology(2), doubled_point_topology(7, 3, 1)):
+            self.check(t, True)
+            path = tmp_path / "space.json"
+            path.write_text(topology_to_json(t))
+            self.check(load_topology(path)[0], True)
+        path.write_text('{"format": "finite-topology/v1", "n": 4, "subbasis": [[2], [0, 1]]}')
+        self.check(load_topology(path)[0], True)
+
+    def test_bare_topology_derives_on_first_use(self):
+        from hausnum.core import FiniteTopology
+
+        opens = (PointSet(3, 0), PointSet(3, 0b001), PointSet(3, 0b110), PointSet(3, 0b111))
+        self.check(FiniteTopology(3, opens), False)
+
+    def test_copies_and_pickles(self):
+        import copy
+        import pickle
+
+        t = generate_from_subbasis(4, [[0], [1, 2], [2, 3]])
+        for twin in (copy.copy(t), copy.deepcopy(t), pickle.loads(pickle.dumps(t))):
+            assert twin == t and hash(twin) == hash(t) and repr(twin) == repr(t)
+            self.check(twin, False)

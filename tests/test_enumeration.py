@@ -7,6 +7,8 @@ from hausnum.core import validate_topology
 from hausnum.enumeration import (
     CACHE_VERSION,
     CountsTable,
+    _canonical,
+    _walk,
     canonical_form,
     classify,
     count_by_hausdorff,
@@ -127,6 +129,55 @@ class TestCanonicalForm:
                 perm = list(range(6))
                 rng.shuffle(perm)
                 assert canonical_form(permute_topology(t, perm)) == reference
+
+
+def canonical_per_bit(rows):
+    """The reference for ``_canonical``: each permuted row built bit by bit."""
+    n = len(rows)
+    colpc = [0] * n
+    for row in rows:
+        for x in range(n):
+            colpc[x] += row >> x & 1
+    keys = [(rows[a].bit_count(), colpc[a]) for a in range(n)]
+    order = sorted(range(n), key=keys.__getitem__)
+    blocks = []
+    for a in order:
+        if blocks and keys[blocks[-1][-1]] == keys[a]:
+            blocks[-1].append(a)
+        else:
+            blocks.append([a])
+    best = None
+    reaching = []
+    for parts in itertools.product(*(itertools.permutations(b) for b in blocks)):
+        perm = [p for part in parts for p in part]
+        enc = bytes(sum(((rows[perm[i]] >> perm[j]) & 1) << j for j in range(n))
+                    for i in range(n))
+        if best is None or enc < best:
+            best, reaching = enc, [perm]
+        elif enc == best:
+            reaching.append(perm)
+    return best, reaching
+
+
+class TestCanonicalAgainstPerBit:
+    """``_canonical`` gives the reference's bytes and reaching permutations."""
+
+    @pytest.mark.parametrize("n", [1, 2, 3, 4, 5])
+    def test_every_preorder(self, n):
+        for rows in _walk(n):
+            assert _canonical(rows) == canonical_per_bit(rows), rows
+
+    @pytest.mark.parametrize("n, samples", [(6, 150), (7, 60)])
+    def test_seeded_samples(self, n, samples):
+        import random
+
+        from conftest import random_preorder
+
+        rng = random.Random(1000 + n)
+        cases = [tuple(1 << a for a in range(n)), tuple((1 << n) - 1 for _ in range(n))]
+        cases += [random_preorder(n, rng).rows for _ in range(samples)]
+        for rows in cases:
+            assert _canonical(rows) == canonical_per_bit(rows), rows
 
 
 class TestEnumerateClasses:

@@ -86,3 +86,39 @@ def test_validate_equals_direct_loader_output():
            "opens": [[0, 1, 2], [], [1, 2], [0]]}
     loaded, _ = topology_from_dict(doc)
     assert loaded == validate_topology(3, [[], [0], [1, 2], [0, 1, 2]])
+
+
+@pytest.mark.parametrize("opens, message", [
+    ([[], [True], [0, 1, 2]], '"opens"[1] contains True, not a point in 0..2'),
+    ([[], [0, -1], [0, 1, 2]], '"opens"[1] contains -1, not a point in 0..2'),
+    ([[], [0.0], [0, 1, 2]], '"opens"[1] contains 0.0, not a point in 0..2'),
+    ([[], [2, 1, 7], [0, 1, 2]], '"opens"[1] contains 7, not a point in 0..2'),
+    ([[], [1, 1], [0, 1, 2]], '"opens"[1] is not strictly ascending'),
+    ([[], 5, [0, 1, 2]], '"opens"[1] must be an array'),
+    ([[], (0,), [0, 1, 2]], '"opens"[1] must be an array'),
+])
+def test_first_defect_is_named(opens, message):
+    with pytest.raises(ParseError) as err:
+        topology_from_dict({"format": "finite-topology/v1", "n": 3, "opens": opens})
+    assert str(err.value) == message
+
+
+def test_int_subclass_points_are_accepted():
+    class Point(int):
+        pass
+
+    doc = {"format": "finite-topology/v1", "n": 3,
+           "opens": [[], [Point(0)], [Point(1), Point(2)], [0, 1, Point(2)]]}
+    assert topology_from_dict(doc)[0] == three_point_example()
+
+
+def test_point_count_past_the_cap_is_refused_before_any_mask():
+    from hausnum.errors import PointOutOfRange
+
+    n = 10 ** 12
+    doc = {"format": "finite-topology/v1", "n": n, "opens": [[], [n - 1]]}
+    with pytest.raises(PointOutOfRange):
+        topology_from_dict(doc)
+    doc["opens"].append([n])
+    with pytest.raises(ParseError):
+        topology_from_dict(doc)

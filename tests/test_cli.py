@@ -289,7 +289,8 @@ def bare_interpreter_modules() -> frozenset[str]:
 class TestImportSet:
     """Each subcommand loads only the package modules it uses, no call loads
     ``dataclasses`` or ``inspect``, and a plainly spelled call is read
-    without ``argparse`` (and the ``gettext`` and ``locale`` it loads)."""
+    without ``argparse`` (and the ``gettext`` and ``locale`` it loads), also
+    through the ``python -m hausnum`` entry."""
 
     PROBE = ("import contextlib, io, json, sys\n"
              "from hausnum.cli import main\n"
@@ -352,6 +353,32 @@ class TestImportSet:
 
     def test_help_loads_only_the_front_end(self):
         assert self.loaded(["--help"], plain=False) == {"cli", "errors", "limits", "_records"}
+
+    @staticmethod
+    def imported(args, expected_code: int = 0) -> set[str]:
+        """Every module that ``python -X importtime args`` imports."""
+        proc = subprocess.run([sys.executable, "-X", "importtime", *args],
+                              capture_output=True, text=True)
+        assert proc.returncode == expected_code, proc.stderr
+        return {line.rsplit("|", 1)[1].strip() for line in proc.stderr.splitlines()
+                if line.startswith("import time:") and not line.endswith("imported package")}
+
+    @pytest.mark.parametrize("argv, code", [
+        (["enumerate", "4", "--format", "csv", "--cache-dir", "{cache}"], 0),
+        (["example", "three-point", "--verify"], 0),
+        (["symbolic", "--verticals", "2", "hnumber"], 0),
+        (["enumerate", "9"], 2),
+    ], ids=["enumerate-cold", "example-verify", "symbolic", "too-large"])
+    def test_module_entry(self, tmp_path, argv, code):
+        """``python -m hausnum`` loads the package modules ``main`` loads."""
+        def fresh(name):
+            return [a.replace("{cache}", str(tmp_path / name)) for a in argv]
+
+        imported = self.imported(["-m", "hausnum", *fresh("entry")], code)
+        added = imported - self.imported(["-c", "pass"])
+        assert not added & {"argparse", "gettext", "locale", "dataclasses", "inspect"}
+        package = {m.removeprefix("hausnum.") for m in added if m.startswith("hausnum.")}
+        assert package == self.loaded(fresh("main"), code)
 
     def test_bare_package_import(self):
         proc = subprocess.run(

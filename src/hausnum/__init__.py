@@ -17,8 +17,9 @@ kept for callers that read it.
 
 import importlib
 
-# Module -> the public names it defines; ``__getattr__`` imports the module
-# when one of its names is first read.
+# Module -> the public names it defines, which with ``BACKEND_NAME`` make up
+# ``__all__``; ``__getattr__`` imports the module when one of its names is
+# first read.
 _EXPORTS = {
     "constructions": (
         "build_example", "doubled_point_topology", "export_example",
@@ -63,77 +64,7 @@ __version__ = "0.1.0"
 
 BACKEND_NAME = "pure"
 
-__all__ = [
-    "BACKEND_NAME",
-    "MAX_POINTS",
-    "MAX_OPENS",
-    "PointSet",
-    "FiniteTopology",
-    "Preorder",
-    "SubspaceResult",
-    "validate_topology",
-    "generate_from_subbasis",
-    "minimal_neighborhood",
-    "specialization_preorder",
-    "topology_from_preorder",
-    "subspace",
-    "SeparationWitness",
-    "SeparationDecision",
-    "HausdorffNumber",
-    "AxiomsReport",
-    "is_separable",
-    "verify_witness",
-    "hausdorff_number",
-    "hausdorff_number_oracle",
-    "is_n_hausdorff",
-    "axioms_report",
-    "analysis_report",
-    "CanonicalForm",
-    "CountsTable",
-    "StirlingReport",
-    "enumerate_labeled",
-    "enumerate_preorders",
-    "enumerate_classes",
-    "canonical_form",
-    "count_by_hausdorff",
-    "labeled_and_t0_counts",
-    "stirling2",
-    "stirling_consistency",
-    "naive_counts",
-    "three_point_example",
-    "two_block_topology",
-    "filtered_four_point",
-    "doubled_point_topology",
-    "build_example",
-    "export_example",
-    "load_topology",
-    "topology_to_dict",
-    "topology_from_dict",
-    "topology_to_json",
-    "OMEGA",
-    "OMEGA_ONE",
-    "Base",
-    "Vertical",
-    "BasePoint",
-    "VerticalPoint",
-    "SymbolicPoint",
-    "BasisNeighborhood",
-    "BugEyedSpace",
-    "Cardinal",
-    "Finite",
-    "SeparabilityVerdict",
-    "membership",
-    "neighborhood_of",
-    "intersection_nonempty",
-    "separable",
-    "hausdorff_number_symbolic",
-    "largest_nonseparable_set",
-    "t1_status",
-    "restrict",
-    "grid_witness_search",
-    "parse_point",
-    "parse_points",
-]
+__all__ = ["BACKEND_NAME", *_MODULE_OF]
 
 
 def __getattr__(name: str):

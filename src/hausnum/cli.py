@@ -7,11 +7,12 @@ is for humans and carries no stability guarantee.
 
 Exit codes: 0 on success (queries that answer "no" still succeed), 1 when a
 requested check fails (--verify violations, --oracle disagreement), 2 on
-usage, parse, or validation errors.  ``run``, the entry of ``python -m
-hausnum`` and the ``hausnum`` script, ends the process with that code without
-the interpreter's final garbage collection and teardown, unless a tracer,
-profiler, ``-i`` prompt, other thread or calling function could still observe
-it.
+usage, parse, or validation errors, 120 when stdout is closed or its reader
+has gone away (the code the interpreter gives a failed final flush).
+``run``, the entry of ``python -m hausnum`` and the ``hausnum`` script, ends
+the process with that code without the interpreter's final garbage
+collection and teardown, unless a tracer, profiler, ``-i`` prompt, other
+thread or calling function could still observe it.
 
 Each handler imports the package modules it uses in its own body, so a call
 loads only what its subcommand needs; ``TestImportSet`` in the tests pins
@@ -35,17 +36,28 @@ from .limits import ORACLE_MAX_POINTS, TABLE_MAX_POINTS
 EXIT_OK = 0
 EXIT_CHECK_FAILED = 1
 EXIT_ERROR = 2
+EXIT_STDOUT_LOST = 120
+
+
+class _StdoutLost(Exception):
+    """stdout is closed, or the reader of its pipe has gone away."""
 
 
 def _emit(text: str, out: "str | None") -> None:
+    """Write ``text`` to the file ``out``, or to stdout if None."""
     if out:
         try:
             with open(out, "w", encoding="utf-8") as handle:
                 handle.write(text)
         except OSError as exc:
             raise BadParameter(f"cannot write {out}: {exc.strerror or exc}") from exc
+    elif sys.stdout is None:  # fd 1 was closed when the process started
+        raise _StdoutLost
     else:
-        sys.stdout.write(text)
+        try:
+            sys.stdout.write(text)
+        except OSError:  # e.g. the reader of a pipe has gone away
+            raise _StdoutLost from None
 
 
 def _report_text(report: dict) -> str:
@@ -118,39 +130,16 @@ def _cmd_enumerate(args) -> int:
 
 
 def _verification_checks(name: str, topology) -> list[dict]:
+    from .constructions import CLAIMS
     from .separation import analysis_report, hausdorff_number_oracle
 
     report = analysis_report(topology)
-    h = report["hausdorff_number"]
-    checks = []
-
-    def check(label: str, passed: bool) -> None:
-        checks.append({"check": label, "passed": bool(passed)})
-
-    if name == "three-point":
-        check("hausdorff number is 3", h == 3)
-        check("3-hausdorff", h <= 3)
-        check("not hausdorff", not report["hausdorff"])
-        check("compact", report["compact"])
-    elif name == "four-point":
-        check("hausdorff number is 3", h == 3)
-        check("3-hausdorff", h <= 3)
-        check("not discrete", not report["discrete"])
-        check("t0 but not t1", report["t0"] and not report["t1"])
-    elif name.startswith("two-block:"):
-        n = topology.n
-        check(f"hausdorff number is {n}", h == n)
-        check(f"{n}-hausdorff", h <= n)
-        if n >= 3:
-            check("not discrete", not report["discrete"])
-    else:  # doubled:N
-        check("hausdorff number is 3", h == 3)
-        check("3-hausdorff", h <= 3)
-        check("not discrete", not report["discrete"])
-
+    checks = [{"check": label, "passed": bool(holds(report))}
+              for label, holds in CLAIMS[name.split(":")[0]](topology.n)]
     if topology.n <= ORACLE_MAX_POINTS:
         oracle = hausdorff_number_oracle(topology).value
-        check("oracle agrees with closed form", oracle == h)
+        checks.append({"check": "oracle agrees with closed form",
+                       "passed": oracle == report["hausdorff_number"]})
     return checks
 
 
@@ -175,11 +164,11 @@ def _cmd_example(args) -> int:
     if args.out:
         _emit(dumps_canonical(doc), args.out)
     if args.format == "json":
-        sys.stdout.write(dumps_canonical(verification))
+        _emit(dumps_canonical(verification), None)
     else:
         lines = [f"{name}: {'PASS' if passed else 'FAIL'}"]
         lines += [f"  [{'ok' if c['passed'] else 'FAIL'}] {c['check']}" for c in checks]
-        sys.stdout.write("\n".join(lines) + "\n")
+        _emit("\n".join(lines) + "\n", None)
     return EXIT_OK if passed else EXIT_CHECK_FAILED
 
 
@@ -420,6 +409,8 @@ def main(argv=None) -> int:
     except TopologyError as exc:
         sys.stderr.write(f"error ({exc.code}): {exc}\n")
         return EXIT_ERROR
+    except _StdoutLost:
+        return EXIT_STDOUT_LOST
 
 
 def _outermost(frame) -> bool:

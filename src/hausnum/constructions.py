@@ -1,8 +1,10 @@
-"""Named example topologies with their claimed properties checked eagerly.
+"""Named example topologies and the claims each one makes.
 
-Every constructor re-verifies its separation claims before returning, so
-importing and calling these doubles as a regression test of the claimed
-Hausdorff numbers.  Point naming for the four-point space is fixed as
+``CLAIMS`` holds every construction's claims, the one place they are written
+down.  Each constructor checks all of its claims on one ``analysis_report``
+before returning, so importing and calling these doubles as a regression test
+of the claimed Hausdorff numbers, and ``hausnum example NAME --verify``
+reports the same claims.  Point naming for the four-point space is fixed as
 (w, x, y, z) = (0, 1, 2, 3).
 """
 
@@ -11,24 +13,46 @@ from __future__ import annotations
 from .core import FiniteTopology, generate_from_subbasis, validate_topology
 from .errors import BadParameter, ConstructionClaimError, ParseError
 from .jsonio import topology_to_dict
-from .separation import axioms_report, hausdorff_number
+from .separation import analysis_report
 
 
-def _claim(condition: bool, message: str) -> None:
-    if not condition:
-        raise ConstructionClaimError(message)
+def _hausdorff_claims(h: int) -> list:
+    return [(f"hausdorff number is {h}", lambda r: r["hausdorff_number"] == h),
+            (f"{h}-hausdorff", lambda r: r["hausdorff_number"] <= h)]
+
+
+_NOT_DISCRETE = ("not discrete", lambda r: not r["discrete"])
+
+# Kind -> the claims of that construction on n points, in the order
+# ``example --verify`` reports them: (label, predicate on the
+# ``analysis_report`` dict).
+CLAIMS = {
+    "three-point": lambda n: _hausdorff_claims(3) + [
+        ("not hausdorff", lambda r: not r["hausdorff"]),
+        ("compact", lambda r: r["compact"])],
+    "four-point": lambda n: _hausdorff_claims(3) + [
+        _NOT_DISCRETE,
+        ("t0 but not t1", lambda r: r["t0"] and not r["t1"])],
+    # at n = 2 both blocks are singletons: the discrete space
+    "two-block": lambda n: _hausdorff_claims(n) + ([_NOT_DISCRETE] if n >= 3 else []),
+    "doubled": lambda n: _hausdorff_claims(3) + [_NOT_DISCRETE],
+}
+
+
+def _checked(kind: str, topology: FiniteTopology) -> FiniteTopology:
+    """``topology``, once every claim of ``kind`` holds on its report."""
+    report = analysis_report(topology)
+    for label, holds in CLAIMS[kind](topology.n):
+        if not holds(report):
+            raise ConstructionClaimError(
+                f"{kind} on {topology.n} points fails its claim {label!r}")
+    return topology
 
 
 def three_point_example() -> FiniteTopology:
     """The 3-point space {∅, {0}, {1,2}, X}: Hausdorff number 3, compact,
     yet not Hausdorff; the smallest space separating those notions."""
-    topology = validate_topology(3, [[], [0], [1, 2], [0, 1, 2]])
-    h = hausdorff_number(topology)
-    report = axioms_report(topology)
-    _claim(h.value == 3, f"expected H = 3, got {h.value}")
-    _claim(not report.hausdorff, "space must not be Hausdorff")
-    _claim(not report.discrete, "space must not be discrete")
-    return topology
+    return _checked("three-point", validate_topology(3, [[], [0], [1, 2], [0, 1, 2]]))
 
 
 def two_block_topology(n: int, x0: int = 0) -> FiniteTopology:
@@ -43,26 +67,16 @@ def two_block_topology(n: int, x0: int = 0) -> FiniteTopology:
         raise BadParameter(f"base point {x0} not in 0..{n - 1}")
     full = list(range(n))
     rest = [p for p in full if p != x0]
-    topology = validate_topology(n, [[], [x0], rest, full])
-    h = hausdorff_number(topology)
-    _claim(h.value == n, f"expected H = {n}, got {h.value}")
-    if n >= 3:
-        _claim(not axioms_report(topology).discrete, "space must not be discrete")
-    return topology
+    return _checked("two-block", validate_topology(n, [[], [x0], rest, full]))
 
 
 def filtered_four_point() -> FiniteTopology:
     """Four points (w,x,y,z) = (0,1,2,3): all supersets of {y} plus
-    ∅, {x}, {z}, {x,z}.  Hausdorff number 3, not discrete."""
+    ∅, {x}, {z}, {x,z}.  Hausdorff number 3, not discrete, T0 but not T1."""
     supersets_of_y = [[2], [0, 2], [1, 2], [2, 3],
                       [0, 1, 2], [0, 2, 3], [1, 2, 3], [0, 1, 2, 3]]
     extras = [[], [1], [3], [1, 3]]
-    topology = validate_topology(4, supersets_of_y + extras)
-    h = hausdorff_number(topology)
-    report = axioms_report(topology)
-    _claim(h.value == 3, f"expected H = 3, got {h.value}")
-    _claim(not report.discrete, "space must not be discrete")
-    return topology
+    return _checked("four-point", validate_topology(4, supersets_of_y + extras))
 
 
 def doubled_point_topology(n: int, x0: int = 0, x1: int = 1) -> FiniteTopology:
@@ -78,18 +92,15 @@ def doubled_point_topology(n: int, x0: int = 0, x1: int = 1) -> FiniteTopology:
     if x0 == x1:
         raise BadParameter("the two special points must differ")
     basis = [[x] for x in range(n) if x != x0] + [sorted((x0, x1))]
-    topology = generate_from_subbasis(n, basis)
-    h = hausdorff_number(topology)
-    _claim(h.value == 3, f"expected H = 3, got {h.value}")
-    _claim(not axioms_report(topology).discrete, "space must not be discrete")
-    return topology
+    return _checked("doubled", generate_from_subbasis(n, basis))
 
 
 def build_example(name: str) -> tuple[str, FiniteTopology]:
     """Build a construction from its CLI name.
 
     Accepted names: ``three-point``, ``four-point``, ``two-block:N``,
-    ``doubled:N``.  Returns the normalized name and the topology.
+    ``doubled:N``; the kind, a key of ``CLAIMS``, is the part before the
+    colon.  Returns the normalized name and the topology.
     """
     if name == "three-point":
         return name, three_point_example()

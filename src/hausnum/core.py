@@ -148,20 +148,22 @@ class FiniteTopology(FrozenRecord):
     unless the family is already known to be a topology.
 
     The fields are ``n`` and ``opens``.  The slots ``_masks`` (the open masks,
-    in the order of ``opens``) and ``_rows`` (``rows[a]``, the mask of the
-    minimal neighbourhood of a) hold what is derived from them: the builders
-    of this module fill in what they already know, and ``open_masks`` and
-    ``_minimal_rows`` compute the rest on first use.  Equality, hashing, the
-    repr and pickling see the fields only.
+    in the order of ``opens``), ``_rows`` (``rows[a]``, the mask of the
+    minimal neighbourhood of a) and ``_closures`` (``closures[x]``, the mask of
+    the closure of x) hold what is derived from them: the builders of this
+    module fill in what they already know, and ``open_masks``,
+    ``_minimal_rows`` and ``_point_closures`` compute the rest on first use.
+    Equality, hashing, the repr and pickling see the fields only.
     """
 
-    __slots__ = ("n", "opens", "_masks", "_rows")
+    __slots__ = ("n", "opens", "_masks", "_rows", "_closures")
 
     def __init__(self, n: int, opens: tuple[PointSet, ...]):
         object.__setattr__(self, "n", n)
         object.__setattr__(self, "opens", opens)
         object.__setattr__(self, "_masks", None)
         object.__setattr__(self, "_rows", None)
+        object.__setattr__(self, "_closures", None)
 
     @property
     def open_masks(self) -> tuple[int, ...]:
@@ -275,6 +277,16 @@ def _minimal_rows(topology: FiniteTopology) -> tuple[int, ...]:
         object.__setattr__(topology, "_rows",
                            _rows_from_masks(topology.n, topology.open_masks))
     return topology._rows
+
+
+def _point_closures(topology: FiniteTopology) -> tuple[int, ...]:
+    """``closures[x]`` = {a : x in N(a)}, the closure of the point x."""
+    if topology._closures is None:
+        rows = _minimal_rows(topology)
+        object.__setattr__(topology, "_closures", tuple(
+            sum(1 << a for a, row in enumerate(rows) if row >> x & 1)
+            for x in range(len(rows))))
+    return topology._closures
 
 
 def _up_sets(rows: Iterable[int]) -> set[int]:

@@ -19,7 +19,7 @@ intersection), hence H >= 2 always, and H = 2 on a one-point space.
 from __future__ import annotations
 
 from ._records import FrozenRecord
-from .core import FiniteTopology, PointSet, _as_mask, _minimal_rows
+from .core import FiniteTopology, PointSet, _as_mask, _minimal_rows, _point_closures
 from .errors import BadParameter, SetTooSmall, TooLarge
 from .limits import ORACLE_MAX_POINTS
 
@@ -94,12 +94,6 @@ def verify_witness(topology: FiniteTopology, points: "PointSet | object",
     return common == 0
 
 
-def _closures(rows: tuple[int, ...]) -> list[int]:
-    """``closures[x]`` = {a : x in N(a)}, the closure of the point x."""
-    return [sum(1 << a for a, row in enumerate(rows) if row >> x & 1)
-            for x in range(len(rows))]
-
-
 def hausdorff_number(topology: FiniteTopology) -> HausdorffNumber:
     """Closed-form Hausdorff number via minimal neighborhoods.
 
@@ -107,12 +101,8 @@ def hausdorff_number(topology: FiniteTopology) -> HausdorffNumber:
     witness point x, so H = 1 + max |S_x|; the maximizing S_x is the largest
     non-separable set.
     """
-    return _hausdorff_from_rows(_minimal_rows(topology))
-
-
-def _hausdorff_from_rows(rows: tuple[int, ...]) -> HausdorffNumber:
-    n = len(rows)
-    closures = _closures(rows)
+    closures = _point_closures(topology)
+    n = topology.n
     best_x = max(range(n), key=lambda x: closures[x].bit_count())
     return HausdorffNumber(1 + closures[best_x].bit_count(),
                            PointSet(n, closures[best_x]))
@@ -188,12 +178,9 @@ def axioms_report(topology: FiniteTopology) -> AxiomsReport:
     singleton {a} is open iff N(a) = {a}, so the space is discrete iff it is
     T1.
     """
-    return _axioms_from_rows(_minimal_rows(topology))
-
-
-def _axioms_from_rows(rows: tuple[int, ...]) -> AxiomsReport:
-    n = len(rows)
-    closures = _closures(rows)
+    n = topology.n
+    rows = _minimal_rows(topology)
+    closures = _point_closures(topology)
     t1 = all(rows[a] == 1 << a for a in range(n))
     pairs = [(a, b) for a in range(n) for b in range(a + 1, n)]
 
@@ -201,7 +188,7 @@ def _axioms_from_rows(rows: tuple[int, ...]) -> AxiomsReport:
         t0=len(set(rows)) == n,
         t1=t1,
         hausdorff=all(rows[a] & rows[b] == 0 for a, b in pairs),
-        regular=closures == list(rows),
+        regular=closures == rows,
         normal=all(rows[a] & rows[b] == 0 for a, b in pairs
                    if closures[a] & closures[b] == 0),
         discrete=t1,
@@ -210,9 +197,8 @@ def _axioms_from_rows(rows: tuple[int, ...]) -> AxiomsReport:
 
 def analysis_report(topology: FiniteTopology) -> dict:
     """JSON-ready report combining the axiom flags and the Hausdorff number."""
-    rows = _minimal_rows(topology)
-    axioms = _axioms_from_rows(rows)
-    h = _hausdorff_from_rows(rows)
+    axioms = axioms_report(topology)
+    h = hausdorff_number(topology)
     return {
         "n": topology.n,
         "hausdorff_number": h.value,

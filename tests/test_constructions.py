@@ -1,5 +1,10 @@
+import json
+import re
+
 import pytest
 
+from hausnum import constructions
+from hausnum.cli import main
 from hausnum.constructions import (
     build_example,
     doubled_point_topology,
@@ -10,8 +15,9 @@ from hausnum.constructions import (
 )
 from hausnum.core import subspace, validate_topology
 from hausnum.enumeration import canonical_form
-from hausnum.errors import BadParameter, ParseError
+from hausnum.errors import BadParameter, ConstructionClaimError, ParseError
 from hausnum.separation import (
+    analysis_report,
     axioms_report,
     hausdorff_number,
     hausdorff_number_oracle,
@@ -154,3 +160,55 @@ class TestRegistry:
         assert doc["name"] == "two-block:3"
         assert doc["format"] == "finite-topology/v1"
         assert doc["opens"] == [[], [0], [1, 2], [0, 1, 2]]
+
+
+class TestClaims:
+    """The claims table: each constructor checks all of its kind's claims,
+    and ``example --verify`` reports the same ones."""
+
+    @pytest.mark.parametrize("build, args, forced, label", [
+        (three_point_example, (), {"hausdorff_number": 2}, "hausdorff number is 3"),
+        (three_point_example, (), {"compact": False}, "compact"),
+        (filtered_four_point, (), {"t1": True}, "t0 but not t1"),
+        (filtered_four_point, (), {"hausdorff_number": 4}, "hausdorff number is 3"),
+        (two_block_topology, (4,), {"hausdorff_number": 5}, "hausdorff number is 4"),
+        (two_block_topology, (4,), {"discrete": True}, "not discrete"),
+        (doubled_point_topology, (5,), {"discrete": True}, "not discrete"),
+        (doubled_point_topology, (5,), {"hausdorff_number": 4}, "hausdorff number is 3"),
+    ])
+    def test_false_claim_raises_naming_it(self, monkeypatch, build, args, forced, label):
+        monkeypatch.setattr(constructions, "analysis_report",
+                            lambda topology: {**analysis_report(topology), **forced})
+        with pytest.raises(ConstructionClaimError, match=re.escape(f"claim {label!r}")):
+            build(*args)
+
+    def test_false_claim_exits_two_from_the_cli(self, monkeypatch, capsys):
+        monkeypatch.setattr(constructions, "analysis_report",
+                            lambda topology: {**analysis_report(topology), "compact": False})
+        assert main(["example", "three-point", "--verify"]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("error (construction-claim): ")
+
+    @pytest.mark.parametrize("name", ["three-point", "four-point", "two-block:2",
+                                      "two-block:3", "two-block:64", "doubled:3",
+                                      "doubled:12"])
+    def test_constructor_checks_the_verify_labels(self, monkeypatch, capsys, name):
+        assert main(["example", name, "--verify"]) == 0
+        reported = [c["check"] for c in json.loads(capsys.readouterr().out)["checks"]]
+
+        checked = []
+
+        def recording(claims):
+            def kind_claims(n):
+                return [(label, lambda report, label=label, holds=holds:
+                         checked.append(label) or holds(report))
+                        for label, holds in claims(n)]
+            return kind_claims
+
+        monkeypatch.setattr(constructions, "CLAIMS", {
+            kind: recording(claims) for kind, claims in constructions.CLAIMS.items()})
+        build_example(name)
+        assert checked == [label for label in reported
+                           if label != "oracle agrees with closed form"]
+        assert len(checked) >= 2

@@ -153,6 +153,39 @@ def test_failed_flush_reports_as_before(tmp_path, entry, stdout):
     assert err.startswith(b"Exception ignored in: <_io.TextIOWrapper name='<stdout>'")
 
 
+def no_stdout():
+    """None: the child closes fd 1 before it starts, as ``hausnum ... >&-`` does."""
+    return None
+
+
+@pytest.mark.parametrize("argv", [
+    ["enumerate", "3"],
+    ["analyze", "three.json", "--format", "text"],
+    ["example", "doubled:12"],
+    ["example", "doubled:5", "--verify"],
+    ["symbolic", "--verticals", "omega", "hnumber"],
+], ids=["enumerate", "analyze", "example-large", "example-verify", "symbolic"])
+@pytest.mark.parametrize("stdout", [no_stdout, closed_pipe], ids=["fd1-closed", "closed-pipe"])
+@pytest.mark.parametrize("unbuffered", [False, True], ids=["buffered", "unbuffered"])
+def test_lost_stdout_exits_120_without_traceback(tmp_path, argv, stdout, unbuffered):
+    """Output too large for the buffer, or written unbuffered, fails in the
+    write itself rather than in the final flush; every way ends the same."""
+    (tmp_path / "three.json").write_text(json.dumps(
+        {"format": "finite-topology/v1", "n": 3, "opens": [[], [0], [1, 2], [0, 1, 2]]}))
+    fd = stdout()
+    try:
+        proc = subprocess.run(
+            [sys.executable, "-m", "hausnum", *argv], cwd=tmp_path, stdin=subprocess.DEVNULL,
+            stdout=fd, stderr=subprocess.PIPE, timeout=60,
+            env={**ENV, "PYTHONUNBUFFERED": "1"} if unbuffered else ENV,
+            preexec_fn=(lambda: os.close(1)) if fd is None else None)
+    finally:
+        if fd is not None:
+            os.close(fd)
+    assert proc.returncode == 120
+    assert b"Traceback" not in proc.stderr
+
+
 @pytest.mark.parametrize("caller, teardown", [
     ("run_module(*args)\n", False),
     ("def call():\n    run_module(*args)\ncall()\n", True),

@@ -287,6 +287,19 @@ COMMANDS = {
 }
 
 
+def _print_help(parser, file=None) -> None:
+    """argparse's ``print_help``, to stdout; a lost stdout ends in exit 120, silently."""
+    _emit(parser.format_help(), None)
+    try:
+        sys.stdout.flush()
+    except OSError:
+        # the text is still buffered; let the final flush send it nowhere
+        devnull = os.open(os.devnull, os.O_WRONLY)
+        os.dup2(devnull, sys.stdout.fileno())
+        os.close(devnull)
+        raise _StdoutLost from None
+
+
 def _add_commands(parser, dest: str, commands: dict) -> None:
     sub = parser.add_subparsers(dest=dest, required=True)
     for name, (help_text, handler, arguments, nested) in commands.items():
@@ -308,7 +321,10 @@ def build_parser() -> "argparse.ArgumentParser":
     """The argparse parser of ``COMMANDS``, for help and usage errors."""
     import argparse
 
-    parser = argparse.ArgumentParser(
+    class Parser(argparse.ArgumentParser):
+        print_help = _print_help
+
+    parser = Parser(
         prog="hausnum",
         description="Hausdorff numbers of finite topologies: analysis, "
                     "enumeration, named constructions, symbolic spaces.")
@@ -401,10 +417,8 @@ def main(argv=None) -> int:
     """Run one command line (``sys.argv[1:]`` if None); returns the exit code."""
     if argv is None:
         argv = sys.argv[1:]
-    args = _read_plain(list(argv))
-    if args is None:
-        args = build_parser().parse_args(argv)
     try:
+        args = _read_plain(list(argv)) or build_parser().parse_args(argv)
         return args.func(args)
     except TopologyError as exc:
         sys.stderr.write(f"error ({exc.code}): {exc}\n")

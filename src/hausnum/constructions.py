@@ -10,7 +10,7 @@ reports the same claims.  Point naming for the four-point space is fixed as
 
 from __future__ import annotations
 
-from .core import FiniteTopology, generate_from_subbasis, validate_topology
+from .core import FiniteTopology, _check_n, generate_from_subbasis, validate_topology
 from .errors import BadParameter, ConstructionClaimError, ParseError
 from .jsonio import topology_to_dict
 from .separation import analysis_report
@@ -65,6 +65,7 @@ def two_block_topology(n: int, x0: int = 0) -> FiniteTopology:
         raise BadParameter(f"need at least 2 points, got {n}")
     if not 0 <= x0 < n:
         raise BadParameter(f"base point {x0} not in 0..{n - 1}")
+    _check_n(n)  # before any list of n points is built
     full = list(range(n))
     rest = [p for p in full if p != x0]
     return _checked("two-block", validate_topology(n, [[], [x0], rest, full]))
@@ -91,6 +92,7 @@ def doubled_point_topology(n: int, x0: int = 0, x1: int = 1) -> FiniteTopology:
         raise BadParameter(f"special points must lie in 0..{n - 1}")
     if x0 == x1:
         raise BadParameter("the two special points must differ")
+    _check_n(n)
     basis = [[x] for x in range(n) if x != x0] + [sorted((x0, x1))]
     return _checked("doubled", generate_from_subbasis(n, basis))
 

@@ -4,12 +4,14 @@ A topology on n points is the same data as its specialization preorder:
 ``rows[a]`` is the bit mask of the minimal open neighborhood of ``a``, i.e.
 of the points b with a <= b.  Two independent routes lead to the counts.
 
-The direct walk backtracks over relation matrices row by row with
-incremental transitivity checks, emitting row tuples in ascending order (rows
-compared as integers, row 0 outermost).  Homeomorphism classes come from a
-canonical form that minimizes the relation matrix over relabelings.  The walk
-streams every labeled topology, gives one representative per class and
-counts labeled and T0 topologies.
+The direct walk, ``_walk``, backtracks over relation matrices row by row
+with incremental transitivity checks, emitting row tuples in ascending order
+(rows compared as integers, row 0 outermost).  Each client reads the walk
+itself and keeps only what it needs: ``enumerate_preorders`` streams every
+labeled topology, ``labeled_and_t0_counts`` counts the leaves and the T0 ones
+(rows pairwise distinct), ``enumerate_classes`` keeps the first leaf of each
+homeomorphism class, named by a canonical form that minimizes the relation
+matrix over relabelings, and ``stirling_consistency`` sums those counts.
 
 The count tables come from T0 quotients instead.  Every topology is a set
 partition into k blocks plus a partial order on the blocks, and its Hausdorff
@@ -17,8 +19,9 @@ number is 1 + the largest total size of the blocks at or below one block.
 Unlabeled posets are generated up to isomorphism with their automorphism
 groups (Erne & Stege, Order 8, 1991; Brinkmann & McKay, Order 19, 2002); a
 poset with block sizes s is one class of n!/(prod s_i! * |Stab s|) labeled
-topologies.  The tests check the two routes against each other, and the
-naive open-family filter at the end against both.
+topologies.  The tests check the two routes against each other (the
+Hausdorff histogram of the walk is their own reference), and the naive
+open-family filter at the end against both.
 """
 
 from __future__ import annotations
@@ -205,34 +208,6 @@ def _canonical(rows) -> tuple[bytes, list[list[int]]]:
     return best, reaching
 
 
-def classify(n: int, want_classes: bool = True, t0_only: bool = False):
-    """Aggregate per-topology statistics over the direct walk.
-
-    Returns ``(hist, t0_count, class_map)`` where ``hist`` maps Hausdorff
-    number to labeled count, ``t0_count`` counts topologies with pairwise
-    distinct rows (all of them, ignoring ``t0_only``), and ``class_map``
-    maps canonical encodings to ``(hausdorff_number, representative rows)``,
-    the representative being the first topology of the class walked.
-    With ``t0_only`` the histogram and class map only see T0 topologies.
-    """
-    hist: dict[int, int] = {}
-    t0_count = 0
-    class_map: dict[bytes, tuple[int, tuple[int, ...]]] = {}
-    for rows in _walk(n):
-        h = 1 + max(sum(rows[a] >> x & 1 for a in range(n)) for x in range(n))
-        t0 = len(set(rows)) == n
-        if t0:
-            t0_count += 1
-        if t0_only and not t0:
-            continue
-        hist[h] = hist.get(h, 0) + 1
-        if want_classes:
-            enc = _canonical(rows)[0]
-            if enc not in class_map:
-                class_map[enc] = (h, tuple(rows))
-    return hist, t0_count, class_map
-
-
 def enumerate_preorders(n: int) -> Iterator[Preorder]:
     """Every specialization preorder on n points, in ascending matrix order."""
     _check_cap(n, ENUM_MAX_POINTS)
@@ -259,14 +234,19 @@ def canonical_form(topology: FiniteTopology) -> CanonicalForm:
 
 
 def enumerate_classes(n: int) -> Iterator[tuple[CanonicalForm, FiniteTopology]]:
-    """One (canonical form, representative) pair per homeomorphism class."""
+    """One (canonical form, representative) pair per homeomorphism class.
+
+    Pairs come in ascending order of encoding.  A class's representative is
+    the first member the walk meets, i.e. the one with the least row tuple.
+    """
     _check_cap(n, ENUM_MAX_POINTS)
-    _, _, class_map = classify(n)
     from .core import Preorder, topology_from_preorder
 
-    for enc in sorted(class_map):
-        _, rows = class_map[enc]
-        yield CanonicalForm(enc), topology_from_preorder(Preorder(n, rows))
+    first: dict[bytes, tuple[int, ...]] = {}
+    for rows in _walk(n):
+        first.setdefault(_canonical(rows)[0], tuple(rows))
+    for enc in sorted(first):
+        yield CanonicalForm(enc), topology_from_preorder(Preorder(n, first[enc]))
 
 
 def _posets(n: int) -> list[dict[bytes, list[tuple[int, ...]]]]:
@@ -385,7 +365,7 @@ def count_by_hausdorff(n: int, jobs: int = 1,
                        cache_dir: "str | os.PathLike | None" = None,
                        use_cache: bool = True,
                        t0_only: bool = False) -> CountsTable:
-    """Classify every topology (and class) on n points by Hausdorff number.
+    """Count every topology (and class) on n points by Hausdorff number.
 
     Results are cached as JSON keyed by (n, filter, cache version); a stale
     or malformed file triggers recomputation.  ``t0_only`` restricts the
@@ -422,8 +402,11 @@ def labeled_and_t0_counts(n: int) -> tuple[int, int]:
     Counted on the direct walk, independently of ``count_by_hausdorff``.
     """
     _check_cap(n, ENUM_MAX_POINTS)
-    hist, t0_count, _ = classify(n, want_classes=False)
-    return sum(hist.values()), t0_count
+    total = t0_count = 0
+    for rows in _walk(n):
+        total += 1
+        t0_count += len(set(rows)) == n
+    return total, t0_count
 
 
 def stirling2(n: int, k: int) -> int:
@@ -467,15 +450,12 @@ def stirling_consistency(n: int) -> StirlingReport:
     here it is verified numerically from the enumerated counts.
     """
     _check_cap(n, STIRLING_MAX_POINTS)
-    t_n, _ = labeled_and_t0_counts(n)
     terms = []
-    total = 0
     for k in range(1, n + 1):
-        _, t0_k = labeled_and_t0_counts(k)
-        s = stirling2(n, k)
-        terms.append((k, s, t0_k))
-        total += s * t0_k
-    return StirlingReport(n=n, holds=(total == t_n), topology_count=t_n,
+        t_k, t0_k = labeled_and_t0_counts(k)  # at k = n, t_k is T(n)
+        terms.append((k, stirling2(n, k), t0_k))
+    total = sum(s * t0 for _, s, t0 in terms)
+    return StirlingReport(n=n, holds=(total == t_k), topology_count=t_k,
                           combination_total=total, terms=terms)
 
 

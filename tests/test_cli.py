@@ -190,6 +190,15 @@ class TestExample:
         assert captured.out == ""
         assert captured.err.startswith("error (too-large): ")
 
+    @pytest.mark.parametrize("kind", ["two-block", "doubled"])
+    def test_size_past_point_cap_fails_before_building(self, capsys, kind):
+        # checked before any list of n points is built, which at 10**20 would never end
+        code = main(["example", f"{kind}:{10**20}"])
+        captured = capsys.readouterr()
+        assert (code, captured.out) == (2, "")
+        assert captured.err == ("error (point-out-of-range): "
+                                f"point count must be in 1..64, got {10**20}\n")
+
     def test_roundtrip_through_analyze(self, tmp_path, capsys):
         out_path = tmp_path / "tb4.json"
         code, _ = run_cli(capsys, "example", "two-block:4", "--out", str(out_path))

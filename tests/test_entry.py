@@ -158,18 +158,8 @@ def no_stdout():
     return None
 
 
-@pytest.mark.parametrize("argv", [
-    ["enumerate", "3"],
-    ["analyze", "three.json", "--format", "text"],
-    ["example", "doubled:12"],
-    ["example", "doubled:5", "--verify"],
-    ["symbolic", "--verticals", "omega", "hnumber"],
-], ids=["enumerate", "analyze", "example-large", "example-verify", "symbolic"])
-@pytest.mark.parametrize("stdout", [no_stdout, closed_pipe], ids=["fd1-closed", "closed-pipe"])
-@pytest.mark.parametrize("unbuffered", [False, True], ids=["buffered", "unbuffered"])
-def test_lost_stdout_exits_120_without_traceback(tmp_path, argv, stdout, unbuffered):
-    """Output too large for the buffer, or written unbuffered, fails in the
-    write itself rather than in the final flush; every way ends the same."""
+def lost_stdout_run(tmp_path, argv, stdout, unbuffered):
+    """``python -m hausnum argv`` with stdout in a lost state; exit code and stderr."""
     (tmp_path / "three.json").write_text(json.dumps(
         {"format": "finite-topology/v1", "n": 3, "opens": [[], [0], [1, 2], [0, 1, 2]]}))
     fd = stdout()
@@ -182,8 +172,43 @@ def test_lost_stdout_exits_120_without_traceback(tmp_path, argv, stdout, unbuffe
     finally:
         if fd is not None:
             os.close(fd)
-    assert proc.returncode == 120
-    assert b"Traceback" not in proc.stderr
+    return proc.returncode, proc.stderr
+
+
+LOST = pytest.mark.parametrize("stdout", [no_stdout, closed_pipe], ids=["fd1-closed", "closed-pipe"])
+UNBUFFERED = pytest.mark.parametrize("unbuffered", [False, True], ids=["buffered", "unbuffered"])
+HELP = [["--help"], ["analyze", "--help"], ["symbolic", "--verticals", "2", "hnumber", "--help"]]
+
+
+@pytest.mark.parametrize("argv", [
+    ["enumerate", "3"],
+    ["analyze", "three.json", "--format", "text"],
+    ["example", "doubled:12"],
+    ["example", "doubled:5", "--verify"],
+    ["symbolic", "--verticals", "omega", "hnumber"],
+    *HELP,
+], ids=["enumerate", "analyze", "example-large", "example-verify", "symbolic",
+        "help", "analyze-help", "nested-help"])
+@LOST
+@UNBUFFERED
+def test_lost_stdout_exits_120_without_traceback(tmp_path, argv, stdout, unbuffered):
+    """Output too large for the buffer, or written unbuffered, fails in the
+    write itself rather than in the final flush; every way ends the same.
+    Help, whose whole output is what was lost, says nothing on stderr."""
+    code, err = lost_stdout_run(tmp_path, argv, stdout, unbuffered)
+    assert code == 120
+    assert b"Traceback" not in err
+    if argv in HELP:
+        assert err == b""
+
+
+@LOST
+@UNBUFFERED
+def test_usage_error_with_lost_stdout_exits_2(tmp_path, stdout, unbuffered):
+    code, err = lost_stdout_run(tmp_path, ["enumerate", "x"], stdout, unbuffered)
+    assert code == 2
+    assert err.startswith(b"usage: hausnum enumerate ")
+    assert err.endswith(b"error: argument n: invalid int value: 'x'\n")
 
 
 @pytest.mark.parametrize("caller, teardown", [

@@ -1,5 +1,8 @@
+import hashlib
 import itertools
 import json
+import math
+from fractions import Fraction
 
 import pytest
 
@@ -10,7 +13,6 @@ from hausnum.enumeration import (
     _canonical,
     _walk,
     canonical_form,
-    classify,
     count_by_hausdorff,
     enumerate_classes,
     enumerate_labeled,
@@ -23,9 +25,15 @@ from hausnum.enumeration import (
 from hausnum.errors import TooLarge
 from hausnum.separation import hausdorff_number
 
-LABELED = {1: 1, 2: 4, 3: 29, 4: 355, 5: 6942}
-CLASSES = {1: 1, 2: 3, 3: 9, 4: 33, 5: 139}
-T0_LABELED = {1: 1, 2: 3, 3: 19, 4: 219}
+# OEIS, from n = 0: topologies (A000798), their classes (A001930), T0
+# topologies (A001035) and posets (A000112).
+A000798 = (1, 1, 4, 29, 355, 6942, 209527, 9535241)
+A001930 = (1, 1, 3, 9, 33, 139, 718, 4535)
+A001035 = (1, 1, 3, 19, 219, 4231, 130023, 6129859)
+A000112 = (1, 1, 2, 5, 16, 63, 318, 2045)
+LABELED = dict(enumerate(A000798))
+CLASSES = dict(enumerate(A001930))
+T0_LABELED = dict(enumerate(A001035))
 
 # n = 6 rows of the direct walk: {H: labeled count}, {H: class count}
 SIX_ALL = ({2: 1, 3: 1821, 4: 23700, 5: 62980, 6: 73401, 7: 47624},
@@ -39,11 +47,34 @@ def permute_topology(t, perm):
         t.n, [[perm[p] for p in u] for u in t.opens])
 
 
+def walk_histograms(n, t0_only):
+    """The direct walk's reference for the tables: ``(hist, t0_count, class_hist)``.
+
+    ``hist`` and ``class_hist`` map Hausdorff number to labeled and class
+    counts, over T0 topologies only with ``t0_only``; ``t0_count`` counts the
+    T0 topologies (pairwise distinct rows) among all of them.
+    """
+    hist, class_hist, seen = {}, {}, set()
+    t0_count = 0
+    for rows in _walk(n):
+        h = 1 + max(sum(rows[a] >> x & 1 for a in range(n)) for x in range(n))
+        t0 = len(set(rows)) == n
+        t0_count += t0
+        if t0_only and not t0:
+            continue
+        hist[h] = hist.get(h, 0) + 1
+        enc = _canonical(rows)[0]
+        if enc not in seen:
+            seen.add(enc)
+            class_hist[h] = class_hist.get(h, 0) + 1
+    return hist, t0_count, class_hist
+
+
 class TestEnumerateLabeled:
     @pytest.mark.parametrize("n", [1, 2, 3, 4, 5])
     def test_totals(self, n):
         labeled, t0 = labeled_and_t0_counts(n)
-        assert labeled == LABELED[n]
+        assert (labeled, t0) == (LABELED[n], T0_LABELED[n])
         assert count_by_hausdorff(n, use_cache=False).t0_labeled_count == t0
 
     def test_no_duplicates_and_all_valid(self):
@@ -185,6 +216,16 @@ class TestEnumerateClasses:
     def test_class_counts(self, n):
         assert sum(1 for _ in enumerate_classes(n)) == CLASSES[n]
 
+    def test_forms_and_representatives_pinned(self):
+        # each representative is the first member of its class the walk meets
+        digest = hashlib.sha256()
+        for n in range(1, 6):
+            for form, rep in enumerate_classes(n):
+                masks = ",".join(map(str, rep.open_masks))
+                digest.update(f"{n} {form.encoding.hex()} {masks}\n".encode())
+        assert digest.hexdigest() == (
+            "f15813413328480bc82b79af10400a5241f67a4463890eaea8bf32e054ef3a01")
+
     def test_two_point_classes(self):
         reps = [t for _, t in enumerate_classes(2)]
         sizes = sorted(len(t.opens) for t in reps)
@@ -215,9 +256,10 @@ class TestCountsTable:
         assert table.rows == {2: (1, 1)}
 
     def test_hausdorff_row_is_discrete_only(self):
-        for n in (2, 3, 4):
-            table = count_by_hausdorff(n, use_cache=False)
-            assert table.rows[2] == (1, 1)
+        for n in (2, 3, 4, 5, 6):
+            for t0_only in (False, True):
+                table = count_by_hausdorff(n, use_cache=False, t0_only=t0_only)
+                assert table.rows[2] == (1, 1)
 
     def test_row_keys_within_bounds(self):
         for n in (1, 2, 3, 4, 5):
@@ -240,10 +282,7 @@ class TestCountsTable:
     @pytest.mark.parametrize("t0_only", [False, True])
     @pytest.mark.parametrize("n", [1, 2, 3, 4, 5])
     def test_matches_direct_walk(self, n, t0_only):
-        hist, t0_count, class_map = classify(n, t0_only=t0_only)
-        class_hist = {}
-        for h, _ in class_map.values():
-            class_hist[h] = class_hist.get(h, 0) + 1
+        hist, t0_count, class_hist = walk_histograms(n, t0_only)
         table = count_by_hausdorff(n, use_cache=False, t0_only=t0_only)
         assert {h: c for h, (c, _) in table.rows.items()} == hist
         assert {h: c for h, (_, c) in table.rows.items()} == class_hist
@@ -284,6 +323,57 @@ class TestCountsTable:
     def test_too_large(self):
         with pytest.raises(TooLarge):
             count_by_hausdorff(7, use_cache=False)
+
+
+def series_exp(f, terms):
+    """Coefficients of exp(f) for a power series f with f[0] = 0: g' = f' g."""
+    g = [Fraction(1)] + [Fraction(0)] * (terms - 1)
+    for n in range(1, terms):
+        g[n] = sum(k * f[k] * g[n - k] for k in range(1, n + 1)) / n
+    return g
+
+
+class TestRowIdentities:
+    """Rows of the tables against closed forms that do not use the engine.
+
+    H(X) = 1 + max |cl{z}|.  H <= 3 means every closure has at most 2 points,
+    so each component is a point, an indiscrete pair, or a closed centre with
+    k >= 1 leaves whose closures are {leaf, centre}: labeled counts
+    n! [x^n] exp(x + x^2/2 + x(e^x - 1)), class counts [x^n] 1/((1-x)(1-x^2))
+    * prod_{m>=2} 1/(1-x^m).  H = n + 1 means some point lies in every
+    closure of a point, i.e. in the bottom block of the T0 quotient.
+    """
+
+    N = range(1, 7)
+
+    def tables(self, n):
+        return (count_by_hausdorff(n, use_cache=False),
+                count_by_hausdorff(n, use_cache=False, t0_only=True))
+
+    def test_at_most_three(self):
+        terms = max(self.N) + 1
+        f = [Fraction(0), Fraction(1), Fraction(1, 2)] + [Fraction(0)] * (terms - 3)
+        for k in range(2, terms):  # x(e^x - 1)
+            f[k] += Fraction(1, math.factorial(k - 1))
+        labeled = [g * math.factorial(n) for n, g in enumerate(series_exp(f, terms))]
+        classes = [1] + [0] * (terms - 1)
+        for m in (1, 2, *range(2, terms)):  # one factor 1/(1 - x^m) each
+            for i in range(m, terms):
+                classes[i] += classes[i - m]
+        assert labeled[1:] == [1, 4, 13, 62, 311, 1822]
+        assert classes[1:] == [1, 3, 4, 8, 11, 19]
+        for n in self.N:
+            rows = self.tables(n)[0].rows
+            assert (sum(rows[h][0] for h in rows if h <= 3),
+                    sum(rows[h][1] for h in rows if h <= 3)) == (labeled[n], classes[n])
+
+    def test_top_row(self):
+        for n in self.N:
+            table, t0_table = self.tables(n)
+            assert table.rows[n + 1] == (
+                sum(math.comb(n, j) * A000798[n - j] for j in range(1, n + 1)),
+                sum(A001930[m] for m in range(n)))
+            assert t0_table.rows[n + 1] == (n * A001035[n - 1], A000112[n - 1])
 
 
 class TestCache:

@@ -4,6 +4,7 @@ import importlib
 import inspect
 import subprocess
 import sys
+from pathlib import Path
 
 import pytest
 
@@ -51,3 +52,18 @@ def test_submodules_resolve_after_plain_import():
 def test_unknown_attribute_raises():
     with pytest.raises(AttributeError, match="no attribute 'no_such_name'"):
         hausnum.no_such_name
+
+
+def test_readme_states_the_caps_of_limits():
+    """The size caps the README gives in prose are those of ``limits.py``."""
+    from hausnum.limits import ENUM_MAX_POINTS, MAX_OPENS, ORACLE_MAX_POINTS, TABLE_MAX_POINTS
+
+    readme = Path(__file__).resolve().parents[1] / "README.md"
+    text = " ".join(readme.read_text(encoding="utf-8").split())
+    for phrase in (f"all topologies on up to {ENUM_MAX_POINTS} labeled points",
+                   f"count tables by Hausdorff number up to {TABLE_MAX_POINTS} points",
+                   f"against the exhaustive definition (n <= {ORACLE_MAX_POINTS})",
+                   f"up to {ORACLE_MAX_POINTS} points, the oracle's cross-check",
+                   f"independent ground truth (n <= {ORACLE_MAX_POINTS})",
+                   f"`MAX_OPENS` = {MAX_OPENS:,} sets"):
+        assert phrase in text

@@ -16,6 +16,7 @@ from hausnum.core import (
 from hausnum.enumeration import enumerate_labeled
 from hausnum.errors import BadParameter, SetTooSmall, TooLarge
 from hausnum.jsonio import FORMAT_TAG, dumps_canonical, topology_from_dict
+from hausnum.limits import ORACLE_MAX_POINTS
 from hausnum.separation import (
     analysis_report,
     axioms_report,
@@ -268,6 +269,66 @@ class TestSubspaceMonotonicity:
                         continue
                     sub = subspace(t, PointSet(n, mask)).topology
                     assert hausdorff_number(sub).value <= h
+
+
+def product_preorder(p, q):
+    """X × Y, point (x, y) at x * |Y| + y: N((x, y)) = N(x) × N(y)."""
+    rows = tuple(sum(1 << (i * q.n + j) for i in range(p.n) if p.rows[x] >> i & 1
+                     for j in range(q.n) if q.rows[y] >> j & 1)
+                 for x in range(p.n) for y in range(q.n))
+    return Preorder(p.n * q.n, rows)
+
+
+def sum_preorder(p, q):
+    """X ⊔ Y, the points of Y after those of X."""
+    return Preorder(p.n + q.n, p.rows + tuple(row << p.n for row in q.rows))
+
+
+class TestMetamorphicLaws:
+    """H on products and disjoint sums of seeded random spaces, up to 8 points.
+
+    cl{(x, y)} = cl{x} × cl{y}, so H(X × Y) - 1 = (H(X) - 1)(H(Y) - 1); a
+    closure stays in its summand, so H(X ⊔ Y) = max(H(X), H(Y)).  Each built
+    space is also checked against the product or sum of the open families,
+    and against the exhaustive oracle where it is small enough.
+    """
+
+    PRODUCT_SHAPES = [(a, b) for a in range(1, 9) for b in range(1, 9) if a * b <= 8]
+    SUM_SHAPES = [(a, b) for a in range(1, 8) for b in range(1, 9 - a)]
+
+    @staticmethod
+    def spaces(shapes, rounds, seed):
+        rng = random.Random(seed)
+        for _ in range(rounds):
+            for a, b in shapes:
+                p, q = random_preorder(a, rng), random_preorder(b, rng)
+                yield p, q, [hausdorff_number(topology_from_preorder(r)).value for r in (p, q)]
+
+    @staticmethod
+    def check(built, expected):
+        assert hausdorff_number(built).value == expected
+        if built.n <= ORACLE_MAX_POINTS:
+            assert hausdorff_number_oracle(built).value == expected
+
+    def test_product(self):
+        for p, q, (hp, hq) in self.spaces(self.PRODUCT_SHAPES, 12, 0x9801):
+            built = topology_from_preorder(product_preorder(p, q))
+            boxes = [[x * q.n + y for x in range(p.n) if u >> x & 1
+                      for y in range(q.n) if v >> y & 1]
+                     for u in topology_from_preorder(p).open_masks
+                     for v in topology_from_preorder(q).open_masks]
+            assert generate_from_subbasis(p.n * q.n, boxes) == built
+            self.check(built, 1 + (hp - 1) * (hq - 1))
+
+    def test_disjoint_sum(self):
+        for p, q, (hp, hq) in self.spaces(self.SUM_SHAPES, 5, 0x9802):
+            built = topology_from_preorder(sum_preorder(p, q))
+            unions = [[x for x in range(p.n) if u >> x & 1]
+                      + [p.n + y for y in range(q.n) if v >> y & 1]
+                      for u in topology_from_preorder(p).open_masks
+                      for v in topology_from_preorder(q).open_masks]
+            assert validate_topology(p.n + q.n, unions) == built
+            self.check(built, max(hp, hq))
 
 
 class TestAnalysisReport:

@@ -26,7 +26,7 @@ from .errors import (
     PointOutOfRange,
     TooLarge,
 )
-from .limits import MAX_OPENS, MAX_POINTS
+from .limits import MAX_OPENS, MAX_POINTS, REJECT_MAX_OPENS
 
 
 def _check_n(n: int) -> None:
@@ -198,7 +198,8 @@ def validate_topology(n: int, family: Iterable["PointSet | Iterable[int]"]) -> F
     That is O(n * |family|).  Only a rejected family is scanned pair by pair,
     so that :class:`InvalidTopology` names every defect found and the first
     failing pair in canonical order.  Raises :class:`TooLarge` past
-    ``MAX_OPENS`` distinct sets.
+    ``MAX_OPENS`` distinct sets, and for a rejected family past
+    ``REJECT_MAX_OPENS``, before the scan.
     """
     _check_n(n)
     masks = _canonical_masks(_as_mask(n, s) for s in family)
@@ -210,6 +211,9 @@ def validate_topology(n: int, family: Iterable["PointSet | Iterable[int]"]) -> F
     if 0 in mask_set and all(mask_set.issuperset([u | row for u in masks])
                              for row in set(rows)):
         return _topology(n, masks, rows)
+    if len(masks) > REJECT_MAX_OPENS:
+        raise TooLarge(f"not a topology; defects are located only in families of up "
+                       f"to {REJECT_MAX_OPENS} open sets, this one has {len(masks)}")
 
     issues: list = []
     if 0 not in mask_set:

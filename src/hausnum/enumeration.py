@@ -37,6 +37,7 @@ from typing import TYPE_CHECKING, Iterator
 
 from ._records import FrozenRecord, Record
 from .errors import TooLarge
+from .jsonio import dumps_canonical
 from .limits import (
     ENUM_MAX_POINTS,
     NAIVE_MAX_POINTS,
@@ -345,7 +346,7 @@ def _read_cache(path: Path, n: int, t0_only: bool) -> "CountsTable | None":
 
 def _write_cache(path: Path, table: "CountsTable") -> None:
     """Best effort; a temp file and a rename, so readers never see half a file."""
-    text = json.dumps(table.to_dict(), sort_keys=True, separators=(",", ":")) + "\n"
+    text = dumps_canonical(table.to_dict())
     tmp = None
     try:
         path.parent.mkdir(parents=True, exist_ok=True)

@@ -6,6 +6,13 @@ OMEGA sentinel).  Base points get horizontal interval neighborhoods clipped
 to [0,1]; each stacked point gets itself plus a horizontal interval around
 1/2, punctured at 1/2 in the T1 variant and unpunctured otherwise.
 
+Every basic neighborhood has one base-line description ``(lo, hi,
+punctured)``: the open interval (c - r, c + r) or (1/2 - 1/k, 1/2 + 1/k)
+before clipping, minus 1/2 if punctured.  Membership and intersection read
+only that triple: every centre lies in [0,1] and every radius is positive,
+so the clipped intervals meet iff max(0, lows) < min(1, highs), and no end
+needs a strictness flag.
+
 All coordinates are exact rationals and every verdict ships a witness or a
 certificate that re-verifies by exact interval arithmetic; no floats appear
 anywhere in this module.
@@ -25,7 +32,7 @@ import math
 from fractions import Fraction
 from typing import Iterable, Union
 
-from ._records import FrozenRecord, Record
+from ._records import FrozenRecord
 from .errors import (
     BadParameter,
     DuplicatePoints,
@@ -159,75 +166,23 @@ def neighborhood_of(space: BugEyedSpace, p: SymbolicPoint, param) -> BasisNeighb
     return VerticalNeighborhood(space, p, int(param))
 
 
+def _base_line(nbhd: BasisNeighborhood) -> tuple[Fraction, Fraction, bool]:
+    """(lo, hi, punctured): the neighborhood's open base-line interval
+    (lo, hi) before clipping to [0,1], minus 1/2 if punctured."""
+    if isinstance(nbhd, BallNeighborhood):
+        c, r = nbhd.owner.coordinate, nbhd.radius
+        return c - r, c + r, False
+    step = Fraction(1, nbhd.k)
+    return HALF - step, HALF + step, nbhd.space.t1_variant
+
+
 def membership(nbhd: BasisNeighborhood, p: SymbolicPoint) -> bool:
     """Exact decision of p ∈ nbhd."""
     _check_point(nbhd.space, p)
-    if isinstance(nbhd, BallNeighborhood):
-        if isinstance(p, VerticalPoint):
-            return False
-        return abs(p.coordinate - nbhd.owner.coordinate) < nbhd.radius
     if isinstance(p, VerticalPoint):
-        return p.index == nbhd.owner.index
-    if p.coordinate == HALF:
-        return not nbhd.space.t1_variant
-    return abs(p.coordinate - HALF) < Fraction(1, nbhd.k)
-
-
-class _Interval(Record):
-    """Rational interval with per-end strictness and an optional puncture
-    at 1/2; the base-line part of one or more neighborhoods."""
-
-    __slots__ = ("lo", "lo_strict", "hi", "hi_strict", "punctured")
-
-    def __init__(self, lo: Fraction, lo_strict: bool, hi: Fraction, hi_strict: bool,
-                 punctured: bool):
-        self.lo = lo
-        self.lo_strict = lo_strict
-        self.hi = hi
-        self.hi_strict = hi_strict
-        self.punctured = punctured
-
-    def intersect(self, other: "_Interval") -> "_Interval":
-        lo, lo_strict = max(
-            (self.lo, self.lo_strict), (other.lo, other.lo_strict))
-        hi, hi_strict = min(
-            (other.hi, not other.hi_strict), (self.hi, not self.hi_strict))
-        hi_strict = not hi_strict
-        return _Interval(lo, lo_strict, hi, hi_strict,
-                         self.punctured or other.punctured)
-
-    def pick_rational(self) -> Fraction | None:
-        if self.lo > self.hi:
-            return None
-        if self.lo == self.hi:
-            if self.lo_strict or self.hi_strict:
-                return None
-            if self.punctured and self.lo == HALF:
-                return None
-            return self.lo
-        mid = (self.lo + self.hi) / 2
-        if self.punctured and mid == HALF:
-            mid = self.lo + (self.hi - self.lo) / 4
-        return mid
-
-
-def _clip(lo: Fraction, hi: Fraction, punctured: bool) -> _Interval:
-    # traces in the carrier clip open interval ends to the closed unit interval
-    lo_strict = True
-    hi_strict = True
-    if lo < 0:
-        lo, lo_strict = Fraction(0), False
-    if hi > 1:
-        hi, hi_strict = Fraction(1), False
-    return _Interval(lo, lo_strict, hi, hi_strict, punctured)
-
-
-def _base_interval(nbhd: BasisNeighborhood) -> _Interval:
-    if isinstance(nbhd, BallNeighborhood):
-        c, r = nbhd.owner.coordinate, nbhd.radius
-        return _clip(c - r, c + r, punctured=False)
-    step = Fraction(1, nbhd.k)
-    return _clip(HALF - step, HALF + step, punctured=nbhd.space.t1_variant)
+        return isinstance(nbhd, VerticalNeighborhood) and p.index == nbhd.owner.index
+    lo, hi, punctured = _base_line(nbhd)
+    return lo < p.coordinate < hi and not (punctured and p.coordinate == HALF)
 
 
 def intersection_nonempty(nbhds: Iterable[BasisNeighborhood]) -> SymbolicPoint | None:
@@ -236,7 +191,9 @@ def intersection_nonempty(nbhds: Iterable[BasisNeighborhood]) -> SymbolicPoint |
     Whenever the intersection is nonempty it contains a base point (two
     stacked-point neighborhoods only share base-line points unless they have
     the same owner, and same-owner intervals always overlap near 1/2), so
-    the returned witness is always a rational base point.
+    the returned witness is always a rational base point: the midpoint of
+    the common interval, or its quarter point if the midpoint is a removed
+    1/2.
     """
     nbhds = list(nbhds)
     if not nbhds:
@@ -245,11 +202,15 @@ def intersection_nonempty(nbhds: Iterable[BasisNeighborhood]) -> SymbolicPoint |
     for nb in nbhds[1:]:
         if nb.space != space:
             raise SpaceMismatch("neighborhoods from different spaces")
-    common = _base_interval(nbhds[0])
-    for nb in nbhds[1:]:
-        common = common.intersect(_base_interval(nb))
-    q = common.pick_rational()
-    return None if q is None else BasePoint(q)
+    lows, highs, punctures = zip(*map(_base_line, nbhds))
+    # Fraction bounds keep the midpoint exact when every interval covers [0,1]
+    lo, hi = max(Fraction(0), *lows), min(Fraction(1), *highs)
+    if lo >= hi:
+        return None
+    q = (lo + hi) / 2
+    if q == HALF and any(punctures):
+        q = lo + (hi - lo) / 4
+    return BasePoint(q)
 
 
 class HubCertificate(FrozenRecord):
@@ -301,32 +262,22 @@ def separable(space: BugEyedSpace, points: Iterable[SymbolicPoint]) -> Separabil
     for p in pts:
         _check_point(space, p)
 
-    bases = sorted((p.coordinate for p in pts if isinstance(p, BasePoint)))
-
-    assignment: dict[SymbolicPoint, BasisNeighborhood] | None = None
+    bases = sorted(p.coordinate for p in pts if isinstance(p, BasePoint))
     if len(bases) >= 2:
-        epsilon = (bases[1] - bases[0]) / 2
-        assignment = {
-            p: (BallNeighborhood(space, p, epsilon) if isinstance(p, BasePoint)
-                else VerticalNeighborhood(space, p, 1))
-            for p in pts
-        }
+        radius, k = (bases[1] - bases[0]) / 2, 1
     elif len(bases) == 1 and bases[0] != HALF:
         gap = abs(bases[0] - HALF)
-        k = math.ceil(Fraction(2) / gap)
-        assignment = {
-            p: (BallNeighborhood(space, p, gap / 2) if isinstance(p, BasePoint)
-                else VerticalNeighborhood(space, p, k))
-            for p in pts
-        }
-
-    if assignment is None:
+        radius, k = gap / 2, math.ceil(Fraction(2) / gap)
+    else:
         certificate = HubCertificate(
             "every member is the base point 1/2 or a stacked point; all of "
             "their basic neighborhoods share base points arbitrarily close to 1/2")
         return SeparabilityVerdict(False, None, certificate)
 
-    witness = tuple((p, assignment[p]) for p in pts)
+    witness = tuple(
+        (p, BallNeighborhood(space, p, radius) if isinstance(p, BasePoint)
+         else VerticalNeighborhood(space, p, k))
+        for p in pts)
     if any(not membership(nb, p) for p, nb in witness) or \
             intersection_nonempty([nb for _, nb in witness]) is not None:
         raise AssertionError("constructed witness failed exact re-verification")

@@ -2,6 +2,7 @@ import functools
 import json
 import subprocess
 import sys
+import time
 
 import pytest
 
@@ -85,6 +86,24 @@ class TestAnalyze:
         assert code == 2
         assert captured.out == ""
         assert captured.err == "error (too-large): more than 65536 open sets\n"
+
+    def test_rejected_family_past_the_scan_cap(self, tmp_path):
+        # every subset of 13 points but the full set: 8,191 opens, not a topology
+        path = tmp_path / "no-full-set13.json"
+        path.write_text(json.dumps({
+            "format": "finite-topology/v1", "n": 13,
+            "opens": [[p for p in range(13) if m >> p & 1] for m in range((1 << 13) - 1)],
+        }))
+        start = time.perf_counter()
+        proc = subprocess.run([sys.executable, "-m", "hausnum", "analyze", str(path)],
+                              capture_output=True, text=True)
+        elapsed = time.perf_counter() - start
+        assert proc.returncode == 2
+        assert proc.stdout == ""
+        assert proc.stderr == (
+            "error (too-large): not a topology; defects are located only in "
+            "families of up to 4096 open sets, this one has 8191\n")
+        assert elapsed < 1.0
 
     def test_text_format(self, tmp_path, capsys):
         code, out = run_cli(capsys, "analyze", "--format", "text",

@@ -30,6 +30,7 @@ from hausnum.errors import (
     PointOutOfRange,
     TooLarge,
 )
+from hausnum.limits import REJECT_MAX_OPENS
 
 from conftest import random_preorder
 
@@ -177,6 +178,36 @@ class TestValidateAgainstPairwise:
                           [u for u in opens if u != 0],
                           [u for u in opens if u != full]):
                 matches_pairwise_reference(n, masks)
+
+
+class TestRejectionCap:
+    """A rejected family is scanned pair by pair up to ``REJECT_MAX_OPENS`` sets."""
+
+    def test_at_the_cap_the_defects_are_named(self):
+        # on 13 points: {12} and every subset of 0..11 except {0}
+        family = [PointSet(13, m) for m in range(REJECT_MAX_OPENS + 1) if m != 1]
+        assert len(family) == REJECT_MAX_OPENS
+        with pytest.raises(InvalidTopology) as info:
+            validate_topology(13, family)
+        assert info.value.issues == (
+            MissingFullSet(),
+            NotClosedUnderUnion(first=(1,), second=(12,)),
+            NotClosedUnderIntersection(first=(0, 1), second=(0, 2)))
+        assert str(info.value) == (
+            "the full set is missing; family is not closed under union: {1} and {12}; "
+            "family is not closed under intersection: {0, 1} and {0, 2}")
+
+    def test_just_above_the_cap_is_too_large(self):
+        family = [PointSet(13, m) for m in range(REJECT_MAX_OPENS + 1)]
+        with pytest.raises(TooLarge) as info:
+            validate_topology(13, family)
+        assert str(info.value) == (
+            f"not a topology; defects are located only in families of up to "
+            f"{REJECT_MAX_OPENS} open sets, this one has {REJECT_MAX_OPENS + 1}")
+
+    def test_valid_families_past_the_cap_are_accepted(self):
+        discrete = validate_topology(13, [PointSet(13, m) for m in range(1 << 13)])
+        assert len(discrete.opens) == 1 << 13 > REJECT_MAX_OPENS
 
 
 class TestGenerateFromSubbasis:

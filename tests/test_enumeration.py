@@ -6,6 +6,7 @@ from fractions import Fraction
 
 import pytest
 
+from hausnum.cli import main
 from hausnum.core import validate_topology
 from hausnum.enumeration import (
     CACHE_VERSION,
@@ -429,6 +430,15 @@ class TestCache:
         count_by_hausdorff(2, cache_dir=tmp_path, t0_only=True)
         assert sorted(p.name for p in tmp_path.iterdir()) == [
             "counts-n2-all.json", "counts-n2-t0.json"]
+
+    @pytest.mark.parametrize("argv, name", [
+        (["4"], "counts-n4-all.json"),
+        (["3", "--t0-only"], "counts-n3-t0.json"),
+    ])
+    def test_cache_file_is_the_json_output(self, tmp_path, capsys, argv, name):
+        code = main(["enumerate", *argv, "--format", "json", "--cache-dir", str(tmp_path)])
+        assert code == 0
+        assert (tmp_path / name).read_bytes() == capsys.readouterr().out.encode()
 
     def test_env_var_controls_default(self, tmp_path, monkeypatch):
         monkeypatch.setenv("TOPO_CACHE_DIR", str(tmp_path))

@@ -1,5 +1,6 @@
 """The package namespace: every export resolves lazily to its defining module's object."""
 
+import ast
 import importlib
 import inspect
 import subprocess
@@ -9,6 +10,8 @@ from pathlib import Path
 import pytest
 
 import hausnum
+
+SRC = Path(hausnum.__file__).resolve().parent
 
 
 def test_table_lists_each_export_once():
@@ -56,7 +59,13 @@ def test_unknown_attribute_raises():
 
 def test_readme_states_the_caps_of_limits():
     """The size caps the README gives in prose are those of ``limits.py``."""
-    from hausnum.limits import ENUM_MAX_POINTS, MAX_OPENS, ORACLE_MAX_POINTS, TABLE_MAX_POINTS
+    from hausnum.limits import (
+        ENUM_MAX_POINTS,
+        MAX_OPENS,
+        ORACLE_MAX_POINTS,
+        REJECT_MAX_OPENS,
+        TABLE_MAX_POINTS,
+    )
 
     readme = Path(__file__).resolve().parents[1] / "README.md"
     text = " ".join(readme.read_text(encoding="utf-8").split())
@@ -65,5 +74,51 @@ def test_readme_states_the_caps_of_limits():
                    f"against the exhaustive definition (n <= {ORACLE_MAX_POINTS})",
                    f"up to {ORACLE_MAX_POINTS} points, the oracle's cross-check",
                    f"independent ground truth (n <= {ORACLE_MAX_POINTS})",
-                   f"`MAX_OPENS` = {MAX_OPENS:,} sets"):
+                   f"`MAX_OPENS` = {MAX_OPENS:,} sets",
+                   f"rejected family of up to `REJECT_MAX_OPENS` = {REJECT_MAX_OPENS:,} sets"):
         assert phrase in text
+
+
+def unused_imports(source: str) -> list[str]:
+    """Names a module imports but never reads, in its code or in its string
+    annotations (``"FiniteTopology | None"``)."""
+    tree = ast.parse(source)
+    imported = []
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            imported += [a.asname or a.name.split(".")[0] for a in node.names]
+        elif isinstance(node, ast.ImportFrom) and node.module != "__future__":
+            imported += [a.asname or a.name for a in node.names]
+    used = set()
+    annotations = []
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Name):
+            used.add(node.id)
+        elif isinstance(node, ast.arg):
+            annotations.append(node.annotation)
+        elif isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            annotations.append(node.returns)
+        elif isinstance(node, ast.AnnAssign):
+            annotations.append(node.annotation)
+    for annotation in filter(None, annotations):
+        for part in ast.walk(annotation):
+            if isinstance(part, ast.Constant) and isinstance(part.value, str):
+                used.update(n.id for n in ast.walk(ast.parse(part.value, mode="eval"))
+                            if isinstance(n, ast.Name))
+    return [name for name in imported if name not in used]
+
+
+def test_unused_import_check_sees_a_leftover_name():
+    source = ("from __future__ import annotations\n"
+              "from typing import TYPE_CHECKING\n"
+              "from ._records import FrozenRecord, Record\n"
+              "if TYPE_CHECKING:\n"
+              "    from .core import PointSet\n"
+              "class A(FrozenRecord):\n"
+              "    def f(self, s: \"PointSet | None\") -> None: ...\n")
+    assert unused_imports(source) == ["Record"]
+
+
+@pytest.mark.parametrize("path", sorted(SRC.glob("*.py")), ids=lambda path: path.name)
+def test_no_module_imports_a_name_it_never_uses(path):
+    assert unused_imports(path.read_text(encoding="utf-8")) == []

@@ -43,7 +43,6 @@ from hausnum.symbolic import (
     T1Result,
     VerticalNeighborhood,
     VerticalPoint,
-    _Interval,
 )
 
 SPACE = BugEyedSpace(2, False)
@@ -108,10 +107,6 @@ FROZEN = [
 ]
 
 MUTABLE = [
-    (_Interval, ("lo", "lo_strict", "hi", "hi_strict", "punctured"),
-     (Fraction(0), False, Fraction(1, 2), True, True),
-     "_Interval(lo=Fraction(0, 1), lo_strict=False, hi=Fraction(1, 2), "
-     "hi_strict=True, punctured=True)"),
     (CountsTable, ("n", "rows", "labeled_total", "class_total", "t0_labeled_count",
                    "t0_only"),
      (2, {2: (1, 1), 3: (3, 2)}, 4, 3, 3, False),

@@ -27,7 +27,6 @@ open-family filter at the end against both.
 from __future__ import annotations
 
 import contextlib
-import json
 import os
 import tempfile
 from itertools import combinations, permutations, product
@@ -36,9 +35,10 @@ from pathlib import Path
 from typing import TYPE_CHECKING, Iterator
 
 from ._records import FrozenRecord, Record
-from .errors import TooLarge
-from .jsonio import dumps_canonical
+from .errors import ParseError, TooLarge
+from .jsonio import dumps_canonical, read_json
 from .limits import (
+    CLASSES_MAX_POINTS,
     ENUM_MAX_POINTS,
     NAIVE_MAX_POINTS,
     STIRLING_MAX_POINTS,
@@ -240,7 +240,7 @@ def enumerate_classes(n: int) -> Iterator[tuple[CanonicalForm, FiniteTopology]]:
     Pairs come in ascending order of encoding.  A class's representative is
     the first member the walk meets, i.e. the one with the least row tuple.
     """
-    _check_cap(n, ENUM_MAX_POINTS)
+    _check_cap(n, CLASSES_MAX_POINTS)
     from .core import Preorder, topology_from_preorder
 
     first: dict[bytes, tuple[int, ...]] = {}
@@ -316,11 +316,6 @@ def resolve_cache_dir(explicit: "str | os.PathLike | None" = None) -> Path:
     return Path(os.environ.get(CACHE_ENV_VAR) or DEFAULT_CACHE_DIR)
 
 
-def _cache_file(cache_dir: Path, n: int, t0_only: bool) -> Path:
-    tag = "t0" if t0_only else "all"
-    return cache_dir / f"counts-n{n}-{tag}.json"
-
-
 def _read_cache(path: Path, n: int, t0_only: bool) -> "CountsTable | None":
     """The cached table for (n, t0_only), or None unless it is well formed.
 
@@ -328,7 +323,7 @@ def _read_cache(path: Path, n: int, t0_only: bool) -> "CountsTable | None":
     and totals that equal the row sums.
     """
     try:
-        doc = json.loads(path.read_text(encoding="utf-8"))
+        doc = read_json(path)
         table = CountsTable.from_dict(doc)
         counts = [table.n, table.labeled_total, table.class_total,
                   table.t0_labeled_count, *table.rows,
@@ -339,7 +334,7 @@ def _read_cache(path: Path, n: int, t0_only: bool) -> "CountsTable | None":
             and all(type(c) is int for c in counts)
             and table.labeled_total == sum(c for c, _ in table.rows.values())
             and table.class_total == sum(c for _, c in table.rows.values()))
-    except (OSError, ValueError, LookupError, TypeError):
+    except (ParseError, LookupError, TypeError):
         return None
     return table if well_formed else None
 
@@ -377,7 +372,8 @@ def count_by_hausdorff(n: int, jobs: int = 1,
     _check_cap(n, TABLE_MAX_POINTS)
     if jobs < 1:
         raise TooLarge(f"worker count must be >= 1, got {jobs}")
-    cache_path = _cache_file(resolve_cache_dir(cache_dir), n, t0_only)
+    tag = "t0" if t0_only else "all"
+    cache_path = resolve_cache_dir(cache_dir) / f"counts-n{n}-{tag}.json"
     if use_cache:
         cached = _read_cache(cache_path, n, t0_only)
         if cached is not None:

@@ -1,4 +1,4 @@
-"""Reading and writing the ``finite-topology/v1`` JSON format.
+"""The package's one JSON reader, and the ``finite-topology/v1`` format it reads and writes.
 
 A topology document is an object with fields ``"format"``, ``"n"`` and either
 ``"opens"`` (an explicit open family) or ``"subbasis"`` (the loader generates
@@ -117,14 +117,17 @@ def topology_from_dict(doc: dict) -> tuple[FiniteTopology, str | None]:
     return generate_from_subbasis(n, sets), name
 
 
-def load_topology(source: "str | Path") -> tuple[FiniteTopology, str | None]:
-    """Load a topology document from a file path."""
+def read_json(source: "str | Path"):
+    """The JSON value in a file; :class:`ParseError` if the file cannot be read,
+    is not UTF-8 JSON, nests past the recursion limit or holds an over-long int."""
     try:
-        text = Path(source).read_text(encoding="utf-8")
+        return json.loads(Path(source).read_text(encoding="utf-8"))
     except OSError as exc:
         raise ParseError(f"cannot read {source}: {exc}") from exc
-    try:
-        doc = json.loads(text)
-    except json.JSONDecodeError as exc:
+    except (ValueError, RecursionError) as exc:
         raise ParseError(f"not valid JSON: {exc}") from exc
-    return topology_from_dict(doc)
+
+
+def load_topology(source: "str | Path") -> tuple[FiniteTopology, str | None]:
+    """Load a topology document from a file path."""
+    return topology_from_dict(read_json(source))

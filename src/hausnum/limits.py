@@ -14,6 +14,9 @@ MAX_OPENS = 1 << 16
 REJECT_MAX_OPENS = 1 << 12
 # Labeled walk and canonical forms; counting the walk's leaves takes 32 s at n = 7.
 ENUM_MAX_POINTS = 7
+# Class enumeration, a canonical form per leaf before the first class: 11.3 s for
+# n = 1..6 together, minutes for the 45.5x leaves at n = 7.
+CLASSES_MAX_POINTS = 6
 # Count tables, pinned by tests up to here; the quotient engine takes 88 s at n = 9.
 TABLE_MAX_POINTS = 6
 # Stirling identity, one walk per k <= n; 0.02 s at n = 5, the n = 6 walk alone 0.6 s.
@@ -22,3 +25,7 @@ STIRLING_MAX_POINTS = 5
 NAIVE_MAX_POINTS = 4
 # Exhaustive neighbourhood-choice oracle; at most 0.02 s on any space with n = 5.
 ORACLE_MAX_POINTS = 5
+# Digits a symbolic base coordinate's text implies (its digits plus |exponent|):
+# a radius, half the gap of two coordinates, then prints in at most 4,001 digits,
+# under the interpreter's 4,300-digit int-string limit.
+COORDINATE_MAX_DIGITS = 2000

@@ -28,6 +28,7 @@ witness search that knows nothing about it.
 
 from __future__ import annotations
 
+import contextlib
 import math
 from fractions import Fraction
 from typing import Iterable, Union
@@ -40,6 +41,7 @@ from .errors import (
     SetTooSmall,
     SpaceMismatch,
 )
+from .limits import COORDINATE_MAX_DIGITS
 
 HALF = Fraction(1, 2)
 
@@ -442,10 +444,23 @@ def format_point(p: SymbolicPoint) -> str:
     return f"v:{p.index}"
 
 
+def _implied_digits(number: str) -> int:
+    """The digits in ``number`` plus the size of its exponent, if it has one."""
+    digits = sum(c.isdigit() for c in number)
+    _, e, exponent = number.lower().partition("e")
+    if e:
+        with contextlib.suppress(ValueError):  # Fraction rejects the text itself
+            digits += abs(int(exponent))
+    return digits
+
+
 def parse_point(text: str) -> SymbolicPoint:
     """Parse ``b:<num>/<den>`` (or ``b:<int>``) and ``v:<m>``."""
     text = text.strip()
     if text.startswith("b:"):
+        if _implied_digits(text[2:]) > COORDINATE_MAX_DIGITS:
+            raise ParseError(f"bad base point: its coordinate implies more than "
+                             f"{COORDINATE_MAX_DIGITS:,} digits")
         try:
             return BasePoint(Fraction(text[2:]))
         except (ValueError, ZeroDivisionError, BadParameter) as exc:

@@ -16,6 +16,17 @@ def pytest_configure(config):
         p for p in (src, os.environ.get("PYTHONPATH")) if p)
 
 
+# Files that are not UTF-8 JSON within the interpreter's limits: a UTF-16
+# byte-order mark, an array nested past the recursion limit, and an integer
+# past the 4,300-digit int-string limit.
+DEEP_ARRAY = b"[" * 200_000 + b"]" * 200_000
+UNREADABLE_FILES = {
+    "utf16-bom": b"\xff\xfe{}",
+    "deep-array": DEEP_ARRAY,
+    "long-int": b'{"format":"finite-topology/v1","n":' + b"9" * 5000 + b',"opens":[]}',
+}
+
+
 def transitive_closure(rows: list[int]) -> tuple[int, ...]:
     rows = list(rows)
     n = len(rows)

@@ -10,6 +10,8 @@ from hausnum.cli import main
 from hausnum.jsonio import topology_to_json
 from hausnum.constructions import three_point_example
 
+from conftest import DEEP_ARRAY, UNREADABLE_FILES
+
 
 def run_cli(capsys, *argv):
     code = main(list(argv))
@@ -110,6 +112,32 @@ class TestAnalyze:
                             self.write_example(tmp_path))
         assert code == 0
         assert "hausdorff number: 3" in out
+
+
+class TestUnreadableFiles:
+    @pytest.mark.parametrize("name", sorted(UNREADABLE_FILES))
+    def test_analyze_is_a_parse_error(self, tmp_path, capsys, name):
+        path = tmp_path / f"{name}.json"
+        path.write_bytes(UNREADABLE_FILES[name])
+        start = time.perf_counter()
+        code = main(["analyze", str(path)])
+        elapsed = time.perf_counter() - start
+        captured = capsys.readouterr()
+        assert code == 2
+        assert captured.out == ""
+        assert captured.err.startswith("error (parse-error): ")
+        assert captured.err.count("\n") == 1 and captured.err.endswith("\n")
+        assert elapsed < 1.0
+
+    def test_no_traceback_from_the_command(self, tmp_path):
+        path = tmp_path / "deep.json"
+        path.write_bytes(DEEP_ARRAY)
+        proc = subprocess.run([sys.executable, "-m", "hausnum", "analyze", str(path)],
+                              capture_output=True, text=True)
+        assert proc.returncode == 2
+        assert proc.stdout == ""
+        assert "Traceback" not in proc.stderr
+        assert proc.stderr.startswith("error (parse-error): ")
 
 
 class TestEnumerate:
@@ -281,6 +309,21 @@ class TestSymbolic:
         assert code == 0
         assert doc["separable"] is True
         assert len(doc["witness"]) == 3
+
+    @pytest.mark.parametrize("query", [
+        ["separable", "--points", "b:1e-5000,b:0"],
+        ["t1", "--pair", "b:1e-99999999", "b:0"],
+    ])
+    def test_coordinate_past_the_digit_cap(self, capsys, query):
+        start = time.perf_counter()
+        code = main(["symbolic", "--verticals", "1", *query])
+        elapsed = time.perf_counter() - start
+        captured = capsys.readouterr()
+        assert code == 2
+        assert captured.out == ""
+        assert captured.err == ("error (parse-error): bad base point: its coordinate "
+                                "implies more than 2,000 digits\n")
+        assert elapsed < 1.0
 
     def test_bad_points(self, capsys):
         code, _ = run_cli(capsys, "symbolic", "--verticals", "1",

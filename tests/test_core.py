@@ -66,6 +66,14 @@ class TestPointSet:
         with pytest.raises(PointOutOfRange):
             PointSet.full(3) | PointSet.full(4)
 
+    def test_issubset(self):
+        a = PointSet.from_points(4, [1, 2])
+        b = PointSet.from_points(4, [0, 1, 2])
+        assert a.issubset(b) and a.issubset(a) and PointSet(4, 0).issubset(a)
+        assert not b.issubset(a)
+        with pytest.raises(PointOutOfRange):
+            a.issubset(PointSet.from_points(5, [1, 2]))
+
     @given(st.integers(1, 8), st.data())
     def test_roundtrip_points(self, n, data):
         pts = data.draw(st.sets(st.integers(0, n - 1)))
@@ -325,6 +333,21 @@ class TestPreorderCorrespondence:
             Preorder(2, (1, 1))
         with pytest.raises(NotTransitive):
             Preorder(3, (1 | 2, 2 | 4, 4))
+
+    def test_matrix_roundtrip_exhaustive_small(self):
+        for n in range(1, 5):
+            for p in enumerate_preorders(n):
+                assert Preorder.from_matrix(p.matrix()) == p
+
+    @pytest.mark.parametrize("matrix, error", [
+        ([[True, False], [True]], PointOutOfRange),                       # ragged
+        ([[True, False, False], [False, True, False]], PointOutOfRange),  # 2 x 3
+        ([[True, True], [False, False]], NotReflexive),
+        ([[True, True, False], [False, True, True], [False, False, True]], NotTransitive),
+    ])
+    def test_matrix_must_be_a_preorder(self, matrix, error):
+        with pytest.raises(error):
+            Preorder.from_matrix(matrix)
 
     def test_roundtrip_exhaustive_small(self):
         for n in range(1, 5):

@@ -2,6 +2,7 @@ import hashlib
 import itertools
 import json
 import math
+import time
 from fractions import Fraction
 
 import pytest
@@ -25,6 +26,8 @@ from hausnum.enumeration import (
 )
 from hausnum.errors import TooLarge
 from hausnum.separation import hausdorff_number
+
+from conftest import UNREADABLE_FILES
 
 # OEIS, from n = 0: topologies (A000798), their classes (A001930), T0
 # topologies (A001035) and posets (A000112).
@@ -227,6 +230,13 @@ class TestEnumerateClasses:
         assert digest.hexdigest() == (
             "f15813413328480bc82b79af10400a5241f67a4463890eaea8bf32e054ef3a01")
 
+    def test_seven_points_refused_before_the_walk(self):
+        classes = enumerate_classes(7)
+        start = time.perf_counter()
+        with pytest.raises(TooLarge):
+            next(classes)
+        assert time.perf_counter() - start < 1.0
+
     def test_two_point_classes(self):
         reps = [t for _, t in enumerate_classes(2)]
         sizes = sorted(len(t.opens) for t in reps)
@@ -424,6 +434,19 @@ class TestCache:
         path = next(tmp_path.glob("counts-*.json"))
         path.write_text('{"rows": [')
         assert count_by_hausdorff(2, cache_dir=tmp_path) == expected
+
+    @pytest.mark.parametrize("name", sorted(UNREADABLE_FILES))
+    def test_undecodable_file_is_recomputed(self, tmp_path, capsys, name):
+        assert main(["enumerate", "3", "--cache-dir", str(tmp_path / "fresh")]) == 0
+        fresh = capsys.readouterr().out
+        path = tmp_path / "cache" / "counts-n3-all.json"
+        path.parent.mkdir()
+        path.write_bytes(UNREADABLE_FILES[name])
+        start = time.perf_counter()
+        assert main(["enumerate", "3", "--cache-dir", str(path.parent)]) == 0
+        assert time.perf_counter() - start < 1.0
+        assert capsys.readouterr().out == fresh
+        assert path.read_text(encoding="utf-8") == fresh
 
     def test_write_leaves_no_temp_files(self, tmp_path):
         count_by_hausdorff(2, cache_dir=tmp_path)

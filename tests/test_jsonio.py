@@ -8,10 +8,13 @@ from hausnum.enumeration import enumerate_labeled
 from hausnum.errors import InvalidTopology, ParseError
 from hausnum.jsonio import (
     load_topology,
+    read_json,
     topology_from_dict,
     topology_to_dict,
     topology_to_json,
 )
+
+from conftest import UNREADABLE_FILES
 
 
 def test_document_shape():
@@ -56,6 +59,20 @@ def test_file_roundtrip(tmp_path):
 def test_missing_file(tmp_path):
     with pytest.raises(ParseError):
         load_topology(tmp_path / "nope.json")
+
+
+def test_read_json_decodes_any_value(tmp_path):
+    path = tmp_path / "value.json"
+    path.write_text('[1, {"a": null}]\n')
+    assert read_json(path) == [1, {"a": None}]
+
+
+@pytest.mark.parametrize("name", sorted(UNREADABLE_FILES))
+def test_read_json_refuses_an_undecodable_file(tmp_path, name):
+    path = tmp_path / f"{name}.json"
+    path.write_bytes(UNREADABLE_FILES[name])
+    with pytest.raises(ParseError, match="^not valid JSON: "):
+        read_json(path)
 
 
 @pytest.mark.parametrize("doc,fragment", [

@@ -60,6 +60,8 @@ def test_unknown_attribute_raises():
 def test_readme_states_the_caps_of_limits():
     """The size caps the README gives in prose are those of ``limits.py``."""
     from hausnum.limits import (
+        CLASSES_MAX_POINTS,
+        COORDINATE_MAX_DIGITS,
         ENUM_MAX_POINTS,
         MAX_OPENS,
         ORACLE_MAX_POINTS,
@@ -75,7 +77,9 @@ def test_readme_states_the_caps_of_limits():
                    f"up to {ORACLE_MAX_POINTS} points, the oracle's cross-check",
                    f"independent ground truth (n <= {ORACLE_MAX_POINTS})",
                    f"`MAX_OPENS` = {MAX_OPENS:,} sets",
-                   f"rejected family of up to `REJECT_MAX_OPENS` = {REJECT_MAX_OPENS:,} sets"):
+                   f"rejected family of up to `REJECT_MAX_OPENS` = {REJECT_MAX_OPENS:,} sets",
+                   f"homeomorphism classes on up to {CLASSES_MAX_POINTS} points",
+                   f"`COORDINATE_MAX_DIGITS` = {COORDINATE_MAX_DIGITS:,} digits"):
         assert phrase in text
 
 
@@ -122,3 +126,31 @@ def test_unused_import_check_sees_a_leftover_name():
 @pytest.mark.parametrize("path", sorted(SRC.glob("*.py")), ids=lambda path: path.name)
 def test_no_module_imports_a_name_it_never_uses(path):
     assert unused_imports(path.read_text(encoding="utf-8")) == []
+
+
+def imports_json(source: str) -> bool:
+    """Whether a module imports the standard ``json`` package anywhere."""
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, ast.Import):
+            modules = [a.name for a in node.names]
+        elif isinstance(node, ast.ImportFrom) and node.level == 0:
+            modules = [node.module]
+        else:
+            continue
+        if any(m == "json" or m.startswith("json.") for m in modules):
+            return True
+    return False
+
+
+def test_json_import_check_sees_an_import():
+    assert imports_json("import contextlib\nimport json\n")
+    assert imports_json("def f():\n    from json import loads\n")
+    assert imports_json("import json.decoder as d\n")
+    assert not imports_json("from .jsonio import read_json\nfrom . import json\n"
+                            "import jsonschema\n")
+
+
+@pytest.mark.parametrize("path", sorted(SRC.glob("*.py")), ids=lambda path: path.name)
+def test_only_jsonio_imports_json(path):
+    """Every JSON file the package reads goes through ``jsonio.read_json``."""
+    assert imports_json(path.read_text(encoding="utf-8")) == (path.name == "jsonio.py")

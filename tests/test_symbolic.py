@@ -11,6 +11,7 @@ from hausnum.errors import (
     SetTooSmall,
     SpaceMismatch,
 )
+from hausnum.limits import COORDINATE_MAX_DIGITS
 from hausnum.symbolic import (
     OMEGA,
     OMEGA_ONE,
@@ -391,6 +392,17 @@ class TestPointSyntax:
         for bad in ("x:1", "b:", "b:3/2", "v:0", "v:x", ""):
             with pytest.raises(ParseError):
                 parse_point(bad)
+
+    def test_coordinate_digits_are_capped(self):
+        # digits in the text, plus |exponent|: "1e-k" implies 1 + len(str(k)) + k
+        cap = COORDINATE_MAX_DIGITS
+        k = cap - 1 - len(str(cap))
+        assert 1 + len(str(k)) + k == cap
+        assert parse_point(f"b:1e-{k}") == Base(Fraction(1, 10 ** k))
+        assert parse_point("b:1/" + "9" * (cap - 1)) == Base(Fraction(1, 10 ** (cap - 1) - 1))
+        for past in (f"b:1e-{k + 1}", "b:1/" + "9" * cap, "b:1e-99999999", "b:0.5E-5000"):
+            with pytest.raises(ParseError, match="implies more than"):
+                parse_point(past)
 
     def test_spaces_validate_construction(self):
         with pytest.raises(BadParameter):

@@ -147,44 +147,50 @@ class FiniteTopology(FrozenRecord):
     Construct via :func:`validate_topology` or :func:`generate_from_subbasis`
     unless the family is already known to be a topology.
 
-    The fields are ``n`` and ``opens``.  The slots ``_masks`` (the open masks,
-    in the order of ``opens``), ``_rows`` (``rows[a]``, the mask of the
-    minimal neighbourhood of a) and ``_closures`` (``closures[x]``, the mask of
-    the closure of x) hold what is derived from them: the builders of this
-    module fill in what they already know, and ``open_masks``,
-    ``_minimal_rows`` and ``_point_closures`` compute the rest on first use.
+    The fields are ``n`` and ``opens``.  Every topology also holds, from
+    construction, ``_masks`` (the open masks, in the order of ``opens``) and
+    ``_rows`` (``rows[a]``, the mask of the minimal neighbourhood of a); the
+    builders of this module pass in what they already know, and ``__init__``
+    derives both from ``opens``.  ``_closures`` (``closures[x]``, the mask of
+    the closure of x) is filled by ``_point_closures`` on first use.
     Equality, hashing, the repr and pickling see the fields only.
     """
 
     __slots__ = ("n", "opens", "_masks", "_rows", "_closures")
 
     def __init__(self, n: int, opens: tuple[PointSet, ...]):
-        object.__setattr__(self, "n", n)
-        object.__setattr__(self, "opens", opens)
-        object.__setattr__(self, "_masks", None)
-        object.__setattr__(self, "_rows", None)
-        object.__setattr__(self, "_closures", None)
+        masks = tuple(u.mask for u in opens)
+        _fill(self, n, opens, masks, _rows_from_masks(n, masks))
 
     @property
     def open_masks(self) -> tuple[int, ...]:
-        if self._masks is None:
-            object.__setattr__(self, "_masks", tuple(u.mask for u in self.opens))
         return self._masks
 
     def is_open(self, s: "PointSet | Iterable[int]") -> bool:
-        return _as_mask(self.n, s) in self.open_masks
+        return _as_mask(self.n, s) in self._masks
 
     def __repr__(self) -> str:
         return f"FiniteTopology(n={self.n}, opens={len(self.opens)})"
 
 
-def _topology(n: int, masks: tuple[int, ...], rows: "tuple[int, ...] | None") -> FiniteTopology:
-    """The topology with these canonical, in-range open masks and minimal rows
-    (None if not known yet)."""
-    topology = FiniteTopology(n, _pointsets(n, masks))
-    object.__setattr__(topology, "_masks", masks)
-    object.__setattr__(topology, "_rows", rows)
+def _fill(topology: FiniteTopology, n: int, opens: tuple[PointSet, ...],
+          masks: tuple[int, ...], rows: tuple[int, ...]) -> None:
+    for name, value in zip(FiniteTopology.__slots__, (n, opens, masks, rows, None)):
+        object.__setattr__(topology, name, value)
+
+
+def _topology(n: int, masks: tuple[int, ...], rows: tuple[int, ...]) -> FiniteTopology:
+    """The topology with these canonical, in-range open masks and their
+    minimal rows, built without re-deriving either."""
+    topology = object.__new__(FiniteTopology)
+    _fill(topology, n, _pointsets(n, masks), masks, rows)
     return topology
+
+
+def _from_rows(n: int, rows: tuple[int, ...]) -> FiniteTopology:
+    """The topology whose minimal rows are the preorder rows ``rows``: every
+    union of them.  Raises :class:`TooLarge` past ``MAX_OPENS`` open sets."""
+    return _topology(n, _canonical_masks(_up_sets(rows)), rows)
 
 
 def validate_topology(n: int, family: Iterable["PointSet | Iterable[int]"]) -> FiniteTopology:
@@ -248,8 +254,7 @@ def generate_from_subbasis(n: int, subbasis: Iterable["PointSet | Iterable[int]"
     ``MAX_OPENS`` open sets.
     """
     _check_n(n)
-    rows = _rows_from_masks(n, [_as_mask(n, s) for s in subbasis])
-    return _topology(n, _canonical_masks(_up_sets(rows)), rows)
+    return _from_rows(n, _rows_from_masks(n, [_as_mask(n, s) for s in subbasis]))
 
 
 def _check_point(n: int, a: int) -> None:
@@ -260,7 +265,7 @@ def _check_point(n: int, a: int) -> None:
 def minimal_neighborhood(topology: FiniteTopology, a: int) -> PointSet:
     """Intersection of all open sets containing ``a`` (open, since finite)."""
     _check_point(topology.n, a)
-    return PointSet(topology.n, _minimal_rows(topology)[a])
+    return PointSet(topology.n, topology._rows[a])
 
 
 def _rows_from_masks(n: int, masks: Sequence[int]) -> tuple[int, ...]:
@@ -276,17 +281,10 @@ def _rows_from_masks(n: int, masks: Sequence[int]) -> tuple[int, ...]:
     return tuple(rows)
 
 
-def _minimal_rows(topology: FiniteTopology) -> tuple[int, ...]:
-    if topology._rows is None:
-        object.__setattr__(topology, "_rows",
-                           _rows_from_masks(topology.n, topology.open_masks))
-    return topology._rows
-
-
 def _point_closures(topology: FiniteTopology) -> tuple[int, ...]:
     """``closures[x]`` = {a : x in N(a)}, the closure of the point x."""
     if topology._closures is None:
-        rows = _minimal_rows(topology)
+        rows = topology._rows
         object.__setattr__(topology, "_closures", tuple(
             sum(1 << a for a, row in enumerate(rows) if row >> x & 1)
             for x in range(len(rows))))
@@ -362,7 +360,7 @@ class Preorder(FrozenRecord):
 
 def specialization_preorder(topology: FiniteTopology) -> Preorder:
     """a <= b iff b belongs to the minimal neighborhood of a."""
-    return Preorder(topology.n, _minimal_rows(topology))
+    return Preorder(topology.n, topology._rows)
 
 
 def topology_from_preorder(preorder: Preorder) -> FiniteTopology:
@@ -371,8 +369,7 @@ def topology_from_preorder(preorder: Preorder) -> FiniteTopology:
     Inverse of :func:`specialization_preorder` in both directions.  Raises
     :class:`TooLarge` past ``MAX_OPENS`` open sets.
     """
-    return _topology(preorder.n, _canonical_masks(_up_sets(preorder.rows)),
-                     tuple(preorder.rows))
+    return _from_rows(preorder.n, tuple(preorder.rows))
 
 
 class SubspaceResult(NamedTuple):
@@ -383,23 +380,14 @@ class SubspaceResult(NamedTuple):
 def subspace(topology: FiniteTopology, points: "PointSet | Iterable[int]") -> SubspaceResult:
     """Trace topology {U ∩ S : U open}, reindexed onto {0..|S|-1}.
 
-    The order-preserving point map is returned alongside so reports can
-    refer to the original labels.
+    Its minimal rows are N(s) ∩ S for s in S, renumbered, and its opens are
+    their unions.  The order-preserving point map is returned alongside so
+    reports can refer to the original labels.
     """
     s_mask = _as_mask(topology.n, points)
     if s_mask == 0:
         raise EmptySubset("subspace carrier must be nonempty")
     labels = tuple(PointSet(topology.n, s_mask))
-    index_of = {p: i for i, p in enumerate(labels)}
-
-    traces = set()
-    for u in topology.open_masks:
-        t = u & s_mask
-        new_mask = 0
-        m = t
-        while m:
-            low = m & -m
-            new_mask |= 1 << index_of[low.bit_length() - 1]
-            m ^= low
-        traces.add(new_mask)
-    return SubspaceResult(_topology(len(labels), _canonical_masks(traces), None), labels)
+    rows = tuple(sum(1 << i for i, b in enumerate(labels) if topology._rows[a] >> b & 1)
+                 for a in labels)
+    return SubspaceResult(_from_rows(len(labels), rows), labels)

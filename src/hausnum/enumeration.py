@@ -229,9 +229,7 @@ def enumerate_labeled(n: int) -> Iterator[FiniteTopology]:
 def canonical_form(topology: FiniteTopology) -> CanonicalForm:
     """Canonical form of a topology; equal forms iff homeomorphic."""
     _check_cap(topology.n, ENUM_MAX_POINTS)
-    from .core import specialization_preorder
-
-    return CanonicalForm(_canonical(specialization_preorder(topology).rows)[0])
+    return CanonicalForm(_canonical(topology._rows)[0])
 
 
 def enumerate_classes(n: int) -> Iterator[tuple[CanonicalForm, FiniteTopology]]:
@@ -319,8 +317,10 @@ def resolve_cache_dir(explicit: "str | os.PathLike | None" = None) -> Path:
 def _read_cache(path: Path, n: int, t0_only: bool) -> "CountsTable | None":
     """The cached table for (n, t0_only), or None unless it is well formed.
 
-    Well formed: exactly the document this version writes, integer counts,
-    and totals that equal the row sums.
+    Well formed: exactly the document this version writes; every count an
+    integer >= 1 and every Hausdorff number in 2..n+1; in each row at most
+    as many classes as labeled topologies; totals that equal the row sums;
+    and a T0 count at most the labeled total, equal to it under ``t0_only``.
     """
     try:
         doc = read_json(path)
@@ -331,9 +331,13 @@ def _read_cache(path: Path, n: int, t0_only: bool) -> "CountsTable | None":
         well_formed = (
             table.to_dict() == doc and table.n == n
             and type(table.t0_only) is bool and table.t0_only == t0_only
-            and all(type(c) is int for c in counts)
+            and all(type(c) is int and c >= 1 for c in counts)
+            and all(2 <= h <= n + 1 for h in table.rows)
+            and all(classes <= labeled for labeled, classes in table.rows.values())
             and table.labeled_total == sum(c for c, _ in table.rows.values())
-            and table.class_total == sum(c for _, c in table.rows.values()))
+            and table.class_total == sum(c for _, c in table.rows.values())
+            and table.t0_labeled_count <= table.labeled_total
+            and (table.t0_labeled_count == table.labeled_total or not t0_only))
     except (ParseError, LookupError, TypeError):
         return None
     return table if well_formed else None

@@ -25,7 +25,7 @@ STIRLING_MAX_POINTS = 5
 NAIVE_MAX_POINTS = 4
 # Exhaustive neighbourhood-choice oracle; at most 0.02 s on any space with n = 5.
 ORACLE_MAX_POINTS = 5
-# Digits a symbolic base coordinate's text implies (its digits plus |exponent|):
-# a radius, half the gap of two coordinates, then prints in at most 4,001 digits,
-# under the interpreter's 4,300-digit int-string limit.
+# Digits the text of a symbolic base coordinate or radius implies (its digits
+# plus |exponent|): a radius, half the gap of two coordinates, then prints in at
+# most 4,001 digits, under the interpreter's 4,300-digit int-string limit.
 COORDINATE_MAX_DIGITS = 2000

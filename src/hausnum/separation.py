@@ -19,7 +19,7 @@ intersection), hence H >= 2 always, and H = 2 on a one-point space.
 from __future__ import annotations
 
 from ._records import FrozenRecord
-from .core import FiniteTopology, PointSet, _as_mask, _minimal_rows, _point_closures
+from .core import FiniteTopology, PointSet, _as_mask, _point_closures
 from .errors import BadParameter, SetTooSmall, TooLarge
 from .limits import ORACLE_MAX_POINTS
 
@@ -61,7 +61,7 @@ def is_separable(topology: FiniteTopology, points: "PointSet | object") -> Separ
     if a_mask.bit_count() < 2:
         raise SetTooSmall("separability queries need at least two points")
 
-    rows = _minimal_rows(topology)
+    rows = topology._rows
     common = (1 << topology.n) - 1
     m = a_mask
     while m:
@@ -179,7 +179,7 @@ def axioms_report(topology: FiniteTopology) -> AxiomsReport:
     T1.
     """
     n = topology.n
-    rows = _minimal_rows(topology)
+    rows = topology._rows
     closures = _point_closures(topology)
     t1 = all(rows[a] == 1 << a for a in range(n))
     pairs = [(a, b) for a in range(n) for b in range(a + 1, n)]

@@ -93,7 +93,7 @@ class BasePoint(FrozenRecord):
     __slots__ = ("coordinate",)
 
     def __init__(self, coordinate: Fraction):
-        q = Fraction(coordinate)
+        q = _fraction(coordinate, "base point: its coordinate")
         if not 0 <= q <= 1:
             raise BadParameter(f"base coordinate must lie in [0,1], got {q}")
         self._assign(q)
@@ -114,7 +114,7 @@ SymbolicPoint = Union[BasePoint, VerticalPoint]
 
 
 def Base(q) -> BasePoint:
-    return BasePoint(Fraction(q))
+    return BasePoint(q)
 
 
 def Vertical(m: int) -> VerticalPoint:
@@ -137,7 +137,7 @@ class BallNeighborhood(FrozenRecord):
     __slots__ = ("space", "owner", "radius")
 
     def __init__(self, space: BugEyedSpace, owner: BasePoint, radius: Fraction):
-        radius = Fraction(radius)
+        radius = _fraction(radius, "radius: its value")
         if radius <= 0:
             raise BadParameter(f"radius must be positive, got {radius}")
         _check_point(space, owner)
@@ -164,7 +164,7 @@ def neighborhood_of(space: BugEyedSpace, p: SymbolicPoint, param) -> BasisNeighb
     """Basis neighborhood of ``p``: radius for base points, k for stacked ones."""
     _check_point(space, p)
     if isinstance(p, BasePoint):
-        return BallNeighborhood(space, p, Fraction(param))
+        return BallNeighborhood(space, p, param)
     return VerticalNeighborhood(space, p, int(param))
 
 
@@ -454,15 +454,21 @@ def _implied_digits(number: str) -> int:
     return digits
 
 
+def _fraction(value, what: str) -> Fraction:
+    """``Fraction(value)``, refusing text (or a ``Decimal``) that implies more
+    than ``COORDINATE_MAX_DIGITS`` digits before ``Fraction`` expands it."""
+    if not isinstance(value, (int, float, Fraction)) and \
+            _implied_digits(str(value)) > COORDINATE_MAX_DIGITS:
+        raise ParseError(f"bad {what} implies more than {COORDINATE_MAX_DIGITS:,} digits")
+    return Fraction(value)
+
+
 def parse_point(text: str) -> SymbolicPoint:
     """Parse ``b:<num>/<den>`` (or ``b:<int>``) and ``v:<m>``."""
     text = text.strip()
     if text.startswith("b:"):
-        if _implied_digits(text[2:]) > COORDINATE_MAX_DIGITS:
-            raise ParseError(f"bad base point: its coordinate implies more than "
-                             f"{COORDINATE_MAX_DIGITS:,} digits")
         try:
-            return BasePoint(Fraction(text[2:]))
+            return BasePoint(text[2:])
         except (ValueError, ZeroDivisionError, BadParameter) as exc:
             raise ParseError(f"bad base point {text!r}: {exc}") from None
     if text.startswith("v:"):

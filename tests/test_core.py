@@ -364,6 +364,48 @@ class TestPreorderCorrespondence:
             assert topology_from_preorder(specialization_preorder(t)) == t
 
 
+def traced_subspace(t, s_mask):
+    """Reference subspace: trace every open set on S and renumber its points."""
+    labels = tuple(PointSet(t.n, s_mask))
+    index_of = {p: i for i, p in enumerate(labels)}
+    traces = {sum(1 << index_of[p] for p in PointSet(t.n, u & s_mask))
+              for u in t.open_masks}
+    return tuple(sorted(traces, key=lambda m: (m.bit_count(), m))), labels
+
+
+class TestSubspaceAgainstTrace:
+    """``subspace`` builds the trace from the cut rows; the per-open trace is
+    its reference on opens, rows and labels."""
+
+    @staticmethod
+    def check(t, s_mask):
+        from hausnum.core import _rows_from_masks
+
+        masks, labels = traced_subspace(t, s_mask)
+        result = subspace(t, PointSet(t.n, s_mask))
+        assert result.topology.open_masks == masks
+        assert result.topology._rows == _rows_from_masks(len(labels), masks)
+        assert result.labels == labels
+
+    def test_every_carrier_up_to_four_points(self):
+        for n in range(1, 5):
+            for t in enumerate_labeled(n):
+                for s_mask in range(1, 1 << n):
+                    self.check(t, s_mask)
+
+    def test_random_preorders_five_to_eight_points(self, rng):
+        for n in range(5, 9):
+            for _ in range(10):
+                t = topology_from_preorder(random_preorder(n, rng))
+                for _ in range(20):
+                    self.check(t, rng.randrange(1, 1 << n))
+
+    def test_doubled_point_on_twelve_of_sixteen(self):
+        from hausnum.constructions import doubled_point_topology
+
+        self.check(doubled_point_topology(16), (1 << 12) - 1)
+
+
 class TestSubspace:
     def test_full_carrier_is_identity(self):
         t = topo(3, *EXAMPLE_3PT)
@@ -421,18 +463,16 @@ class TestImmutability:
 
 
 class TestCarriedRows:
-    """A topology's ``_masks`` and ``_rows`` slots agree with its opens, however
-    it was made, and the builders that know the rows fill them in."""
+    """Every topology holds its open masks and minimal rows from construction,
+    and they agree with its opens, however it was made."""
 
     @staticmethod
-    def check(t, carried: bool) -> None:
-        from hausnum.core import _minimal_rows, _rows_from_masks
+    def check(t) -> None:
+        from hausnum.core import _rows_from_masks
 
         masks = tuple(u.mask for u in t.opens)
         assert all(u == PointSet(t.n, u.mask) for u in t.opens)
-        assert (t._rows is not None) == carried
-        assert t.open_masks == masks
-        assert _minimal_rows(t) == _rows_from_masks(t.n, masks)
+        assert t._masks == t.open_masks == masks
         assert t._rows == _rows_from_masks(t.n, masks)
 
     def test_validate_from_point_lists_and_point_sets(self, rng):
@@ -441,18 +481,18 @@ class TestCarriedRows:
                 opens = topology_from_preorder(random_preorder(n, rng)).opens
                 shuffled = list(opens)
                 rng.shuffle(shuffled)
-                self.check(validate_topology(n, [list(u) for u in shuffled]), True)
-                self.check(validate_topology(n, shuffled), True)
+                self.check(validate_topology(n, [list(u) for u in shuffled]))
+                self.check(validate_topology(n, shuffled))
 
     def test_subbasis_preorder_and_subspace(self, rng):
         for n in range(1, 7):
             for _ in range(5):
                 p = random_preorder(n, rng)
-                self.check(topology_from_preorder(p), True)
-                self.check(generate_from_subbasis(n, [PointSet(n, r) for r in p.rows]), True)
-                self.check(generate_from_subbasis(n, [[a] for a in range(n) if a % 2]), True)
+                self.check(topology_from_preorder(p))
+                self.check(generate_from_subbasis(n, [PointSet(n, r) for r in p.rows]))
+                self.check(generate_from_subbasis(n, [[a] for a in range(n) if a % 2]))
                 carrier = [a for a in range(n) if rng.random() < 0.6] or [0]
-                self.check(subspace(topology_from_preorder(p), carrier).topology, False)
+                self.check(subspace(topology_from_preorder(p), carrier).topology)
 
     def test_constructions_and_loader(self, tmp_path):
         from hausnum.constructions import (
@@ -465,18 +505,20 @@ class TestCarriedRows:
 
         for t in (three_point_example(), filtered_four_point(), two_block_topology(5),
                   two_block_topology(2), doubled_point_topology(7, 3, 1)):
-            self.check(t, True)
+            self.check(t)
             path = tmp_path / "space.json"
             path.write_text(topology_to_json(t))
-            self.check(load_topology(path)[0], True)
+            self.check(load_topology(path)[0])
         path.write_text('{"format": "finite-topology/v1", "n": 4, "subbasis": [[2], [0, 1]]}')
-        self.check(load_topology(path)[0], True)
+        self.check(load_topology(path)[0])
 
-    def test_bare_topology_derives_on_first_use(self):
+    def test_bare_topology_derives_at_construction(self):
         from hausnum.core import FiniteTopology
 
         opens = (PointSet(3, 0), PointSet(3, 0b001), PointSet(3, 0b110), PointSet(3, 0b111))
-        self.check(FiniteTopology(3, opens), False)
+        t = FiniteTopology(3, opens)
+        self.check(t)
+        assert t._rows == (0b001, 0b110, 0b110)
 
     def test_copies_and_pickles(self):
         import copy
@@ -485,4 +527,5 @@ class TestCarriedRows:
         t = generate_from_subbasis(4, [[0], [1, 2], [2, 3]])
         for twin in (copy.copy(t), copy.deepcopy(t), pickle.loads(pickle.dumps(t))):
             assert twin == t and hash(twin) == hash(t) and repr(twin) == repr(t)
-            self.check(twin, False)
+            self.check(twin)
+            assert twin._rows == t._rows

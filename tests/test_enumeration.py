@@ -429,6 +429,29 @@ class TestCache:
     def test_non_integer_count_recomputes(self, tmp_path):
         self.corrupt(tmp_path, 2, lambda doc: doc["rows"][0].update(class_count="1"))
 
+    def test_count_below_one_recomputes(self, tmp_path):
+        # totals still equal the row sums: 4 = -1 + 5
+        def edit(doc):
+            doc["rows"][0].update(labeled_count=-1)
+            doc["rows"][1].update(labeled_count=5)
+        self.corrupt(tmp_path, 2, edit)
+
+    def test_hausdorff_number_past_n_plus_one_recomputes(self, tmp_path):
+        self.corrupt(tmp_path, 2, lambda doc: doc["rows"][-1].update(hausdorff_number=4))
+
+    def test_more_classes_than_labeled_recomputes(self, tmp_path):
+        # rows (1, 1) and (3, 2) become (1, 2) and (3, 1): the class total holds
+        def edit(doc):
+            doc["rows"][0].update(class_count=2)
+            doc["rows"][1].update(class_count=1)
+        self.corrupt(tmp_path, 2, edit)
+
+    def test_t0_count_past_labeled_total_recomputes(self, tmp_path):
+        self.corrupt(tmp_path, 3, lambda doc: doc.update(t0_labeled_count=12345))
+
+    def test_t0_only_t0_count_below_labeled_total_recomputes(self, tmp_path):
+        self.corrupt(tmp_path, 3, lambda doc: doc.update(t0_labeled_count=18), t0_only=True)
+
     def test_unparsable_file_recomputes(self, tmp_path):
         expected = count_by_hausdorff(2, cache_dir=tmp_path)
         path = next(tmp_path.glob("counts-*.json"))

@@ -1,5 +1,6 @@
 import hashlib
 import random
+import time
 from fractions import Fraction
 
 import pytest
@@ -10,6 +11,7 @@ from hausnum.errors import (
     ParseError,
     SetTooSmall,
     SpaceMismatch,
+    TopologyError,
 )
 from hausnum.limits import COORDINATE_MAX_DIGITS
 from hausnum.symbolic import (
@@ -403,6 +405,22 @@ class TestPointSyntax:
         for past in (f"b:1e-{k + 1}", "b:1/" + "9" * cap, "b:1e-99999999", "b:0.5E-5000"):
             with pytest.raises(ParseError, match="implies more than"):
                 parse_point(past)
+
+    @pytest.mark.parametrize("entry", [
+        Base,
+        BasePoint,
+        lambda text: BallNeighborhood(T1_ONE, Base(0), text),
+        lambda text: neighborhood_of(T1_ONE, Base(0), text),
+    ], ids=["Base", "BasePoint", "BallNeighborhood", "neighborhood_of"])
+    def test_library_entries_cap_coordinate_text(self, entry):
+        from decimal import Decimal
+
+        for past in ("1e-99999999", Decimal("1e-99999999")):
+            start = time.perf_counter()
+            with pytest.raises(TopologyError, match="implies more than 2,000 digits"):
+                entry(past)
+            assert time.perf_counter() - start < 1.0
+        assert entry("1e-5") == entry(Fraction(1, 100000))
 
     def test_spaces_validate_construction(self):
         with pytest.raises(BadParameter):

@@ -16,12 +16,18 @@ matrix over relabelings, and ``stirling_consistency`` sums those counts.
 The count tables come from T0 quotients instead.  Every topology is a set
 partition into k blocks plus a partial order on the blocks, and its Hausdorff
 number is 1 + the largest total size of the blocks at or below one block.
-Unlabeled posets are generated up to isomorphism with their automorphism
-groups (Erne & Stege, Order 8, 1991; Brinkmann & McKay, Order 19, 2002); a
-poset with block sizes s is one class of n!/(prod s_i! * |Stab s|) labeled
-topologies.  The tests check the two routes against each other (the
-Hausdorff histogram of the walk is their own reference), and the naive
-open-family filter at the end against both.
+Unlabeled posets are generated by canonical augmentation with their
+automorphism groups (McKay, J. Algorithms 26, 1998; Brinkmann & McKay,
+Order 19, 2002): a poset grows by a maximal point over a down-set that is
+least in its orbit, and the child is kept only when the new point is its
+canonical deletion, the maximal point with the largest down-set.  The group
+of a kept child is the stabilizer of the down-set, composed with the swaps
+of the new point and its twins (maximal points over the same down-set) when
+it has any; only other ties call ``_canonical``.  A poset with block sizes s
+is one class of n!/(prod s_i! * |Stab s|) labeled topologies.  The tests
+check the two routes against each other (the Hausdorff histogram of the walk
+is their own reference), and the naive open-family filter at the end against
+both.
 """
 
 from __future__ import annotations
@@ -164,10 +170,10 @@ def _walk(n: int):
     return _complete([0] * n, 0, n, (1 << n) - 1)
 
 
-def _canonical(rows) -> tuple[bytes, list[list[int]]]:
-    """Lexicographically minimal byte serialization over relabelings.
+def _canonical(rows) -> tuple[tuple[int, ...], list[list[int]]]:
+    """Lexicographically minimal row tuple over relabelings.
 
-    Byte i carries row i of the permuted relation matrix (bit j set iff
+    Entry i is row i of the permuted relation matrix (bit j set iff
     perm(i) <= perm(j)).  Minimization runs over the permutations that keep
     points grouped by the invariant (row popcount, column popcount) with
     groups in ascending key order; the invariant is relabeling-covariant, so
@@ -201,7 +207,7 @@ def _canonical(rows) -> tuple[bytes, list[list[int]]]:
         perm = [p for part in parts for p in part]
         for i, p in enumerate(perm):
             bit[p] = 1 << i
-        enc = bytes(sum(bit[x] for x in points[p]) for p in perm)
+        enc = tuple(sum(bit[x] for x in points[p]) for p in perm)
         if best is None or enc < best:
             best, reaching = enc, [perm]
         elif enc == best:
@@ -229,7 +235,7 @@ def enumerate_labeled(n: int) -> Iterator[FiniteTopology]:
 def canonical_form(topology: FiniteTopology) -> CanonicalForm:
     """Canonical form of a topology; equal forms iff homeomorphic."""
     _check_cap(topology.n, ENUM_MAX_POINTS)
-    return CanonicalForm(_canonical(topology._rows)[0])
+    return CanonicalForm(bytes(_canonical(topology._rows)[0]))
 
 
 def enumerate_classes(n: int) -> Iterator[tuple[CanonicalForm, FiniteTopology]]:
@@ -241,40 +247,97 @@ def enumerate_classes(n: int) -> Iterator[tuple[CanonicalForm, FiniteTopology]]:
     _check_cap(n, CLASSES_MAX_POINTS)
     from .core import Preorder, topology_from_preorder
 
-    first: dict[bytes, tuple[int, ...]] = {}
+    first: dict[tuple[int, ...], tuple[int, ...]] = {}
     for rows in _walk(n):
         first.setdefault(_canonical(rows)[0], tuple(rows))
     for enc in sorted(first):
-        yield CanonicalForm(enc), topology_from_preorder(Preorder(n, first[enc]))
+        yield CanonicalForm(bytes(enc)), topology_from_preorder(Preorder(n, first[enc]))
 
 
-def _posets(n: int) -> list[dict[bytes, list[tuple[int, ...]]]]:
-    """Unlabeled posets on k = 1..n points: canonical encoding -> automorphisms.
+def _stabilizer(values: tuple, autos: list) -> "list | None":
+    """The automorphisms that fix ``values``, or None unless it is least in its orbit.
 
-    Byte i of an encoding is row i of the poset in its canonical labeling,
-    on which the automorphisms act.  Removing a maximal element from a poset
-    on k points leaves one on k - 1 points, below which the removed element
-    sat over a down-set; so growing every poset on k - 1 points by a maximal
-    element over each of its down-sets reaches every poset on k points.
+    ``values`` holds one entry per point, and ``auto`` maps it to the tuple of
+    ``values[auto[a]]``.  The search stops at the first smaller image.
     """
-    levels = [{b"\x01": [(0,)]}]
+    if len(autos) == 1:
+        return autos
+    fixing = []
+    for auto in autos:
+        image = tuple(map(values.__getitem__, auto))
+        if image < values:
+            return None
+        if image == values:
+            fixing.append(auto)
+    return fixing
+
+
+def _posets(n: int) -> list[list[tuple[tuple[int, ...], list[tuple[int, ...]]]]]:
+    """Unlabeled posets on k = 1..n points, each once, as (rows, automorphisms).
+
+    ``rows[a]`` is the mask of the points at or above a, and the labeling is a
+    linear extension: nothing lies above a point at a lower index.  An
+    automorphism maps each point a to ``auto[a]``; the list is the whole group.
+
+    Canonical augmentation (McKay, J. Algorithms 26, 1998): a poset on k - 1
+    points grows by a new maximal point x over a down-set D, and the child is
+    kept iff x is its canonical deletion, the maximal point with the largest
+    down-set, and D is the least of its Aut-orbit.  So each child comes from
+    one parent, the poset left by its canonical deletion, and from one of that
+    parent's down-sets.  When x alone has the largest down-set, Aut(child)
+    fixes x and is the stabilizer of D.  When every tie is a twin of x
+    (maximal over D too), the ties and x form one orbit, and Aut(child) is the
+    stabilizer composed with the swaps of x and a twin.  Any other tie goes to
+    ``_canonical``: the tied point of least canonical position is the
+    deletion, x must share its orbit, and the child's group comes from the
+    reaching permutations.
+    """
+    levels = [[((1,), [(0,)])]]
     for k in range(2, n + 1):
-        top = 1 << (k - 1)
-        found: dict[bytes, list[tuple[int, ...]]] = {}
-        for enc in levels[-1]:
-            for down in range(top):
-                # a down-set meets no up-set of a point outside it
-                if any(row & down for a, row in enumerate(enc) if not down >> a & 1):
+        x = k - 1
+        top = 1 << x
+        level = []
+        for rows, autos in levels[-1]:
+            below = [sum(1 << a for a in range(b) if rows[a] >> b & 1) for b in range(x)]
+            maxima = [(below[m].bit_count(), m) for m in range(x) if rows[m] == 1 << m]
+            largest = max(s for s, _ in maxima)
+            downs = [0]
+            for a in range(x):  # below[a] holds lower indices only
+                downs += [d | 1 << a for d in downs if below[a] & ~d == 0]
+            for d in downs:
+                size = d.bit_count()
+                # x must have the largest down-set; a maximal point whose
+                # down-set is as large as D is not in D, so it stays maximal
+                if largest > size:
                     continue
-                rows = [row | top if down >> a & 1 else row for a, row in enumerate(enc)]
-                rows.append(top)
-                key, reaching = _canonical(rows)
-                if key not in found:
-                    inverse = [0] * k
+                stab = _stabilizer(tuple(d >> a & 1 for a in range(x)), autos)
+                if stab is None:
+                    continue
+                ties = [m for s, m in maxima if s == size]
+                child = tuple(row | top if d >> a & 1 else row
+                              for a, row in enumerate(rows)) + (top,)
+                if not ties:
+                    group = [auto + (x,) for auto in stab]
+                elif all(below[t] == d for t in ties):
+                    group = []
+                    for auto in stab:
+                        auto += (x,)
+                        group.append(auto)
+                        for t in ties:  # auto after the swap of x and t
+                            swapped = list(auto)
+                            swapped[x], swapped[t] = auto[t], x
+                            group.append(tuple(swapped))
+                else:
+                    reaching = _canonical(child)[1]
+                    position = [0] * k
                     for i, p in enumerate(reaching[0]):
-                        inverse[p] = i
-                    found[key] = [tuple(inverse[p] for p in perm) for perm in reaching]
-        levels.append(found)
+                        position[p] = i
+                    least = min(position[t] for t in (*ties, x))
+                    if all(perm[least] != x for perm in reaching):
+                        continue
+                    group = [tuple(perm[position[a]] for a in range(k)) for perm in reaching]
+                level.append((child, group))
+        levels.append(level)
     return levels
 
 
@@ -283,24 +346,29 @@ def _quotient_counts(n: int, t0_only: bool):
 
     A T0 quotient P on k points with block sizes s (a composition of n) has
     Hausdorff number 1 + max over b of the sizes of the blocks at or below
-    b.  Block sizes in one Aut(P)-orbit give the same class; that class has
-    n!/(prod s_i! * |Stab s|) labelings.  T0 topologies are k = n.
+    b.  Block sizes in one Aut(P)-orbit give the same class, counted at the
+    least of them; that class has n!/(prod s_i! * |Stab s|) labelings.  T0
+    topologies are k = n.
     """
     hist: dict[int, int] = {}
     class_hist: dict[int, int] = {}
     t0_count = 0
     levels = _posets(n)
     for k in range(n if t0_only else 1, n + 1):
-        for enc, autos in levels[k - 1].items():
-            for cuts in combinations(range(1, n), k - 1):
-                sizes = tuple(hi - lo for lo, hi in zip((0,) + cuts, cuts + (n,)))
-                orbit = {tuple(sizes[i] for i in auto) for auto in autos}
-                if min(orbit) != sizes:
+        compositions = []  # (block sizes, labelings of the blocks)
+        for cuts in combinations(range(1, n), k - 1):
+            sizes = tuple(hi - lo for lo, hi in zip((0,) + cuts, cuts + (n,)))
+            compositions.append((sizes, factorial(n) // prod(map(factorial, sizes))))
+        for rows, autos in levels[k - 1]:
+            # the largest sums are at the maximal points
+            unders = [[a for a in range(b + 1) if rows[a] >> b & 1]
+                      for b in range(k) if rows[b] == 1 << b]
+            for sizes, labelings in compositions:
+                fixing = _stabilizer(sizes, autos)
+                if fixing is None:
                     continue
-                h = 1 + max(sum(s for s, row in zip(sizes, enc) if row >> b & 1)
-                            for b in range(k))
-                stabilizer = len(autos) // len(orbit)
-                labeled = factorial(n) // (prod(map(factorial, sizes)) * stabilizer)
+                h = 1 + max(sum(map(sizes.__getitem__, under)) for under in unders)
+                labeled = labelings // len(fixing)
                 hist[h] = hist.get(h, 0) + labeled
                 class_hist[h] = class_hist.get(h, 0) + 1
                 if k == n:

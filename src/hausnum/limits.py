@@ -17,8 +17,9 @@ ENUM_MAX_POINTS = 7
 # Class enumeration, a canonical form per leaf before the first class: 11.3 s for
 # n = 1..6 together, minutes for the 45.5x leaves at n = 7.
 CLASSES_MAX_POINTS = 6
-# Count tables, pinned by tests up to here; the quotient engine takes 88 s at n = 9.
-TABLE_MAX_POINTS = 6
+# Count tables, pinned by tests up to here; the poset engine takes 1.2-1.6 s at
+# n = 8, and 16-21 s with a 250 MB peak at n = 9.
+TABLE_MAX_POINTS = 8
 # Stirling identity, one walk per k <= n; 0.02 s at n = 5, the n = 6 walk alone 0.6 s.
 STIRLING_MAX_POINTS = 5
 # Naive filter over 2**(2**n - 2) families: 16,384 at n = 4 (0.06 s), 2**30 at n = 5.

@@ -1,3 +1,4 @@
+import functools
 import hashlib
 import itertools
 import json
@@ -13,6 +14,7 @@ from hausnum.enumeration import (
     CACHE_VERSION,
     CountsTable,
     _canonical,
+    _posets,
     _walk,
     canonical_form,
     count_by_hausdorff,
@@ -31,10 +33,10 @@ from conftest import UNREADABLE_FILES
 
 # OEIS, from n = 0: topologies (A000798), their classes (A001930), T0
 # topologies (A001035) and posets (A000112).
-A000798 = (1, 1, 4, 29, 355, 6942, 209527, 9535241)
-A001930 = (1, 1, 3, 9, 33, 139, 718, 4535)
-A001035 = (1, 1, 3, 19, 219, 4231, 130023, 6129859)
-A000112 = (1, 1, 2, 5, 16, 63, 318, 2045)
+A000798 = (1, 1, 4, 29, 355, 6942, 209527, 9535241, 642779354)
+A001930 = (1, 1, 3, 9, 33, 139, 718, 4535, 35979)
+A001035 = (1, 1, 3, 19, 219, 4231, 130023, 6129859, 431723379)
+A000112 = (1, 1, 2, 5, 16, 63, 318, 2045, 16999)
 LABELED = dict(enumerate(A000798))
 CLASSES = dict(enumerate(A001930))
 T0_LABELED = dict(enumerate(A001035))
@@ -44,6 +46,26 @@ SIX_ALL = ({2: 1, 3: 1821, 4: 23700, 5: 62980, 6: 73401, 7: 47624},
            {2: 1, 3: 18, 4: 96, 5: 199, 6: 218, 7: 186})
 SIX_T0 = ({2: 1, 3: 1056, 4: 14865, 5: 41660, 6: 47055, 7: 25386},
           {2: 1, 3: 10, 4: 47, 5: 96, 6: 101, 7: 63})
+# n = 7 and n = 8 rows of the quotient engine that deduplicated every child
+# poset by its canonical form in one dict, before canonical augmentation
+SEVEN_ALL = ({2: 1, 3: 11592, 4: 351239, 5: 1649760, 6: 2992619, 7: 2904027,
+              8: 1626003},
+             {2: 1, 3: 25, 4: 249, 5: 800, 6: 1300, 7: 1256, 8: 904})
+SEVEN_T0 = ({2: 1, 3: 6321, 4: 214473, 5: 1093995, 6: 2023035, 7: 1881873,
+             8: 910161},
+            {2: 1, 3: 14, 4: 119, 5: 388, 6: 629, 7: 576, 8: 318})
+EIGHT_ALL = ({2: 1, 3: 80963, 4: 5919312, 5: 49717479, 6: 139724074, 7: 197999410,
+              8: 166774084, 9: 82564031},
+             {2: 1, 3: 40, 4: 627, 5: 3264, 6: 7536, 7: 10212, 8: 8860, 9: 5439})
+EIGHT_T0 = ({2: 1, 3: 41392, 4: 3532256, 5: 32985624, 6: 97295870, 7: 137695208,
+             8: 111134156, 9: 49038872},
+            {2: 1, 3: 21, 4: 292, 5: 1577, 6: 3807, 7: 5094, 8: 4162, 9: 2045})
+
+
+@functools.cache
+def engine_table(n, t0_only):
+    """``count_by_hausdorff(n)`` without the cache, computed once per test run."""
+    return count_by_hausdorff(n, use_cache=False, t0_only=t0_only)
 
 
 def permute_topology(t, perm):
@@ -185,7 +207,7 @@ def canonical_per_bit(rows):
     reaching = []
     for parts in itertools.product(*(itertools.permutations(b) for b in blocks)):
         perm = [p for part in parts for p in part]
-        enc = bytes(sum(((rows[perm[i]] >> perm[j]) & 1) << j for j in range(n))
+        enc = tuple(sum(((rows[perm[i]] >> perm[j]) & 1) << j for j in range(n))
                     for i in range(n))
         if best is None or enc < best:
             best, reaching = enc, [perm]
@@ -306,6 +328,22 @@ class TestCountsTable:
         assert {h: c for h, (_, c) in table.rows.items()} == expected[1]
         assert table.t0_labeled_count == 130023
 
+    @pytest.mark.parametrize("n, t0_only, expected", [
+        (7, False, SEVEN_ALL), (7, True, SEVEN_T0),
+        (8, False, EIGHT_ALL), (8, True, EIGHT_T0),
+    ])
+    def test_seven_and_eight_points_pinned(self, n, t0_only, expected):
+        table = engine_table(n, t0_only)
+        assert {h: c for h, (c, _) in table.rows.items()} == expected[0]
+        assert {h: c for h, (_, c) in table.rows.items()} == expected[1]
+        assert table.t0_labeled_count == T0_LABELED[n]
+
+    @pytest.mark.parametrize("n", [6, 7, 8])
+    def test_totals_match_oeis(self, n):
+        table, t0_table = engine_table(n, False), engine_table(n, True)
+        assert (table.labeled_total, table.class_total) == (LABELED[n], CLASSES[n])
+        assert (t0_table.labeled_total, t0_table.class_total) == (T0_LABELED[n], A000112[n])
+
     def test_jobs_must_be_positive(self):
         with pytest.raises(TooLarge):
             count_by_hausdorff(2, jobs=0, use_cache=False)
@@ -333,7 +371,34 @@ class TestCountsTable:
 
     def test_too_large(self):
         with pytest.raises(TooLarge):
-            count_by_hausdorff(7, use_cache=False)
+            count_by_hausdorff(9, use_cache=False)
+
+
+class TestPosetEngine:
+    """The posets of canonical augmentation, and the groups derived for them."""
+
+    @pytest.fixture(scope="class")
+    def levels(self):
+        return _posets(8)
+
+    def test_level_sizes(self, levels):
+        assert [len(level) for level in levels] == list(A000112[1:9])
+
+    def test_labelings_sum_to_t0_counts(self, levels):
+        # an unlabeled poset P on k points has k!/|Aut P| labelings
+        for k, level in enumerate(levels, 1):
+            assert sum(math.factorial(k) // len(autos) for _, autos in level) == A001035[k]
+
+    def test_automorphisms_are_distinct_and_map_rows_onto_rows(self, levels):
+        for k, level in enumerate(levels, 1):
+            for rows, autos in level:
+                assert len(set(autos)) == len(autos)
+                points = [[b for b in range(k) if row >> b & 1] for row in rows]
+                for auto in autos:
+                    assert sorted(auto) == list(range(k))
+                    bits = [1 << b for b in auto]  # row a maps onto row auto[a]
+                    assert [sum(map(bits.__getitem__, up)) for up in points] == [
+                        rows[b] for b in auto], (rows, auto)
 
 
 def series_exp(f, terms):
@@ -355,11 +420,10 @@ class TestRowIdentities:
     closure of a point, i.e. in the bottom block of the T0 quotient.
     """
 
-    N = range(1, 7)
+    N = range(1, 9)
 
     def tables(self, n):
-        return (count_by_hausdorff(n, use_cache=False),
-                count_by_hausdorff(n, use_cache=False, t0_only=True))
+        return engine_table(n, False), engine_table(n, True)
 
     def test_at_most_three(self):
         terms = max(self.N) + 1
@@ -371,8 +435,8 @@ class TestRowIdentities:
         for m in (1, 2, *range(2, terms)):  # one factor 1/(1 - x^m) each
             for i in range(m, terms):
                 classes[i] += classes[i - m]
-        assert labeled[1:] == [1, 4, 13, 62, 311, 1822]
-        assert classes[1:] == [1, 3, 4, 8, 11, 19]
+        assert labeled[1:] == [1, 4, 13, 62, 311, 1822, 11593, 80964]
+        assert classes[1:] == [1, 3, 4, 8, 11, 19, 26, 41]
         for n in self.N:
             rows = self.tables(n)[0].rows
             assert (sum(rows[h][0] for h in rows if h <= 3),

@@ -30,7 +30,7 @@ from .limits import MAX_OPENS, MAX_POINTS, REJECT_MAX_OPENS
 
 
 def _check_n(n: int) -> None:
-    if not isinstance(n, int) or n < 1 or n > MAX_POINTS:
+    if isinstance(n, bool) or not isinstance(n, int) or n < 1 or n > MAX_POINTS:
         raise PointOutOfRange(f"point count must be in 1..{MAX_POINTS}, got {n!r}")
 
 
@@ -151,12 +151,11 @@ class FiniteTopology(FrozenRecord):
     construction, ``_masks`` (the open masks, in the order of ``opens``) and
     ``_rows`` (``rows[a]``, the mask of the minimal neighbourhood of a); the
     builders of this module pass in what they already know, and ``__init__``
-    derives both from ``opens``.  ``_closures`` (``closures[x]``, the mask of
-    the closure of x) is filled by ``_point_closures`` on first use.
-    Equality, hashing, the repr and pickling see the fields only.
+    derives both from ``opens``.  It memoizes nothing else.  Equality,
+    hashing, the repr and pickling see the fields only.
     """
 
-    __slots__ = ("n", "opens", "_masks", "_rows", "_closures")
+    __slots__ = ("n", "opens", "_masks", "_rows")
 
     def __init__(self, n: int, opens: tuple[PointSet, ...]):
         masks = tuple(u.mask for u in opens)
@@ -175,7 +174,7 @@ class FiniteTopology(FrozenRecord):
 
 def _fill(topology: FiniteTopology, n: int, opens: tuple[PointSet, ...],
           masks: tuple[int, ...], rows: tuple[int, ...]) -> None:
-    for name, value in zip(FiniteTopology.__slots__, (n, opens, masks, rows, None)):
+    for name, value in zip(FiniteTopology.__slots__, (n, opens, masks, rows)):
         object.__setattr__(topology, name, value)
 
 
@@ -283,12 +282,9 @@ def _rows_from_masks(n: int, masks: Sequence[int]) -> tuple[int, ...]:
 
 def _point_closures(topology: FiniteTopology) -> tuple[int, ...]:
     """``closures[x]`` = {a : x in N(a)}, the closure of the point x."""
-    if topology._closures is None:
-        rows = topology._rows
-        object.__setattr__(topology, "_closures", tuple(
-            sum(1 << a for a, row in enumerate(rows) if row >> x & 1)
-            for x in range(len(rows))))
-    return topology._closures
+    rows = topology._rows
+    return tuple(sum(1 << a for a, row in enumerate(rows) if row >> x & 1)
+                 for x in range(len(rows)))
 
 
 def _up_sets(rows: Iterable[int]) -> set[int]:

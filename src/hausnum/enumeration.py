@@ -6,28 +6,28 @@ of the points b with a <= b.  Two independent routes lead to the counts.
 
 The direct walk, ``_walk``, backtracks over relation matrices row by row
 with incremental transitivity checks, emitting row tuples in ascending order
-(rows compared as integers, row 0 outermost).  Each client reads the walk
-itself and keeps only what it needs: ``enumerate_preorders`` streams every
-labeled topology, ``labeled_and_t0_counts`` counts the leaves and the T0 ones
-(rows pairwise distinct), ``enumerate_classes`` keeps the first leaf of each
-homeomorphism class, named by a canonical form that minimizes the relation
-matrix over relabelings, and ``stirling_consistency`` sums those counts.
+(rows compared as integers, row 0 outermost).  Its clients read it and keep
+only what they need: ``enumerate_preorders`` streams every labeled topology,
+``labeled_and_t0_counts`` counts the leaves and the T0 ones (rows pairwise
+distinct), and ``stirling_consistency`` sums those counts.  The tests keep
+their own class map on the walk, the first leaf of each canonical form, as
+the reference for the classes.
 
-The count tables come from T0 quotients instead.  Every topology is a set
-partition into k blocks plus a partial order on the blocks, and its Hausdorff
-number is 1 + the largest total size of the blocks at or below one block.
-Unlabeled posets are generated by canonical augmentation with their
-automorphism groups (McKay, J. Algorithms 26, 1998; Brinkmann & McKay,
-Order 19, 2002): a poset grows by a maximal point over a down-set that is
-least in its orbit, and the child is kept only when the new point is its
-canonical deletion, the maximal point with the largest down-set.  The group
-of a kept child is the stabilizer of the down-set, composed with the swaps
-of the new point and its twins (maximal points over the same down-set) when
-it has any; only other ties call ``_canonical``.  A poset with block sizes s
-is one class of n!/(prod s_i! * |Stab s|) labeled topologies.  The tests
-check the two routes against each other (the Hausdorff histogram of the walk
-is their own reference), and the naive open-family filter at the end against
-both.
+The count tables and ``enumerate_classes`` come from T0 quotients instead.
+Every topology is a set partition into k blocks plus a partial order on the
+blocks, and its Hausdorff number is 1 + the largest total size of the blocks
+at or below one block.  Unlabeled posets are generated by canonical
+augmentation with their automorphism groups (McKay, J. Algorithms 26, 1998;
+Brinkmann & McKay, Order 19, 2002): a poset grows by a maximal point over a
+down-set that is least in its orbit, and the child is kept only when the new
+point is its canonical deletion, the maximal point with the largest
+down-set.  The group of a kept child is the stabilizer of the down-set,
+composed with the swaps of the new point and its twins (maximal points over
+the same down-set) when it has any; only other ties call ``_canonical``.  A
+poset with block sizes s is one class of n!/(prod s_i! * |Stab s|) labeled
+topologies; ``_classes`` yields each class once.  The tests check the two
+routes against each other (the Hausdorff histogram of the walk is their own
+reference), and the naive open-family filter at the end against both.
 """
 
 from __future__ import annotations
@@ -44,7 +44,6 @@ from ._records import FrozenRecord, Record
 from .errors import ParseError, TooLarge
 from .jsonio import dumps_canonical, read_json
 from .limits import (
-    CLASSES_MAX_POINTS,
     ENUM_MAX_POINTS,
     NAIVE_MAX_POINTS,
     STIRLING_MAX_POINTS,
@@ -60,7 +59,7 @@ DEFAULT_CACHE_DIR = ".topo-cache"
 
 
 def _check_cap(n: int, cap: int) -> None:
-    if not isinstance(n, int) or n < 1:
+    if isinstance(n, bool) or not isinstance(n, int) or n < 1:
         raise TooLarge(f"point count must be a positive integer, got {n!r}")
     if n > cap:
         raise TooLarge(f"supported up to {cap} points here, got {n}")
@@ -243,15 +242,58 @@ def enumerate_classes(n: int) -> Iterator[tuple[CanonicalForm, FiniteTopology]]:
 
     Pairs come in ascending order of encoding.  A class's representative is
     the first member the walk meets, i.e. the one with the least row tuple.
+    Classes come from ``_classes``.  One member of each, block i on
+    consecutive labels, gives its form, and ``_least_rows`` its representative.
     """
-    _check_cap(n, CLASSES_MAX_POINTS)
+    _check_cap(n, ENUM_MAX_POINTS)
     from .core import Preorder, topology_from_preorder
 
-    first: dict[tuple[int, ...], tuple[int, ...]] = {}
-    for rows in _walk(n):
-        first.setdefault(_canonical(rows)[0], tuple(rows))
-    for enc in sorted(first):
-        yield CanonicalForm(bytes(enc)), topology_from_preorder(Preorder(n, first[enc]))
+    classes = []
+    for quotient, sizes, _, _ in _classes(n):
+        block_of = [i for i, size in enumerate(sizes) for _ in range(size)]
+        member = [sum(1 << b for b, j in enumerate(block_of) if quotient[i] >> j & 1)
+                  for i in block_of]
+        classes.append((_canonical(member)[0], _least_rows(member)))
+    for enc, rows in sorted(classes):
+        yield CanonicalForm(bytes(enc)), topology_from_preorder(Preorder(n, rows))
+
+
+def _least_rows(rows: list[int]) -> tuple[int, ...]:
+    """The least row tuple over relabelings of the preorder ``rows``.
+
+    Labels go out in order.  A state holds the points labeled so far and the
+    others as an ordered partition into cells (masks), each owning the next
+    run of labels.  Label i goes to a point p of the first cell, and every
+    cell then puts the points above p first, so row i is exact and the least
+    p allows.  Only the least rows i over all states and all p go on.  A
+    swap of two points of the first cell that is an automorphism fixes the
+    state, so one of them is tried: points with equal rows, and incomparable
+    points with the same points above and below.
+    """
+    n = len(rows)
+    down = [sum(1 << a for a in range(n) if rows[a] >> q & 1) for q in range(n)]
+    twins = [(rows[q] ^ 1 << q, down[q] ^ 1 << q) for q in range(n)]
+    states = [((), [(1 << n) - 1])]
+    least = []
+    for i in range(n):
+        best, kept = None, []
+        for labeled, cells in states:
+            first = {rows[q]: q for q in range(n) if cells[0] >> q & 1}.values()
+            for p in {twins[q]: q for q in first}.values():
+                up = rows[p]
+                row = sum(1 << j for j, q in enumerate(labeled) if up >> q & 1) | 1 << i
+                split, start = [], i + 1
+                for cell in (cells[0] & ~(1 << p), *cells[1:]):
+                    row |= (1 << (cell & up).bit_count()) - 1 << start
+                    start += cell.bit_count()
+                    split += filter(None, (cell & up, cell & ~up))
+                if best is None or row < best:
+                    best, kept = row, []
+                if row == best:
+                    kept.append((labeled + (p,), split))
+        least.append(best)
+        states = kept
+    return tuple(least)
 
 
 def _stabilizer(values: tuple, autos: list) -> "list | None":
@@ -341,18 +383,16 @@ def _posets(n: int) -> list[list[tuple[tuple[int, ...], list[tuple[int, ...]]]]]
     return levels
 
 
-def _quotient_counts(n: int, t0_only: bool):
-    """(labeled histogram, class histogram, T0 labeled count) from T0 quotients.
+def _classes(n: int, t0_only: bool = False):
+    """Each homeomorphism class on n points once, as (rows, sizes, labeled, H).
 
-    A T0 quotient P on k points with block sizes s (a composition of n) has
-    Hausdorff number 1 + max over b of the sizes of the blocks at or below
-    b.  Block sizes in one Aut(P)-orbit give the same class, counted at the
-    least of them; that class has n!/(prod s_i! * |Stab s|) labelings.  T0
-    topologies are k = n.
+    ``rows`` is a T0 quotient P on k points from ``_posets`` and ``sizes``
+    its block sizes, a composition of n.  Block sizes in one Aut(P)-orbit
+    give the same class, taken at the least of them; that class has
+    ``labeled`` = n!/(prod s_i! * |Stab s|) labelings and Hausdorff number
+    H = 1 + max over b of the sizes of the blocks at or below b.  T0 classes
+    are k = n, the only ones with ``t0_only``.
     """
-    hist: dict[int, int] = {}
-    class_hist: dict[int, int] = {}
-    t0_count = 0
     levels = _posets(n)
     for k in range(n if t0_only else 1, n + 1):
         compositions = []  # (block sizes, labelings of the blocks)
@@ -368,12 +408,7 @@ def _quotient_counts(n: int, t0_only: bool):
                 if fixing is None:
                     continue
                 h = 1 + max(sum(map(sizes.__getitem__, under)) for under in unders)
-                labeled = labelings // len(fixing)
-                hist[h] = hist.get(h, 0) + labeled
-                class_hist[h] = class_hist.get(h, 0) + 1
-                if k == n:
-                    t0_count += labeled
-    return hist, class_hist, t0_count
+                yield rows, sizes, labelings // len(fixing), h
 
 
 def resolve_cache_dir(explicit: "str | os.PathLike | None" = None) -> Path:
@@ -442,8 +477,8 @@ def count_by_hausdorff(n: int, jobs: int = 1,
     accepted for compatibility; the computation is serial.
     """
     _check_cap(n, TABLE_MAX_POINTS)
-    if jobs < 1:
-        raise TooLarge(f"worker count must be >= 1, got {jobs}")
+    if isinstance(jobs, bool) or not isinstance(jobs, int) or jobs < 1:
+        raise TooLarge(f"worker count must be >= 1, got {jobs!r}")
     tag = "t0" if t0_only else "all"
     cache_path = resolve_cache_dir(cache_dir) / f"counts-n{n}-{tag}.json"
     if use_cache:
@@ -451,7 +486,12 @@ def count_by_hausdorff(n: int, jobs: int = 1,
         if cached is not None:
             return cached
 
-    hist, class_hist, t0_count = _quotient_counts(n, t0_only)
+    hist, class_hist, t0_count = {}, {}, 0
+    for rows, _, labeled, h in _classes(n, t0_only):
+        hist[h] = hist.get(h, 0) + labeled
+        class_hist[h] = class_hist.get(h, 0) + 1
+        if len(rows) == n:
+            t0_count += labeled
     table = CountsTable(
         n=n,
         rows={k: (hist[k], class_hist[k]) for k in sorted(hist)},

@@ -12,11 +12,9 @@ MAX_OPENS = 1 << 16
 # A rejected family, scanned pair by pair to name its first failing pairs;
 # at most 1.1 s for 4,096 sets, 4x per doubling.
 REJECT_MAX_OPENS = 1 << 12
-# Labeled walk and canonical forms; counting the walk's leaves takes 32 s at n = 7.
+# Labeled walk, canonical forms and classes; at n = 7, counting the walk's leaves
+# takes 24-39 s and listing the 4,535 classes from the poset engine 1.1-1.2 s.
 ENUM_MAX_POINTS = 7
-# Class enumeration, a canonical form per leaf before the first class: 11.3 s for
-# n = 1..6 together, minutes for the 45.5x leaves at n = 7.
-CLASSES_MAX_POINTS = 6
 # Count tables, pinned by tests up to here; the poset engine takes 1.2-1.6 s at
 # n = 8, and 16-21 s with a 250 MB peak at n = 9.
 TABLE_MAX_POINTS = 8

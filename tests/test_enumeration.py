@@ -9,9 +9,10 @@ from fractions import Fraction
 import pytest
 
 from hausnum.cli import main
-from hausnum.core import validate_topology
+from hausnum.core import Preorder, topology_from_preorder, validate_topology
 from hausnum.enumeration import (
     CACHE_VERSION,
+    CanonicalForm,
     CountsTable,
     _canonical,
     _posets,
@@ -26,7 +27,7 @@ from hausnum.enumeration import (
     stirling2,
     stirling_consistency,
 )
-from hausnum.errors import TooLarge
+from hausnum.errors import PointOutOfRange, TooLarge
 from hausnum.separation import hausdorff_number
 
 from conftest import UNREADABLE_FILES
@@ -73,6 +74,32 @@ def permute_topology(t, perm):
         t.n, [[perm[p] for p in u] for u in t.opens])
 
 
+@functools.cache
+def classes(n):
+    """``enumerate_classes(n)`` as a list, computed once per test run."""
+    return list(enumerate_classes(n))
+
+
+def walk_classes(n):
+    """The walk's class map, the reference for ``enumerate_classes``.
+
+    The first leaf of the walk with each canonical form, i.e. the member of
+    least row tuple, as (form, representative) in ascending encoding order.
+    """
+    first = {}
+    for rows in _walk(n):
+        first.setdefault(_canonical(rows)[0], tuple(rows))
+    return [(CanonicalForm(bytes(enc)), topology_from_preorder(Preorder(n, first[enc])))
+            for enc in sorted(first)]
+
+
+def class_lines(n):
+    """The text that the pins of ``enumerate_classes`` hash, one line per class."""
+    for form, rep in classes(n):
+        masks = ",".join(map(str, rep.open_masks))
+        yield f"{n} {form.encoding.hex()} {masks}\n"
+
+
 def walk_histograms(n, t0_only):
     """The direct walk's reference for the tables: ``(hist, t0_count, class_hist)``.
 
@@ -94,6 +121,28 @@ def walk_histograms(n, t0_only):
             seen.add(enc)
             class_hist[h] = class_hist.get(h, 0) + 1
     return hist, t0_count, class_hist
+
+
+@pytest.mark.parametrize("call, error, message", [
+    (lambda: count_by_hausdorff(True, use_cache=False), TooLarge,
+     "point count must be a positive integer, got True"),
+    (lambda: next(enumerate_classes(True)), TooLarge,
+     "point count must be a positive integer, got True"),
+    (lambda: labeled_and_t0_counts(True), TooLarge,
+     "point count must be a positive integer, got True"),
+    (lambda: stirling_consistency(True), TooLarge,
+     "point count must be a positive integer, got True"),
+    (lambda: validate_topology(True, [[], [0]]), PointOutOfRange,
+     "point count must be in 1..64, got True"),
+    (lambda: count_by_hausdorff(2, jobs="2", use_cache=False), TooLarge,
+     "worker count must be >= 1, got '2'"),
+    (lambda: count_by_hausdorff(2, jobs=True, use_cache=False), TooLarge,
+     "worker count must be >= 1, got True"),
+], ids=["table", "classes", "labeled", "stirling", "topology", "jobs-text", "jobs-bool"])
+def test_bool_and_non_int_counts_refused(call, error, message):
+    with pytest.raises(error) as info:
+        call()
+    assert str(info.value) == message
 
 
 class TestEnumerateLabeled:
@@ -238,29 +287,46 @@ class TestCanonicalAgainstPerBit:
 
 
 class TestEnumerateClasses:
-    @pytest.mark.parametrize("n", [1, 2, 3, 4, 5])
+    @pytest.mark.parametrize("n", [1, 2, 3, 4, 5, 6, 7])
     def test_class_counts(self, n):
-        assert sum(1 for _ in enumerate_classes(n)) == CLASSES[n]
+        assert len(classes(n)) == CLASSES[n]
+
+    @pytest.mark.parametrize("n", [1, 2, 3, 4, 5])
+    def test_equals_the_walks_class_map(self, n):
+        # each representative is the first member of its class the walk meets
+        assert classes(n) == walk_classes(n)
 
     def test_forms_and_representatives_pinned(self):
-        # each representative is the first member of its class the walk meets
         digest = hashlib.sha256()
         for n in range(1, 6):
-            for form, rep in enumerate_classes(n):
-                masks = ",".join(map(str, rep.open_masks))
-                digest.update(f"{n} {form.encoding.hex()} {masks}\n".encode())
+            for line in class_lines(n):
+                digest.update(line.encode())
         assert digest.hexdigest() == (
             "f15813413328480bc82b79af10400a5241f67a4463890eaea8bf32e054ef3a01")
 
-    def test_seven_points_refused_before_the_walk(self):
-        classes = enumerate_classes(7)
+    @pytest.mark.parametrize("n", [6, 7])
+    def test_walks_forms_and_representatives_pinned(self, n):
+        # sha256 over the lines of ``walk_classes(n)``, computed before
+        # ``enumerate_classes`` moved to the poset engine; n = 7 took 8.7 min
+        # on a 2-vCPU VM
+        expected = {
+            6: "ceedc437c7784869a7262cf1a96b35c6cdb86a09409e4b999d2335f33d0cf77d",
+            7: "5cb5692984337db73768894369f0818c41e4932762c5150db5f49aa9abccfee8",
+        }
+        digest = hashlib.sha256()
+        for line in class_lines(n):
+            digest.update(line.encode())
+        assert digest.hexdigest() == expected[n]
+
+    def test_eight_points_refused_at_first_next(self):
+        pairs = enumerate_classes(8)
         start = time.perf_counter()
         with pytest.raises(TooLarge):
-            next(classes)
+            next(pairs)
         assert time.perf_counter() - start < 1.0
 
     def test_two_point_classes(self):
-        reps = [t for _, t in enumerate_classes(2)]
+        reps = [t for _, t in classes(2)]
         sizes = sorted(len(t.opens) for t in reps)
         assert sizes == [2, 3, 4]  # indiscrete, one Sierpinski rep, discrete
 
@@ -269,7 +335,7 @@ class TestEnumerateClasses:
 
         for n in (2, 3, 4):
             orbit_total = 0
-            for _, rep in enumerate_classes(n):
+            for _, rep in classes(n):
                 orbit = set()
                 for perm in itertools.permutations(range(n)):
                     orbit.add(permute_topology(rep, perm))

@@ -60,7 +60,6 @@ def test_unknown_attribute_raises():
 def test_readme_states_the_caps_of_limits():
     """The size caps the README gives in prose are those of ``limits.py``."""
     from hausnum.limits import (
-        CLASSES_MAX_POINTS,
         COORDINATE_MAX_DIGITS,
         ENUM_MAX_POINTS,
         MAX_OPENS,
@@ -78,7 +77,7 @@ def test_readme_states_the_caps_of_limits():
                    f"independent ground truth (n <= {ORACLE_MAX_POINTS})",
                    f"`MAX_OPENS` = {MAX_OPENS:,} sets",
                    f"rejected family of up to `REJECT_MAX_OPENS` = {REJECT_MAX_OPENS:,} sets",
-                   f"homeomorphism classes on up to {CLASSES_MAX_POINTS} points",
+                   f"homeomorphism classes on up to {ENUM_MAX_POINTS} points",
                    f"`COORDINATE_MAX_DIGITS` = {COORDINATE_MAX_DIGITS:,} digits"):
         assert phrase in text
 
@@ -126,6 +125,54 @@ def test_unused_import_check_sees_a_leftover_name():
 @pytest.mark.parametrize("path", sorted(SRC.glob("*.py")), ids=lambda path: path.name)
 def test_no_module_imports_a_name_it_never_uses(path):
     assert unused_imports(path.read_text(encoding="utf-8")) == []
+
+
+def dead_names(sources: dict[str, str]) -> list[str]:
+    """Leftovers in ``sources`` (module name -> text): the module-level
+    private names that no statement reads apart from the one defining them,
+    then the caps of ``limits`` that no other module imports."""
+    defined, read, caps, imported = [], [], [], set()
+    for module, source in sources.items():
+        for stmt in ast.parse(source).body:
+            if isinstance(stmt, (ast.FunctionDef, ast.ClassDef)):
+                names = [stmt.name]
+            elif isinstance(stmt, (ast.Assign, ast.AnnAssign)):
+                targets = stmt.targets if isinstance(stmt, ast.Assign) else [stmt.target]
+                names = [t.id for t in targets if isinstance(t, ast.Name)]
+            else:
+                names = []
+            if module == "limits":
+                caps += names
+            defined += [(name, stmt) for name in names
+                        if name.startswith("_") and not name.endswith("__")]
+            for node in ast.walk(stmt):
+                if isinstance(node, ast.Name) and not isinstance(node.ctx, ast.Store):
+                    read.append((node.id, stmt))
+                elif isinstance(node, ast.Attribute):
+                    read.append((node.attr, stmt))
+                elif isinstance(node, ast.ImportFrom):
+                    read += [(alias.name, stmt) for alias in node.names]
+                    if node.module == "limits" and module != "limits":
+                        imported.update(alias.name for alias in node.names)
+    dead = [name for name, stmt in defined
+            if not any(other == name and where is not stmt for other, where in read)]
+    return dead + [cap for cap in caps if cap not in imported]
+
+
+def test_dead_name_check_sees_a_leftover_name():
+    sources = {"limits": "CAP = 1\nOLD_CAP = 2\n",
+               "engine": ("from .limits import CAP\n"
+                          "_TABLE = {}\n"
+                          "def _classes(n):\n    return _TABLE, CAP\n"
+                          "def _quotient_counts(n):\n    return _quotient_counts(n - 1)\n"
+                          "def count(n):\n    return _classes(n)\n")}
+    assert dead_names(sources) == ["_quotient_counts", "OLD_CAP"]
+
+
+def test_every_private_name_and_cap_is_used():
+    """No module-level private name or cap of ``limits.py`` is left unread."""
+    assert dead_names({path.stem: path.read_text(encoding="utf-8")
+                       for path in sorted(SRC.glob("*.py"))}) == []
 
 
 def imports_json(source: str) -> bool:

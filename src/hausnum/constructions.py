@@ -63,7 +63,7 @@ def two_block_topology(n: int, x0: int = 0) -> FiniteTopology:
     """
     if n < 2:
         raise BadParameter(f"need at least 2 points, got {n}")
-    if not 0 <= x0 < n:
+    if isinstance(x0, bool) or not 0 <= x0 < n:
         raise BadParameter(f"base point {x0} not in 0..{n - 1}")
     _check_n(n)  # before any list of n points is built
     full = list(range(n))
@@ -88,7 +88,7 @@ def doubled_point_topology(n: int, x0: int = 0, x1: int = 1) -> FiniteTopology:
     """
     if n < 3:
         raise BadParameter(f"need at least 3 points, got {n}")
-    if not 0 <= x0 < n or not 0 <= x1 < n:
+    if any(isinstance(x, bool) or not 0 <= x < n for x in (x0, x1)):
         raise BadParameter(f"special points must lie in 0..{n - 1}")
     if x0 == x1:
         raise BadParameter("the two special points must differ")

@@ -34,6 +34,11 @@ def _check_n(n: int) -> None:
         raise PointOutOfRange(f"point count must be in 1..{MAX_POINTS}, got {n!r}")
 
 
+def _check_point(n: int, a: int) -> None:
+    if isinstance(a, bool) or not isinstance(a, int) or not 0 <= a < n:
+        raise PointOutOfRange(f"point {a!r} not in 0..{n - 1}")
+
+
 class PointSet(FrozenRecord):
     """A subset of {0..n-1}, stored as a bit mask over an n-point space."""
 
@@ -51,8 +56,7 @@ class PointSet(FrozenRecord):
         _check_n(n)
         mask = 0
         for p in points:
-            if not isinstance(p, int) or not 0 <= p < n:
-                raise PointOutOfRange(f"point {p!r} not in 0..{n - 1}")
+            _check_point(n, p)
             mask |= 1 << p
         return cls(n, mask)
 
@@ -254,11 +258,6 @@ def generate_from_subbasis(n: int, subbasis: Iterable["PointSet | Iterable[int]"
     """
     _check_n(n)
     return _from_rows(n, _rows_from_masks(n, [_as_mask(n, s) for s in subbasis]))
-
-
-def _check_point(n: int, a: int) -> None:
-    if not isinstance(a, int) or not 0 <= a < n:
-        raise PointOutOfRange(f"point {a!r} not in 0..{n - 1}")
 
 
 def minimal_neighborhood(topology: FiniteTopology, a: int) -> PointSet:

@@ -43,12 +43,7 @@ from typing import TYPE_CHECKING, Iterator
 from ._records import FrozenRecord, Record
 from .errors import ParseError, TooLarge
 from .jsonio import dumps_canonical, read_json
-from .limits import (
-    ENUM_MAX_POINTS,
-    NAIVE_MAX_POINTS,
-    STIRLING_MAX_POINTS,
-    TABLE_MAX_POINTS,
-)
+from .limits import ENUM_MAX_POINTS, NAIVE_MAX_POINTS, TABLE_MAX_POINTS
 
 if TYPE_CHECKING:
     from .core import FiniteTopology, Preorder
@@ -558,7 +553,7 @@ def stirling_consistency(n: int) -> StirlingReport:
     relation leaves a T0 topology, which is where the identity comes from;
     here it is verified numerically from the enumerated counts.
     """
-    _check_cap(n, STIRLING_MAX_POINTS)
+    _check_cap(n, ENUM_MAX_POINTS)
     terms = []
     for k in range(1, n + 1):
         t_k, t0_k = labeled_and_t0_counts(k)  # at k = n, t_k is T(n)

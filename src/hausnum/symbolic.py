@@ -444,23 +444,40 @@ def format_point(p: SymbolicPoint) -> str:
     return f"v:{p.index}"
 
 
-def _implied_digits(number: str) -> int:
-    """The digits in ``number`` plus the size of its exponent, if it has one."""
-    digits = sum(c.isdigit() for c in number)
-    _, e, exponent = number.lower().partition("e")
+def _check_digits(text: str, what: str) -> None:
+    """Refuse text implying over ``COORDINATE_MAX_DIGITS`` digits (digits plus |exponent|)."""
+    digits = sum(c.isdigit() for c in text)
+    _, e, exponent = text.lower().partition("e")
     if e:
-        with contextlib.suppress(ValueError):  # Fraction rejects the text itself
+        with contextlib.suppress(ValueError):  # the caller rejects the text itself
             digits += abs(int(exponent))
-    return digits
+    if digits > COORDINATE_MAX_DIGITS:
+        raise ParseError(f"bad {what} implies more than {COORDINATE_MAX_DIGITS:,} digits")
 
 
 def _fraction(value, what: str) -> Fraction:
-    """``Fraction(value)``, refusing text (or a ``Decimal``) that implies more
-    than ``COORDINATE_MAX_DIGITS`` digits before ``Fraction`` expands it."""
-    if not isinstance(value, (int, float, Fraction)) and \
-            _implied_digits(str(value)) > COORDINATE_MAX_DIGITS:
-        raise ParseError(f"bad {what} implies more than {COORDINATE_MAX_DIGITS:,} digits")
+    """``Fraction(value)``; text (or a ``Decimal``) is capped before it is expanded."""
+    if not isinstance(value, (int, float, Fraction)):
+        _check_digits(str(value), what)
     return Fraction(value)
+
+
+def _integer(text: str, what: str) -> int:
+    """``int(text)`` under the same digit cap; ``ValueError`` where ``int`` refuses."""
+    value = int(text)
+    _check_digits(text, what)
+    return value
+
+
+def _parse_verticals(text: str) -> "int | _Omega":
+    """The stacked-point count of ``--verticals``: an integer, or 'omega' in any case."""
+    if text.strip().lower() == "omega":
+        return OMEGA
+    try:
+        return _integer(text, "--verticals value")
+    except ValueError:
+        raise ParseError(
+            f"--verticals takes a positive integer or 'omega', got {text!r}") from None
 
 
 def parse_point(text: str) -> SymbolicPoint:
@@ -473,7 +490,7 @@ def parse_point(text: str) -> SymbolicPoint:
             raise ParseError(f"bad base point {text!r}: {exc}") from None
     if text.startswith("v:"):
         try:
-            return VerticalPoint(int(text[2:]))
+            return VerticalPoint(_integer(text[2:], "vertical point: its index"))
         except (ValueError, BadParameter) as exc:
             raise ParseError(f"bad vertical point {text!r}: {exc}") from None
     raise ParseError(f"points look like 'b:1/2' or 'v:3', got {text!r}")

@@ -325,12 +325,60 @@ class TestSymbolic:
                                 "implies more than 2,000 digits\n")
         assert elapsed < 1.0
 
+    @pytest.mark.parametrize("fmt", ["json", "text"])
+    def test_hausdorff_number_past_the_digit_cap(self, capsys, fmt):
+        code = main(["symbolic", "--verticals", NINES, "--format", fmt, "hnumber"])
+        captured = capsys.readouterr()
+        assert code == 2
+        assert captured.out == ""
+        assert captured.err == ("error (parse-error): bad --verticals value implies "
+                                "more than 2,000 digits\n")
+
+    def test_hausdorff_number_at_the_digit_cap(self, capsys):
+        code, out = run_cli(capsys, "symbolic", "--verticals", "9" * 2000, "hnumber")
+        assert code == 0
+        assert json.loads(out)["hausdorff_number"]["value"] == 10 ** 2000 + 1
+
     def test_bad_points(self, capsys):
         code, _ = run_cli(capsys, "symbolic", "--verticals", "1",
                           "separable", "--points", "b:1/2,q:9")
         assert code == 2
         code, _ = run_cli(capsys, "symbolic", "--verticals", "zzz", "hnumber")
         assert code == 2
+
+
+# 4,300 digits: the longest int text the interpreter converts
+NINES = "9" * 4300
+DOCUMENTS = {
+    "true-point": '{"format":"finite-topology/v1","n":3,"opens":[[],[true],[0,1,2]]}',
+    "true-n": '{"format":"finite-topology/v1","n":true,"opens":[[]]}',
+    "long-n": '{"format":"finite-topology/v1","n":%s,"opens":[[]]}' % NINES,
+}
+
+
+@pytest.mark.parametrize("argv", [
+    ["symbolic", "--verticals", NINES, "hnumber"],
+    ["symbolic", "--verticals", NINES, "--format", "text", "hnumber"],
+    ["symbolic", "--verticals", NINES, "separable", "--points", "b:0,b:1"],
+    ["symbolic", "--verticals", NINES, "t1", "--pair", "b:0", "b:1"],
+    ["symbolic", "--verticals", "omega", "t1", "--pair", "v:" + NINES, "b:0"],
+    ["enumerate", NINES],
+    ["example", "two-block:1" + NINES],
+    *(["analyze", name] for name in DOCUMENTS),
+], ids=["hnumber-json", "hnumber-text", "separable", "t1", "v-index", "enumerate",
+        "two-block", *DOCUMENTS])
+def test_boundary_inputs_end_without_a_traceback(tmp_path, capsys, argv):
+    """Inputs at the interpreter's int-string limit and bool points: every
+    one ends in an exit code, never in an exception out of ``main``."""
+    if argv[0] == "analyze":
+        path = tmp_path / "doc.json"
+        path.write_text(DOCUMENTS[argv[1]], encoding="utf-8")
+        argv = ["analyze", str(path)]
+    code = main(argv)
+    captured = capsys.readouterr()
+    assert code in (0, 1, 2)
+    if code == 2:
+        assert captured.out == "" and captured.err.startswith("error (")
 
 
 class TestStability:

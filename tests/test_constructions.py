@@ -72,6 +72,12 @@ class TestTwoBlockTopology:
         with pytest.raises(BadParameter):
             two_block_topology(3, 3)
 
+    @pytest.mark.parametrize("x0", [True, False, 3, -1])
+    def test_bool_base_point_refused_as_out_of_range(self, x0):
+        with pytest.raises(BadParameter) as info:
+            two_block_topology(3, x0)
+        assert str(info.value) == f"base point {x0} not in 0..2"
+
     def test_machine_word_sized_space(self):
         # the representation cap: one 64-bit mask per point set
         t = two_block_topology(64, 17)
@@ -130,6 +136,12 @@ class TestDoubledPointTopology:
             doubled_point_topology(2)
         with pytest.raises(BadParameter):
             doubled_point_topology(4, 1, 1)
+
+    @pytest.mark.parametrize("special", [(True, 2), (2, False), (4, 1), (0, -1)])
+    def test_bool_special_point_refused_as_out_of_range(self, special):
+        with pytest.raises(BadParameter) as info:
+            doubled_point_topology(4, *special)
+        assert str(info.value) == "special points must lie in 0..3"
 
 
 class TestContrast:

@@ -31,6 +31,7 @@ from hausnum.errors import (
     TooLarge,
 )
 from hausnum.limits import REJECT_MAX_OPENS
+from hausnum.separation import is_separable
 
 from conftest import random_preorder
 
@@ -41,6 +42,7 @@ def topo(n, *sets):
 
 SIERPINSKI = ((), (0,), (0, 1))
 EXAMPLE_3PT = ((), (0,), (1, 2), (0, 1, 2))
+CHAIN = Preorder(3, (0b111, 0b110, 0b100))  # 0 <= 1 <= 2
 
 
 class TestPointSet:
@@ -61,6 +63,24 @@ class TestPointSet:
         with pytest.raises(PointOutOfRange):
             PointSet.from_points(0, [])
         PointSet.full(64)  # one machine word is the cap
+
+    @pytest.mark.parametrize("point", [True, False, 3, -1, 1.0])
+    @pytest.mark.parametrize("call", [
+        lambda p: PointSet.from_points(3, [0, p]),
+        lambda p: PointSet.singleton(3, p),
+        lambda p: validate_topology(3, [[], [p], [0, 1, 2]]),
+        lambda p: generate_from_subbasis(3, [[0], [p]]),
+        lambda p: minimal_neighborhood(topo(3, *EXAMPLE_3PT), p),
+        lambda p: CHAIN.leq(p, 2),
+        lambda p: CHAIN.leq(0, p),
+        lambda p: is_separable(topo(3, *EXAMPLE_3PT), [2, p]),
+        lambda p: subspace(topo(3, *EXAMPLE_3PT), [2, p]),
+    ], ids=["from_points", "singleton", "validate", "subbasis",
+            "minimal_neighborhood", "leq-first", "leq-second", "is_separable", "subspace"])
+    def test_bool_points_refused_as_out_of_range(self, call, point):
+        with pytest.raises(PointOutOfRange) as info:
+            call(point)
+        assert str(info.value) == f"point {point!r} not in 0..2"
 
     def test_mixed_spaces_rejected(self):
         with pytest.raises(PointOutOfRange):

@@ -34,8 +34,8 @@ from conftest import UNREADABLE_FILES
 
 # OEIS, from n = 0: topologies (A000798), their classes (A001930), T0
 # topologies (A001035) and posets (A000112).
-A000798 = (1, 1, 4, 29, 355, 6942, 209527, 9535241, 642779354)
-A001930 = (1, 1, 3, 9, 33, 139, 718, 4535, 35979)
+A000798 = (1, 1, 4, 29, 355, 6942, 209527, 9535241, 642779354, 63260289423)
+A001930 = (1, 1, 3, 9, 33, 139, 718, 4535, 35979, 363083)
 A001035 = (1, 1, 3, 19, 219, 4231, 130023, 6129859, 431723379)
 A000112 = (1, 1, 2, 5, 16, 63, 318, 2045, 16999)
 LABELED = dict(enumerate(A000798))
@@ -61,6 +61,13 @@ EIGHT_ALL = ({2: 1, 3: 80963, 4: 5919312, 5: 49717479, 6: 139724074, 7: 19799941
 EIGHT_T0 = ({2: 1, 3: 41392, 4: 3532256, 5: 32985624, 6: 97295870, 7: 137695208,
              8: 111134156, 9: 49038872},
             {2: 1, 3: 21, 4: 292, 5: 1577, 6: 3807, 7: 5094, 8: 4162, 9: 2045})
+# n = 9 rows of the poset engine as of canonical augmentation, which takes 16-21 s
+# there and is not run by the tests; ``TestRowIdentities`` checks their totals,
+# the rows H <= 3 and the row H = 10 against closed forms
+NINE_ALL = ({2: 1, 3: 608832, 4: 112984855, 5: 1733305035, 6: 7610285025,
+             7: 15515159016, 8: 18353471700, 9: 13787669817, 10: 6146805142},
+            {2: 1, 3: 55, 4: 1591, 5: 13305, 6: 45763, 7: 84367, 8: 98929, 9: 77654,
+             10: 41418})
 
 
 @functools.cache
@@ -484,15 +491,24 @@ class TestRowIdentities:
     n! [x^n] exp(x + x^2/2 + x(e^x - 1)), class counts [x^n] 1/((1-x)(1-x^2))
     * prod_{m>=2} 1/(1-x^m).  H = n + 1 means some point lies in every
     closure of a point, i.e. in the bottom block of the T0 quotient.
+
+    The rows H = 4..n have no check of this kind.  They rest on the direct
+    walk's tables for n <= 5 and on the pinned rows for n = 6..8.  At n = 9 the
+    rows are the pins of ``NINE_ALL``, and only their totals, their sum over
+    H <= 3 and their row H = 10 are checked.
     """
 
     N = range(1, 9)
 
-    def tables(self, n):
-        return engine_table(n, False), engine_table(n, True)
+    def rows(self, n):
+        """({H: labeled count}, {H: class count}): the engine's, or at n = 9 the pins."""
+        if n == 9:
+            return NINE_ALL
+        rows = engine_table(n, False).rows
+        return {h: c for h, (c, _) in rows.items()}, {h: c for h, (_, c) in rows.items()}
 
     def test_at_most_three(self):
-        terms = max(self.N) + 1
+        terms = 10
         f = [Fraction(0), Fraction(1), Fraction(1, 2)] + [Fraction(0)] * (terms - 3)
         for k in range(2, terms):  # x(e^x - 1)
             f[k] += Fraction(1, math.factorial(k - 1))
@@ -501,20 +517,27 @@ class TestRowIdentities:
         for m in (1, 2, *range(2, terms)):  # one factor 1/(1 - x^m) each
             for i in range(m, terms):
                 classes[i] += classes[i - m]
-        assert labeled[1:] == [1, 4, 13, 62, 311, 1822, 11593, 80964]
-        assert classes[1:] == [1, 3, 4, 8, 11, 19, 26, 41]
-        for n in self.N:
-            rows = self.tables(n)[0].rows
-            assert (sum(rows[h][0] for h in rows if h <= 3),
-                    sum(rows[h][1] for h in rows if h <= 3)) == (labeled[n], classes[n])
+        assert labeled[1:] == [1, 4, 13, 62, 311, 1822, 11593, 80964, 608833]
+        assert classes[1:] == [1, 3, 4, 8, 11, 19, 26, 41, 56]
+        for n in (*self.N, 9):
+            labeled_rows, class_rows = self.rows(n)
+            assert (sum(c for h, c in labeled_rows.items() if h <= 3),
+                    sum(c for h, c in class_rows.items() if h <= 3)) == (labeled[n], classes[n])
 
     def test_top_row(self):
-        for n in self.N:
-            table, t0_table = self.tables(n)
-            assert table.rows[n + 1] == (
+        for n in (*self.N, 9):
+            labeled_rows, class_rows = self.rows(n)
+            assert (labeled_rows[n + 1], class_rows[n + 1]) == (
                 sum(math.comb(n, j) * A000798[n - j] for j in range(1, n + 1)),
                 sum(A001930[m] for m in range(n)))
-            assert t0_table.rows[n + 1] == (n * A001035[n - 1], A000112[n - 1])
+        for n in self.N:
+            assert engine_table(n, True).rows[n + 1] == (n * A001035[n - 1], A000112[n - 1])
+
+    def test_nine_point_totals(self):
+        labeled_rows, class_rows = NINE_ALL
+        assert sum(labeled_rows.values()) == A000798[9] == 63260289423
+        assert sum(class_rows.values()) == A001930[9] == 363083
+        assert (labeled_rows[10], class_rows[10]) == (6146805142, 41418)
 
 
 class TestCache:
@@ -647,11 +670,15 @@ class TestStirling:
             count = sum(1 for p in partitions(list(range(4))) if len(p) == k)
             assert stirling2(4, k) == count
 
-    @pytest.mark.parametrize("n", [1, 2, 3, 4])
+    @pytest.mark.parametrize("n", [1, 2, 3, 4, 6])
     def test_identity_holds(self, n):
         report = stirling_consistency(n)
         assert report.holds
         assert report.topology_count == LABELED[n]
+
+    def test_walk_cap(self):
+        with pytest.raises(TooLarge, match="supported up to 7 points here, got 8"):
+            stirling_consistency(8)
 
     def test_reported_terms_n3(self):
         report = stirling_consistency(3)

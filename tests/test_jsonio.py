@@ -3,10 +3,11 @@ import json
 import pytest
 
 from hausnum.constructions import three_point_example
-from hausnum.core import generate_from_subbasis, validate_topology
+from hausnum.core import _check_point, generate_from_subbasis, validate_topology
 from hausnum.enumeration import enumerate_labeled
-from hausnum.errors import InvalidTopology, ParseError
+from hausnum.errors import InvalidTopology, ParseError, PointOutOfRange
 from hausnum.jsonio import (
+    _point_mask,
     load_topology,
     read_json,
     topology_from_dict,
@@ -120,18 +121,35 @@ def test_first_defect_is_named(opens, message):
     assert str(err.value) == message
 
 
-def test_int_subclass_points_are_accepted():
-    class Point(int):
-        pass
+class Point(int):
+    pass
 
+
+def test_int_subclass_points_are_accepted():
     doc = {"format": "finite-topology/v1", "n": 3,
            "opens": [[], [Point(0)], [Point(1), Point(2)], [0, 1, Point(2)]]}
     assert topology_from_dict(doc)[0] == three_point_example()
 
 
-def test_point_count_past_the_cap_is_refused_before_any_mask():
-    from hausnum.errors import PointOutOfRange
+@pytest.mark.parametrize("value, accepted", [
+    (0, True), (2, True), (Point(1), True), (True, False), (False, False),
+    (1.0, False), ("1", False), (-1, False), (3, False),
+])
+def test_point_mask_accepts_what_the_core_point_check_accepts(value, accepted):
+    """The loader keeps its own inline point test on its hot path; it must
+    accept exactly the values of ``core._check_point``."""
+    def passes(check, error):
+        try:
+            check()
+        except error:
+            return False
+        return True
 
+    assert passes(lambda: _check_point(3, value), PointOutOfRange) is accepted
+    assert passes(lambda: _point_mask([value], 3, "opens", 0), ParseError) is accepted
+
+
+def test_point_count_past_the_cap_is_refused_before_any_mask():
     n = 10 ** 12
     doc = {"format": "finite-topology/v1", "n": n, "opens": [[], [n - 1]]}
     with pytest.raises(PointOutOfRange):

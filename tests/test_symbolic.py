@@ -24,6 +24,7 @@ from hausnum.symbolic import (
     Finite,
     Vertical,
     VerticalNeighborhood,
+    _parse_verticals,
     format_point,
     grid_witness_search,
     hausdorff_number_symbolic,
@@ -405,6 +406,27 @@ class TestPointSyntax:
         for past in (f"b:1e-{k + 1}", "b:1/" + "9" * cap, "b:1e-99999999", "b:0.5E-5000"):
             with pytest.raises(ParseError, match="implies more than"):
                 parse_point(past)
+
+    def test_integer_digits_are_capped(self):
+        # v:<m> and --verticals read integers under the coordinate digit cap
+        at_cap, past = "9" * COORDINATE_MAX_DIGITS, "9" * (COORDINATE_MAX_DIGITS + 1)
+        assert parse_point("v:" + at_cap) == Vertical(int(at_cap))
+        assert _parse_verticals(at_cap) == int(at_cap)
+        assert _parse_verticals(" Omega ") is OMEGA
+        with pytest.raises(ParseError) as info:
+            parse_point("v:" + past)
+        assert str(info.value) == ("bad vertical point: its index implies more than "
+                                   "2,000 digits")
+        with pytest.raises(ParseError) as info:
+            _parse_verticals(past)
+        assert str(info.value) == "bad --verticals value implies more than 2,000 digits"
+
+    @pytest.mark.parametrize("text", ["zzz", "1.5", "9" * 4301, "1e3"])
+    def test_verticals_refused_by_int_keep_their_message(self, text):
+        with pytest.raises(ParseError) as info:
+            _parse_verticals(text)
+        assert str(info.value) == (
+            f"--verticals takes a positive integer or 'omega', got {text!r}")
 
     @pytest.mark.parametrize("entry", [
         Base,

@@ -11,6 +11,8 @@ pure function, so values can be shared freely across threads or processes.
 
 from __future__ import annotations
 
+from itertools import repeat
+from operator import or_
 from typing import Iterable, Iterator, NamedTuple, Sequence
 
 from ._records import FrozenRecord
@@ -204,11 +206,11 @@ def validate_topology(n: int, family: Iterable["PointSet | Iterable[int]"]) -> F
     members containing a (the full set if none does).  It then holds every
     union of the N(a), the full set among them, and each member is the union
     of the N(a) of its points, so it is closed under union and intersection.
-    That is O(n * |family|).  Only a rejected family is scanned pair by pair,
-    so that :class:`InvalidTopology` names every defect found and the first
-    failing pair in canonical order.  Raises :class:`TooLarge` past
-    ``MAX_OPENS`` distinct sets, and for a rejected family past
-    ``REJECT_MAX_OPENS``, before the scan.
+    That is O(n * |family|), stopping at the first union missing.  Only a
+    rejected family is scanned pair by pair, so that :class:`InvalidTopology`
+    names every defect found and the first failing pair in canonical order.
+    Raises :class:`TooLarge` past ``MAX_OPENS`` distinct sets, and for a
+    rejected family past ``REJECT_MAX_OPENS``, before the scan.
     """
     _check_n(n)
     masks = _canonical_masks(_as_mask(n, s) for s in family)
@@ -217,7 +219,7 @@ def validate_topology(n: int, family: Iterable["PointSet | Iterable[int]"]) -> F
     full = (1 << n) - 1
     mask_set = set(masks)
     rows = _rows_from_masks(n, masks)
-    if 0 in mask_set and all(mask_set.issuperset([u | row for u in masks])
+    if 0 in mask_set and all(mask_set.issuperset(map(or_, masks, repeat(row)))
                              for row in set(rows)):
         return _topology(n, masks, rows)
     if len(masks) > REJECT_MAX_OPENS:

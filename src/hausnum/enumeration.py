@@ -10,8 +10,10 @@ with incremental transitivity checks, emitting row tuples in ascending order
 only what they need: ``enumerate_preorders`` streams every labeled topology,
 ``labeled_and_t0_counts`` counts the leaves and the T0 ones (rows pairwise
 distinct), and ``stirling_consistency`` sums those counts.  The tests keep
-their own class map on the walk, the first leaf of each canonical form, as
-the reference for the classes.
+their own class map on the walk, the first leaf of each canonical form.
+One search, ``_least_rows``, relabels: the least row tuple over the labelings
+that keep given cells of points on their runs of labels gives canonical forms
+(from the invariant cells), automorphism cosets and class representatives.
 
 The count tables and ``enumerate_classes`` come from T0 quotients instead.
 Every topology is a set partition into k blocks plus a partial order on the
@@ -35,7 +37,7 @@ from __future__ import annotations
 import contextlib
 import os
 import tempfile
-from itertools import combinations, permutations, product
+from itertools import accumulate, combinations
 from math import factorial, prod
 from pathlib import Path
 from typing import TYPE_CHECKING, Iterator
@@ -164,49 +166,79 @@ def _walk(n: int):
     return _complete([0] * n, 0, n, (1 << n) - 1)
 
 
-def _canonical(rows) -> tuple[tuple[int, ...], list[list[int]]]:
-    """Lexicographically minimal row tuple over relabelings.
+def _least_rows(rows, cells: list[int], every: bool = False) -> tuple[tuple, list]:
+    """The least row tuple over the labelings that keep each of ``cells`` on its own run.
 
-    Entry i is row i of the permuted relation matrix (bit j set iff
-    perm(i) <= perm(j)).  Minimization runs over the permutations that keep
-    points grouped by the invariant (row popcount, column popcount) with
-    groups in ascending key order; the invariant is relabeling-covariant, so
-    equal outputs still characterize homeomorphism exactly.
-
-    Also returns every permutation that reaches the minimum.  They form one
-    coset of the automorphism group: any two differ by an automorphism, and
-    an automorphism keeps the invariant, so there are exactly |Aut| of them.
+    Labeling ``perm`` puts point perm[i] at label i; row i has bit j iff
+    perm[i] <= perm[j], and the cells (masks) own consecutive runs of labels.
+    A state holds bits[q] = 1 << the label of q, for points labeled or alone in
+    a cell, and the other cells as (first label, mask).  Label i goes to a
+    point p of the cell starting at i, or to the point holding it; every cell
+    puts the points above p first, so row i is exact and the least p allows.
+    Only the least rows i over all states and all p go on.  Also returns the
+    labelings that reach the least tuple: with ``every`` all, ascending.
+    Without it, of two points of the first cell whose swap is an automorphism
+    (equal rows, or incomparable with the same points above and below) only
+    one is tried, as the swap fixes the state.
     """
     n = len(rows)
-    colpc = [0] * n
-    for row in rows:
-        for x in range(n):
-            colpc[x] += row >> x & 1
-    keys = [(rows[a].bit_count(), colpc[a]) for a in range(n)]
-    order = sorted(range(n), key=keys.__getitem__)
+    points = [[q for q in range(n) if row >> q & 1] for row in rows]
+    if not every:  # the points above and below each point, itself left out
+        twins = [(up ^ 1 << q, sum(1 << a for a in range(n) if rows[a] >> q & 1) ^ 1 << q)
+                 for q, up in enumerate(rows)]
+    starts = accumulate([cell.bit_count() for cell in cells], initial=0)
+    states = [([0] * n, list(zip(starts, cells)))]
+    least = []
+    for i in range(n):
+        best, kept = None, []
+        bit = 1 << i
+        for bits, runs in states:
+            if runs and runs[0][0] == i:
+                head, rest = runs[0][1], runs[1:]
+                first = [q for q in range(n) if head >> q & 1]
+                if not every:
+                    first = {rows[q]: q for q in first}.values()
+                    first = {twins[q]: q for q in first}.values()
+            else:
+                head, rest, first = 0, runs, [bits.index(bit)]
+            for p in first:
+                up = rows[p]
+                row = sum(map(bits.__getitem__, points[p])) | bit
+                child, split = bits.copy(), []
+                child[p] = bit
+                for start, cell in ((i + 1, head ^ 1 << p), *rest) if head else rest:
+                    inside = cell & up
+                    row |= (1 << inside.bit_count()) - 1 << start
+                    for part in (inside, cell ^ inside):
+                        if part & part - 1:
+                            split.append((start, part))
+                        elif part:
+                            child[part.bit_length() - 1] = 1 << start
+                        start += part.bit_count()
+                if best is None or row < best:
+                    best, kept = row, []
+                if row == best:
+                    kept.append((child, split))
+        least.append(best)
+        states = kept
+    return tuple(least), [sorted(range(n), key=bits.__getitem__) for bits, _ in states]
 
-    blocks: list[list[int]] = []
-    for a in order:
-        if blocks and keys[blocks[-1][-1]] == keys[a]:
-            blocks[-1].append(a)
-        else:
-            blocks.append([a])
 
-    # permuted row i has bit j iff perm[j] is a point of row perm[i]
-    points = [[x for x in range(n) if row >> x & 1] for row in rows]
-    bit = [0] * n
-    best = None
-    reaching: list[list[int]] = []
-    for parts in product(*(permutations(b) for b in blocks)):
-        perm = [p for part in parts for p in part]
-        for i, p in enumerate(perm):
-            bit[p] = 1 << i
-        enc = tuple(sum(bit[x] for x in points[p]) for p in perm)
-        if best is None or enc < best:
-            best, reaching = enc, [perm]
-        elif enc == best:
-            reaching.append(perm)
-    return best, reaching
+def _invariant_cells(rows) -> list[int]:
+    """The points as cells of equal (row popcount, column popcount), in key order."""
+    cells: dict[tuple[int, int], int] = {}
+    for a, row in enumerate(rows):
+        key = (row.bit_count(), sum(r >> a & 1 for r in rows))
+        cells[key] = cells.get(key, 0) | 1 << a
+    return [cells[key] for key in sorted(cells)]
+
+
+def _canonical(rows) -> tuple[tuple[int, ...], list[list[int]]]:
+    """The least rows from the invariant cells, and every labeling that reaches them.
+
+    The invariant is relabeling-covariant: equal rows iff homeomorphic; |Aut| labelings.
+    """
+    return _least_rows(rows, _invariant_cells(rows), every=True)
 
 
 def enumerate_preorders(n: int) -> Iterator[Preorder]:
@@ -229,7 +261,7 @@ def enumerate_labeled(n: int) -> Iterator[FiniteTopology]:
 def canonical_form(topology: FiniteTopology) -> CanonicalForm:
     """Canonical form of a topology; equal forms iff homeomorphic."""
     _check_cap(topology.n, ENUM_MAX_POINTS)
-    return CanonicalForm(bytes(_canonical(topology._rows)[0]))
+    return CanonicalForm(bytes(_least_rows(topology._rows, _invariant_cells(topology._rows))[0]))
 
 
 def enumerate_classes(n: int) -> Iterator[tuple[CanonicalForm, FiniteTopology]]:
@@ -237,8 +269,9 @@ def enumerate_classes(n: int) -> Iterator[tuple[CanonicalForm, FiniteTopology]]:
 
     Pairs come in ascending order of encoding.  A class's representative is
     the first member the walk meets, i.e. the one with the least row tuple.
-    Classes come from ``_classes``.  One member of each, block i on
-    consecutive labels, gives its form, and ``_least_rows`` its representative.
+    ``_least_rows`` of one member of each class of ``_classes`` (block i on
+    consecutive labels) gives its form from the invariant cells and its
+    representative from one cell.
     """
     _check_cap(n, ENUM_MAX_POINTS)
     from .core import Preorder, topology_from_preorder
@@ -248,47 +281,10 @@ def enumerate_classes(n: int) -> Iterator[tuple[CanonicalForm, FiniteTopology]]:
         block_of = [i for i, size in enumerate(sizes) for _ in range(size)]
         member = [sum(1 << b for b, j in enumerate(block_of) if quotient[i] >> j & 1)
                   for i in block_of]
-        classes.append((_canonical(member)[0], _least_rows(member)))
+        form = _least_rows(member, _invariant_cells(member))[0]
+        classes.append((form, _least_rows(member, [(1 << n) - 1])[0]))
     for enc, rows in sorted(classes):
         yield CanonicalForm(bytes(enc)), topology_from_preorder(Preorder(n, rows))
-
-
-def _least_rows(rows: list[int]) -> tuple[int, ...]:
-    """The least row tuple over relabelings of the preorder ``rows``.
-
-    Labels go out in order.  A state holds the points labeled so far and the
-    others as an ordered partition into cells (masks), each owning the next
-    run of labels.  Label i goes to a point p of the first cell, and every
-    cell then puts the points above p first, so row i is exact and the least
-    p allows.  Only the least rows i over all states and all p go on.  A
-    swap of two points of the first cell that is an automorphism fixes the
-    state, so one of them is tried: points with equal rows, and incomparable
-    points with the same points above and below.
-    """
-    n = len(rows)
-    down = [sum(1 << a for a in range(n) if rows[a] >> q & 1) for q in range(n)]
-    twins = [(rows[q] ^ 1 << q, down[q] ^ 1 << q) for q in range(n)]
-    states = [((), [(1 << n) - 1])]
-    least = []
-    for i in range(n):
-        best, kept = None, []
-        for labeled, cells in states:
-            first = {rows[q]: q for q in range(n) if cells[0] >> q & 1}.values()
-            for p in {twins[q]: q for q in first}.values():
-                up = rows[p]
-                row = sum(1 << j for j, q in enumerate(labeled) if up >> q & 1) | 1 << i
-                split, start = [], i + 1
-                for cell in (cells[0] & ~(1 << p), *cells[1:]):
-                    row |= (1 << (cell & up).bit_count()) - 1 << start
-                    start += cell.bit_count()
-                    split += filter(None, (cell & up, cell & ~up))
-                if best is None or row < best:
-                    best, kept = row, []
-                if row == best:
-                    kept.append((labeled + (p,), split))
-        least.append(best)
-        states = kept
-    return tuple(least)
 
 
 def _stabilizer(values: tuple, autos: list) -> "list | None":

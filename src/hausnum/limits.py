@@ -13,7 +13,7 @@ MAX_OPENS = 1 << 16
 # at most 1.1 s for 4,096 sets, 4x per doubling.
 REJECT_MAX_OPENS = 1 << 12
 # Labeled walk, canonical forms, classes, Stirling check; at n = 7 the walk's leaves
-# take 24-39 s (Stirling, a walk per k <= n, 34 s), the 4,535 classes 1.1-1.2 s.
+# take 24-39 s (Stirling, a walk per k <= n, 34 s), the 4,535 classes 1.3-2.0 s.
 ENUM_MAX_POINTS = 7
 # Count tables, pinned by tests up to here; the poset engine takes 1.2-1.6 s at
 # n = 8, and 16-21 s with a 250 MB peak at n = 9.

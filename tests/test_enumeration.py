@@ -15,6 +15,8 @@ from hausnum.enumeration import (
     CanonicalForm,
     CountsTable,
     _canonical,
+    _invariant_cells,
+    _least_rows,
     _posets,
     _walk,
     canonical_form,
@@ -36,8 +38,8 @@ from conftest import UNREADABLE_FILES
 # topologies (A001035) and posets (A000112).
 A000798 = (1, 1, 4, 29, 355, 6942, 209527, 9535241, 642779354, 63260289423)
 A001930 = (1, 1, 3, 9, 33, 139, 718, 4535, 35979, 363083)
-A001035 = (1, 1, 3, 19, 219, 4231, 130023, 6129859, 431723379)
-A000112 = (1, 1, 2, 5, 16, 63, 318, 2045, 16999)
+A001035 = (1, 1, 3, 19, 219, 4231, 130023, 6129859, 431723379, 44511042511)
+A000112 = (1, 1, 2, 5, 16, 63, 318, 2045, 16999, 183231)
 LABELED = dict(enumerate(A000798))
 CLASSES = dict(enumerate(A001930))
 T0_LABELED = dict(enumerate(A001035))
@@ -63,11 +65,15 @@ EIGHT_T0 = ({2: 1, 3: 41392, 4: 3532256, 5: 32985624, 6: 97295870, 7: 137695208,
             {2: 1, 3: 21, 4: 292, 5: 1577, 6: 3807, 7: 5094, 8: 4162, 9: 2045})
 # n = 9 rows of the poset engine as of canonical augmentation, which takes 16-21 s
 # there and is not run by the tests; ``TestRowIdentities`` checks their totals,
-# the rows H <= 3 and the row H = 10 against closed forms
+# the rows H <= 3 and the row H = 10 against closed forms (all topologies, then T0)
 NINE_ALL = ({2: 1, 3: 608832, 4: 112984855, 5: 1733305035, 6: 7610285025,
              7: 15515159016, 8: 18353471700, 9: 13787669817, 10: 6146805142},
             {2: 1, 3: 55, 4: 1591, 5: 13305, 6: 45763, 7: 84367, 8: 98929, 9: 77654,
              10: 41418})
+NINE_T0 = ({2: 1, 3: 293607, 4: 66203028, 5: 1151604468, 6: 5406567894,
+            7: 11271399174, 8: 13194146196, 9: 9535317732, 10: 3885510411},
+           {2: 1, 3: 29, 4: 719, 5: 6450, 6: 23785, 7: 45132, 8: 51836, 9: 38280,
+            10: 16999})
 
 
 @functools.cache
@@ -107,12 +113,13 @@ def class_lines(n):
         yield f"{n} {form.encoding.hex()} {masks}\n"
 
 
-def walk_histograms(n, t0_only):
+def walk_histograms(n, t0_only, classes=True):
     """The direct walk's reference for the tables: ``(hist, t0_count, class_hist)``.
 
     ``hist`` and ``class_hist`` map Hausdorff number to labeled and class
     counts, over T0 topologies only with ``t0_only``; ``t0_count`` counts the
-    T0 topologies (pairwise distinct rows) among all of them.
+    T0 topologies (pairwise distinct rows) among all of them.  Without
+    ``classes`` no canonical form is computed and ``class_hist`` stays empty.
     """
     hist, class_hist, seen = {}, {}, set()
     t0_count = 0
@@ -123,6 +130,8 @@ def walk_histograms(n, t0_only):
         if t0_only and not t0:
             continue
         hist[h] = hist.get(h, 0) + 1
+        if not classes:
+            continue
         enc = _canonical(rows)[0]
         if enc not in seen:
             seen.add(enc)
@@ -292,6 +301,25 @@ class TestCanonicalAgainstPerBit:
         for rows in cases:
             assert _canonical(rows) == canonical_per_bit(rows), rows
 
+    @pytest.mark.parametrize("n, samples", [(1, 0), (2, 0), (3, 0), (4, 0), (5, 0),
+                                            (6, 150), (7, 60)])
+    def test_skipping_automorphic_branches_keeps_the_least_rows(self, n, samples):
+        # every preorder for n <= 5, the seeded samples above for n = 6, 7
+        import random
+
+        from conftest import random_preorder
+
+        if samples:
+            rng = random.Random(1000 + n)
+            cases = [tuple(1 << a for a in range(n)), tuple((1 << n) - 1 for _ in range(n))]
+            cases += [random_preorder(n, rng).rows for _ in range(samples)]
+        else:
+            cases = _walk(n)
+        for rows in cases:
+            for cells in (_invariant_cells(rows), [(1 << n) - 1]):
+                assert (_least_rows(rows, cells)[0]
+                        == _least_rows(rows, cells, every=True)[0]), (rows, cells)
+
 
 class TestEnumerateClasses:
     @pytest.mark.parametrize("n", [1, 2, 3, 4, 5, 6, 7])
@@ -394,6 +422,14 @@ class TestCountsTable:
         assert {h: c for h, (_, c) in table.rows.items()} == class_hist
         assert table.t0_labeled_count == t0_count
 
+    def test_six_point_labeled_rows_match_direct_walk(self):
+        # one walk and no canonical form, so it shares nothing with the
+        # engine's quotient step; the class rows are the pins of SIX_ALL
+        hist, t0_count, _ = walk_histograms(6, False, classes=False)
+        table = engine_table(6, False)
+        assert {h: c for h, (c, _) in table.rows.items()} == hist
+        assert table.t0_labeled_count == t0_count
+
     @pytest.mark.parametrize("t0_only, expected", [(False, SIX_ALL), (True, SIX_T0)])
     def test_six_points_pinned(self, t0_only, expected):
         table = count_by_hausdorff(6, use_cache=False, t0_only=t0_only)
@@ -492,10 +528,16 @@ class TestRowIdentities:
     * prod_{m>=2} 1/(1-x^m).  H = n + 1 means some point lies in every
     closure of a point, i.e. in the bottom block of the T0 quotient.
 
+    A T0 space with H = 3 is a poset of height 2 in which each upper point
+    covers exactly one point: C(n, u) * (n - u)^u labelings with u >= 1 upper
+    points, and one class per partition of n but the discrete one.  A T0
+    space with H = n + 1 is a poset with a greatest element: n * A001035(n-1)
+    labelings and A000112(n-1) classes.
+
     The rows H = 4..n have no check of this kind.  They rest on the direct
     walk's tables for n <= 5 and on the pinned rows for n = 6..8.  At n = 9 the
-    rows are the pins of ``NINE_ALL``, and only their totals, their sum over
-    H <= 3 and their row H = 10 are checked.
+    rows are the pins of ``NINE_ALL`` and ``NINE_T0``, and only their totals,
+    their rows H <= 3 and their row H = 10 are checked.
     """
 
     N = range(1, 9)
@@ -506,6 +548,13 @@ class TestRowIdentities:
             return NINE_ALL
         rows = engine_table(n, False).rows
         return {h: c for h, (c, _) in rows.items()}, {h: c for h, (_, c) in rows.items()}
+
+    def t0_rows(self, n):
+        """The T0 rows, as ``rows``: the direct walk's for n <= 5, the pins for n = 6..9."""
+        if n <= 5:
+            hist, _, class_hist = walk_histograms(n, True)
+            return hist, class_hist
+        return {6: SIX_T0, 7: SEVEN_T0, 8: EIGHT_T0, 9: NINE_T0}[n]
 
     def test_at_most_three(self):
         terms = 10
@@ -530,8 +579,22 @@ class TestRowIdentities:
             assert (labeled_rows[n + 1], class_rows[n + 1]) == (
                 sum(math.comb(n, j) * A000798[n - j] for j in range(1, n + 1)),
                 sum(A001930[m] for m in range(n)))
-        for n in self.N:
-            assert engine_table(n, True).rows[n + 1] == (n * A001035[n - 1], A000112[n - 1])
+
+    def test_t0_rows(self):
+        partitions = [1] + [0] * 9
+        for m in range(1, 10):
+            for i in range(m, 10):
+                partitions[i] += partitions[i - m]
+        assert partitions[8:] == [22, 30]
+        for n in range(1, 10):
+            labeled_rows, class_rows = self.t0_rows(n)
+            assert (sum(labeled_rows.values()), sum(class_rows.values())) == (
+                A001035[n], A000112[n])
+            assert (labeled_rows[2], class_rows[2]) == (1, 1)
+            assert (labeled_rows.get(3, 0), class_rows.get(3, 0)) == (
+                sum(math.comb(n, u) * (n - u) ** u for u in range(1, n)), partitions[n] - 1)
+            assert (labeled_rows[n + 1], class_rows[n + 1]) == (
+                n * A001035[n - 1], A000112[n - 1])
 
     def test_nine_point_totals(self):
         labeled_rows, class_rows = NINE_ALL

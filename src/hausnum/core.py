@@ -48,8 +48,8 @@ class PointSet(FrozenRecord):
 
     def __init__(self, n: int, mask: int):
         _check_n(n)
-        if not 0 <= mask < (1 << n):
-            raise PointOutOfRange(f"mask {mask:#x} does not fit in a {n}-point space")
+        if isinstance(mask, bool) or not isinstance(mask, int) or not 0 <= mask < (1 << n):
+            raise PointOutOfRange(f"mask {mask!r} does not fit in a {n}-point space")
         object.__setattr__(self, "n", n)
         object.__setattr__(self, "mask", mask)
 

@@ -25,9 +25,10 @@ down-set that is least in its orbit, and the child is kept only when the new
 point is its canonical deletion, the maximal point with the largest
 down-set.  The group of a kept child is the stabilizer of the down-set,
 composed with the swaps of the new point and its twins (maximal points over
-the same down-set) when it has any; only other ties call ``_canonical``.  A
-poset with block sizes s is one class of n!/(prod s_i! * |Stab s|) labeled
-topologies; ``_classes`` yields each class once.  The tests check the two
+the same down-set), if any; only other ties call ``_canonical``.  A poset
+with block sizes s is one class of n!/(prod s_i! * |Stab s|) labeled
+topologies.  ``_classes`` yields each class once as the posets stream by
+level, only the level the next grows from kept.  The tests check the two
 routes against each other (the Hausdorff histogram of the walk is their own
 reference), and the naive open-family filter at the end against both.
 """
@@ -274,7 +275,7 @@ def enumerate_classes(n: int) -> Iterator[tuple[CanonicalForm, FiniteTopology]]:
     representative from one cell.
     """
     _check_cap(n, ENUM_MAX_POINTS)
-    from .core import Preorder, topology_from_preorder
+    from .core import _from_rows
 
     classes = []
     for quotient, sizes, _, _ in _classes(n):
@@ -284,7 +285,7 @@ def enumerate_classes(n: int) -> Iterator[tuple[CanonicalForm, FiniteTopology]]:
         form = _least_rows(member, _invariant_cells(member))[0]
         classes.append((form, _least_rows(member, [(1 << n) - 1])[0]))
     for enc, rows in sorted(classes):
-        yield CanonicalForm(bytes(enc)), topology_from_preorder(Preorder(n, rows))
+        yield CanonicalForm(bytes(enc)), _from_rows(n, rows)
 
 
 def _stabilizer(values: tuple, autos: list) -> "list | None":
@@ -305,35 +306,35 @@ def _stabilizer(values: tuple, autos: list) -> "list | None":
     return fixing
 
 
-def _posets(n: int) -> list[list[tuple[tuple[int, ...], list[tuple[int, ...]]]]]:
+def _posets(n: int) -> Iterator[tuple[tuple[int, ...], list[tuple[int, ...]]]]:
     """Unlabeled posets on k = 1..n points, each once, as (rows, automorphisms).
 
     ``rows[a]`` is the mask of the points at or above a, and the labeling is a
     linear extension: nothing lies above a point at a lower index.  An
     automorphism maps each point a to ``auto[a]``; the list is the whole group.
+    They stream by ascending k, and only the level the next grows from is kept.
 
     Canonical augmentation (McKay, J. Algorithms 26, 1998): a poset on k - 1
     points grows by a new maximal point x over a down-set D, and the child is
     kept iff x is its canonical deletion, the maximal point with the largest
     down-set, and D is the least of its Aut-orbit.  So each child comes from
     one parent, the poset left by its canonical deletion, and from one of that
-    parent's down-sets.  When x alone has the largest down-set, Aut(child)
-    fixes x and is the stabilizer of D.  When every tie is a twin of x
-    (maximal over D too), the ties and x form one orbit, and Aut(child) is the
-    stabilizer composed with the swaps of x and a twin.  Any other tie goes to
-    ``_canonical``: the tied point of least canonical position is the
-    deletion, x must share its orbit, and the child's group comes from the
-    reaching permutations.
+    parent's down-sets.  When every tie (a maximal point with a down-set as
+    large as D) is a twin of x, maximal over D too, Aut(child) is the
+    stabilizer of D composed with the swaps of x and each twin; with no tie it
+    fixes x.  Any other tie goes to ``_canonical``: the tied point of least
+    canonical position is the deletion, x must share its orbit, and the
+    child's group comes from the reaching permutations.
     """
-    levels = [[((1,), [(0,)])]]
-    for k in range(2, n + 1):
+    parents = [((), [()])]  # level 1 grows from the empty poset
+    for k in range(1, n + 1):
         x = k - 1
         top = 1 << x
         level = []
-        for rows, autos in levels[-1]:
+        for rows, autos in parents:
             below = [sum(1 << a for a in range(b) if rows[a] >> b & 1) for b in range(x)]
             maxima = [(below[m].bit_count(), m) for m in range(x) if rows[m] == 1 << m]
-            largest = max(s for s, _ in maxima)
+            largest = max((s for s, _ in maxima), default=0)
             downs = [0]
             for a in range(x):  # below[a] holds lower indices only
                 downs += [d | 1 << a for d in downs if below[a] & ~d == 0]
@@ -349,9 +350,7 @@ def _posets(n: int) -> list[list[tuple[tuple[int, ...], list[tuple[int, ...]]]]]
                 ties = [m for s, m in maxima if s == size]
                 child = tuple(row | top if d >> a & 1 else row
                               for a, row in enumerate(rows)) + (top,)
-                if not ties:
-                    group = [auto + (x,) for auto in stab]
-                elif all(below[t] == d for t in ties):
+                if all(below[t] == d for t in ties):
                     group = []
                     for auto in stab:
                         auto += (x,)
@@ -362,44 +361,43 @@ def _posets(n: int) -> list[list[tuple[tuple[int, ...], list[tuple[int, ...]]]]]
                             group.append(tuple(swapped))
                 else:
                     reaching = _canonical(child)[1]
-                    position = [0] * k
-                    for i, p in enumerate(reaching[0]):
-                        position[p] = i
+                    # position[p] is the canonical label of p
+                    position = sorted(range(k), key=reaching[0].__getitem__)
                     least = min(position[t] for t in (*ties, x))
                     if all(perm[least] != x for perm in reaching):
                         continue
                     group = [tuple(perm[position[a]] for a in range(k)) for perm in reaching]
-                level.append((child, group))
-        levels.append(level)
-    return levels
+                yield child, group
+                if k < n:
+                    level.append((child, group))
+        parents = level
 
 
 def _classes(n: int, t0_only: bool = False):
     """Each homeomorphism class on n points once, as (rows, sizes, labeled, H).
 
-    ``rows`` is a T0 quotient P on k points from ``_posets`` and ``sizes``
-    its block sizes, a composition of n.  Block sizes in one Aut(P)-orbit
-    give the same class, taken at the least of them; that class has
-    ``labeled`` = n!/(prod s_i! * |Stab s|) labelings and Hausdorff number
-    H = 1 + max over b of the sizes of the blocks at or below b.  T0 classes
-    are k = n, the only ones with ``t0_only``.
+    ``rows`` is a T0 quotient P on k points, read once from the ``_posets``
+    stream, and ``sizes`` its block sizes, a composition of n into k parts.
+    Block sizes in one Aut(P)-orbit give the same class, taken at the least
+    of them; that class has ``labeled`` = n!/(prod s_i! * |Stab s|) labelings
+    and Hausdorff number H = 1 + max over b of the sizes of the blocks at or
+    below b.  T0 classes are k = n, the only ones with ``t0_only``.
     """
-    levels = _posets(n)
-    for k in range(n if t0_only else 1, n + 1):
-        compositions = []  # (block sizes, labelings of the blocks)
+    compositions = {k: [] for k in range(n if t0_only else 1, n + 1)}  # by part count
+    for k, parts in compositions.items():
         for cuts in combinations(range(1, n), k - 1):
             sizes = tuple(hi - lo for lo, hi in zip((0,) + cuts, cuts + (n,)))
-            compositions.append((sizes, factorial(n) // prod(map(factorial, sizes))))
-        for rows, autos in levels[k - 1]:
-            # the largest sums are at the maximal points
-            unders = [[a for a in range(b + 1) if rows[a] >> b & 1]
-                      for b in range(k) if rows[b] == 1 << b]
-            for sizes, labelings in compositions:
-                fixing = _stabilizer(sizes, autos)
-                if fixing is None:
-                    continue
-                h = 1 + max(sum(map(sizes.__getitem__, under)) for under in unders)
-                yield rows, sizes, labelings // len(fixing), h
+            parts.append((sizes, factorial(n) // prod(map(factorial, sizes))))  # labelings
+    for rows, autos in _posets(n):
+        # the largest sums are at the maximal points
+        unders = [[a for a in range(b + 1) if rows[a] >> b & 1]
+                  for b, row in enumerate(rows) if row == 1 << b]
+        for sizes, labelings in compositions.get(len(rows), ()):
+            fixing = _stabilizer(sizes, autos)
+            if fixing is None:
+                continue
+            h = 1 + max(sum(map(sizes.__getitem__, under)) for under in unders)
+            yield rows, sizes, labelings // len(fixing), h
 
 
 def resolve_cache_dir(explicit: "str | os.PathLike | None" = None) -> Path:

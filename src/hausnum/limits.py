@@ -15,8 +15,8 @@ REJECT_MAX_OPENS = 1 << 12
 # Labeled walk, canonical forms, classes, Stirling check; at n = 7 the walk's leaves
 # take 24-39 s (Stirling, a walk per k <= n, 34 s), the 4,535 classes 1.3-2.0 s.
 ENUM_MAX_POINTS = 7
-# Count tables, pinned by tests up to here; the poset engine takes 1.2-1.6 s at
-# n = 8, and 16-21 s with a 250 MB peak at n = 9.
+# Count tables, pinned by tests up to here; the poset engine takes 1.0-1.7 s at
+# n = 8, and 12-19 s with an 83 MB peak at n = 9.
 TABLE_MAX_POINTS = 8
 # Naive filter over 2**(2**n - 2) families: 16,384 at n = 4 (0.06 s), 2**30 at n = 5.
 NAIVE_MAX_POINTS = 4

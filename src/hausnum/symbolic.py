@@ -165,7 +165,7 @@ def neighborhood_of(space: BugEyedSpace, p: SymbolicPoint, param) -> BasisNeighb
     _check_point(space, p)
     if isinstance(p, BasePoint):
         return BallNeighborhood(space, p, param)
-    return VerticalNeighborhood(space, p, int(param))
+    return VerticalNeighborhood(space, p, param)
 
 
 def _base_line(nbhd: BasisNeighborhood) -> tuple[Fraction, Fraction, bool]:
@@ -420,6 +420,8 @@ def grid_witness_search(space: BugEyedSpace, points: Iterable[SymbolicPoint],
     grows, so the finest uniform choice dominates every mixed choice from
     the same grid: returning None means no grid choice separates the set.
     """
+    if not isinstance(max_param, int) or isinstance(max_param, bool) or max_param < 1:
+        raise BadParameter(f"grid size must be a positive integer, got {max_param!r}")
     pts = list(points)
     for p in pts:
         _check_point(space, p)

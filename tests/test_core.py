@@ -82,6 +82,12 @@ class TestPointSet:
             call(point)
         assert str(info.value) == f"point {point!r} not in 0..2"
 
+    @pytest.mark.parametrize("mask", [True, False, 1.0, "1"])
+    def test_non_int_masks_refused_as_out_of_range(self, mask):
+        with pytest.raises(PointOutOfRange) as info:
+            PointSet(2, mask)
+        assert str(info.value) == f"mask {mask!r} does not fit in a 2-point space"
+
     def test_mixed_spaces_rejected(self):
         with pytest.raises(PointOutOfRange):
             PointSet.full(3) | PointSet.full(4)

@@ -453,3 +453,18 @@ class TestPointSyntax:
             Vertical(0)
         with pytest.raises(BadParameter):
             neighborhood_of(T1_ONE, Base(Fraction(1, 2)), 0)
+
+    @pytest.mark.parametrize("param", [2.7, True, Fraction(2), "3", "9" * 5000],
+                             ids=["float", "bool", "Fraction", "text", "long-text"])
+    def test_stacked_parameter_is_not_converted(self, param):
+        with pytest.raises(BadParameter, match="neighborhood parameter must be"):
+            neighborhood_of(BugEyedSpace(2), Vertical(1), param)
+
+    @pytest.mark.parametrize("max_param", [0, -3, 2.5, True, "64"],
+                             ids=["zero", "negative", "float", "bool", "text"])
+    def test_grid_size_must_be_a_positive_int(self, max_param):
+        pair = [Base(HALF), Base(Fraction(1, 3))]
+        assert grid_witness_search(T1_ONE, pair, 1) is None
+        assert grid_witness_search(T1_ONE, pair, 64) is not None
+        with pytest.raises(BadParameter, match="grid size must be"):
+            grid_witness_search(T1_ONE, pair, max_param)

@@ -13,6 +13,7 @@ from __future__ import annotations
 from .core import FiniteTopology, _check_n, generate_from_subbasis, validate_topology
 from .errors import BadParameter, ConstructionClaimError, ParseError
 from .jsonio import topology_to_dict
+from .limits import is_int
 from .separation import analysis_report
 
 
@@ -61,11 +62,11 @@ def two_block_topology(n: int, x0: int = 0) -> FiniteTopology:
     Non-discrete for n >= 3; at n = 2 both blocks are singletons and the
     topology degenerates to the discrete one.
     """
-    if n < 2:
+    if is_int(n) and n < 2:
         raise BadParameter(f"need at least 2 points, got {n}")
-    if isinstance(x0, bool) or not 0 <= x0 < n:
+    _check_n(n)  # a non-int n too, before any list of n points is built
+    if not is_int(x0) or not 0 <= x0 < n:
         raise BadParameter(f"base point {x0} not in 0..{n - 1}")
-    _check_n(n)  # before any list of n points is built
     full = list(range(n))
     rest = [p for p in full if p != x0]
     return _checked("two-block", validate_topology(n, [[], [x0], rest, full]))
@@ -86,13 +87,13 @@ def doubled_point_topology(n: int, x0: int = 0, x1: int = 1) -> FiniteTopology:
     Hausdorff number exactly 3 at every size: the only non-separable pair is
     {x0, x1}, and x0 is the only point without an open singleton.
     """
-    if n < 3:
+    if is_int(n) and n < 3:
         raise BadParameter(f"need at least 3 points, got {n}")
-    if any(isinstance(x, bool) or not 0 <= x < n for x in (x0, x1)):
+    _check_n(n)
+    if any(not is_int(x) or not 0 <= x < n for x in (x0, x1)):
         raise BadParameter(f"special points must lie in 0..{n - 1}")
     if x0 == x1:
         raise BadParameter("the two special points must differ")
-    _check_n(n)
     basis = [[x] for x in range(n) if x != x0] + [sorted((x0, x1))]
     return _checked("doubled", generate_from_subbasis(n, basis))
 

@@ -28,16 +28,16 @@ from .errors import (
     PointOutOfRange,
     TooLarge,
 )
-from .limits import MAX_OPENS, MAX_POINTS, REJECT_MAX_OPENS
+from .limits import MAX_OPENS, MAX_POINTS, REJECT_MAX_OPENS, is_int
 
 
 def _check_n(n: int) -> None:
-    if isinstance(n, bool) or not isinstance(n, int) or n < 1 or n > MAX_POINTS:
+    if not is_int(n) or n < 1 or n > MAX_POINTS:
         raise PointOutOfRange(f"point count must be in 1..{MAX_POINTS}, got {n!r}")
 
 
 def _check_point(n: int, a: int) -> None:
-    if isinstance(a, bool) or not isinstance(a, int) or not 0 <= a < n:
+    if not is_int(a) or not 0 <= a < n:
         raise PointOutOfRange(f"point {a!r} not in 0..{n - 1}")
 
 
@@ -48,7 +48,7 @@ class PointSet(FrozenRecord):
 
     def __init__(self, n: int, mask: int):
         _check_n(n)
-        if isinstance(mask, bool) or not isinstance(mask, int) or not 0 <= mask < (1 << n):
+        if not is_int(mask) or not 0 <= mask < (1 << n):
             raise PointOutOfRange(f"mask {mask!r} does not fit in a {n}-point space")
         object.__setattr__(self, "n", n)
         object.__setattr__(self, "mask", mask)
@@ -311,13 +311,14 @@ class Preorder(FrozenRecord):
 
     __slots__ = ("n", "rows")
 
-    def __init__(self, n: int, rows: tuple[int, ...]):
+    def __init__(self, n: int, rows: Iterable[int]):
         _check_n(n)
+        rows = tuple(rows)
         if len(rows) != n:
             raise PointOutOfRange(f"expected {n} rows, got {len(rows)}")
         full = (1 << n) - 1
         for a, row in enumerate(rows):
-            if not 0 <= row <= full:
+            if type(row) is not int and not is_int(row) or not 0 <= row <= full:
                 raise PointOutOfRange(f"row {a} does not fit in {n} bits")
             if not row >> a & 1:
                 raise NotReflexive(f"{a} <= {a} fails")
@@ -352,7 +353,7 @@ class Preorder(FrozenRecord):
             if len(r) != n:
                 raise PointOutOfRange("relation matrix must be square")
             rows.append(sum(1 << b for b, v in enumerate(r) if v))
-        return cls(n, tuple(rows))
+        return cls(n, rows)
 
 
 def specialization_preorder(topology: FiniteTopology) -> Preorder:
@@ -366,7 +367,7 @@ def topology_from_preorder(preorder: Preorder) -> FiniteTopology:
     Inverse of :func:`specialization_preorder` in both directions.  Raises
     :class:`TooLarge` past ``MAX_OPENS`` open sets.
     """
-    return _from_rows(preorder.n, tuple(preorder.rows))
+    return _from_rows(preorder.n, preorder.rows)
 
 
 class SubspaceResult(NamedTuple):

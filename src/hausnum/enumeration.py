@@ -46,7 +46,7 @@ from typing import TYPE_CHECKING, Iterator
 from ._records import FrozenRecord, Record
 from .errors import ParseError, TooLarge
 from .jsonio import dumps_canonical, read_json
-from .limits import ENUM_MAX_POINTS, NAIVE_MAX_POINTS, TABLE_MAX_POINTS
+from .limits import ENUM_MAX_POINTS, NAIVE_MAX_POINTS, TABLE_MAX_POINTS, is_int
 
 if TYPE_CHECKING:
     from .core import FiniteTopology, Preorder
@@ -57,7 +57,7 @@ DEFAULT_CACHE_DIR = ".topo-cache"
 
 
 def _check_cap(n: int, cap: int) -> None:
-    if isinstance(n, bool) or not isinstance(n, int) or n < 1:
+    if not is_int(n) or n < 1:
         raise TooLarge(f"point count must be a positive integer, got {n!r}")
     if n > cap:
         raise TooLarge(f"supported up to {cap} points here, got {n}")
@@ -248,7 +248,7 @@ def enumerate_preorders(n: int) -> Iterator[Preorder]:
     from .core import Preorder
 
     for rows in _walk(n):
-        yield Preorder(n, tuple(rows))
+        yield Preorder(n, rows)
 
 
 def enumerate_labeled(n: int) -> Iterator[FiniteTopology]:
@@ -466,7 +466,7 @@ def count_by_hausdorff(n: int, jobs: int = 1,
     accepted for compatibility; the computation is serial.
     """
     _check_cap(n, TABLE_MAX_POINTS)
-    if isinstance(jobs, bool) or not isinstance(jobs, int) or jobs < 1:
+    if not is_int(jobs) or jobs < 1:
         raise TooLarge(f"worker count must be >= 1, got {jobs!r}")
     tag = "t0" if t0_only else "all"
     cache_path = resolve_cache_dir(cache_dir) / f"counts-n{n}-{tag}.json"

@@ -15,7 +15,7 @@ from pathlib import Path
 from typing import TYPE_CHECKING
 
 from .errors import ParseError
-from .limits import MAX_POINTS
+from .limits import MAX_POINTS, is_int
 
 if TYPE_CHECKING:
     from .core import FiniteTopology
@@ -66,8 +66,7 @@ def _point_mask(value, n: int, key: str, i: int) -> int:
     last = -1
     ascending = True
     for p in value:
-        if (type(p) is not int and (not isinstance(p, int) or isinstance(p, bool))
-                or not 0 <= p < n):
+        if type(p) is not int and not is_int(p) or not 0 <= p < n:
             raise ParseError(f'"{key}"[{i}] contains {p!r}, not a point in 0..{n - 1}')
         if p <= last:
             ascending = False
@@ -91,7 +90,7 @@ def topology_from_dict(doc: dict) -> tuple[FiniteTopology, str | None]:
     if doc.get("format") != FORMAT_TAG:
         raise ParseError(f'expected "format": "{FORMAT_TAG}"')
     n = doc.get("n")
-    if not isinstance(n, int) or isinstance(n, bool) or n < 1:
+    if not is_int(n) or n < 1:
         raise ParseError('"n" must be a positive integer')
 
     has_opens = "opens" in doc

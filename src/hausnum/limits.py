@@ -1,4 +1,5 @@
-"""Size caps on every input the package accepts, each with the budget it is set from.
+"""Size caps on every input the package accepts, each with the budget it is set from,
+and ``is_int``, the one rule for what an integer argument is.
 
 Timings are wall clock on a 2-vCPU VM with Python 3.11.  The modules that
 enforce a cap import it from here under the same name.  This module imports
@@ -26,3 +27,8 @@ ORACLE_MAX_POINTS = 5
 # coordinate, radius, `v:` index or `--verticals`.  A radius (half a gap) then prints
 # in at most 4,001 digits and H = v + 2 in 2,001, under the 4,300-digit int limit.
 COORDINATE_MAX_DIGITS = 2000
+
+
+def is_int(value) -> bool:
+    """An ``int`` or int subclass, but not ``True`` or ``False``."""
+    return isinstance(value, int) and not isinstance(value, bool)

@@ -21,7 +21,7 @@ from __future__ import annotations
 from ._records import FrozenRecord
 from .core import FiniteTopology, PointSet, _as_mask, _point_closures
 from .errors import BadParameter, SetTooSmall, TooLarge
-from .limits import ORACLE_MAX_POINTS
+from .limits import ORACLE_MAX_POINTS, is_int
 
 
 class SeparationWitness(FrozenRecord):
@@ -153,7 +153,7 @@ def hausdorff_number_oracle(topology: FiniteTopology) -> HausdorffNumber:
 
 def is_n_hausdorff(topology: FiniteTopology, bound: int) -> bool:
     """True iff H(topology) <= bound."""
-    if not isinstance(bound, int) or bound < 2:
+    if not is_int(bound) or bound < 2:
         raise BadParameter(f"Hausdorff bounds start at 2, got {bound!r}")
     return hausdorff_number(topology).value <= bound
 

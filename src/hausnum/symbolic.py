@@ -41,7 +41,7 @@ from .errors import (
     SetTooSmall,
     SpaceMismatch,
 )
-from .limits import COORDINATE_MAX_DIGITS
+from .limits import COORDINATE_MAX_DIGITS, is_int
 
 HALF = Fraction(1, 2)
 
@@ -76,9 +76,11 @@ class BugEyedSpace(FrozenRecord):
 
     def __init__(self, vertical_count: "int | _Omega", t1_variant: bool = True):
         v = vertical_count
-        if v is not OMEGA and (not isinstance(v, int) or isinstance(v, bool) or v < 1):
+        if v is not OMEGA and (not is_int(v) or v < 1):
             raise BadParameter(
                 f"vertical count must be a positive integer or OMEGA, got {v!r}")
+        if type(t1_variant) is not bool:
+            raise BadParameter(f"t1_variant must be True or False, got {t1_variant!r}")
         self._assign(vertical_count, t1_variant)
 
     def has_vertical(self, index: int) -> bool:
@@ -105,7 +107,7 @@ class VerticalPoint(FrozenRecord):
     __slots__ = ("index",)
 
     def __init__(self, index: int):
-        if not isinstance(index, int) or isinstance(index, bool) or index < 1:
+        if not is_int(index) or index < 1:
             raise BadParameter(f"vertical index must be a positive integer, got {index!r}")
         self._assign(index)
 
@@ -151,7 +153,7 @@ class VerticalNeighborhood(FrozenRecord):
     __slots__ = ("space", "owner", "k")
 
     def __init__(self, space: BugEyedSpace, owner: VerticalPoint, k: int):
-        if not isinstance(k, int) or isinstance(k, bool) or k < 1:
+        if not is_int(k) or k < 1:
             raise BadParameter(f"neighborhood parameter must be a positive integer, got {k!r}")
         _check_point(space, owner)
         self._assign(space, owner, k)
@@ -403,7 +405,7 @@ def t1_status(space: BugEyedSpace, p: SymbolicPoint, q: SymbolicPoint) -> T1Resu
 
 def restrict(space: BugEyedSpace, n: int) -> BugEyedSpace:
     """Subspace keeping the base line and the first n stacked points."""
-    if not isinstance(n, int) or isinstance(n, bool) or n < 1:
+    if not is_int(n) or n < 1:
         raise BadParameter(f"need a positive number of stacked points, got {n!r}")
     if space.vertical_count is OMEGA:
         return BugEyedSpace(n, space.t1_variant)
@@ -420,11 +422,9 @@ def grid_witness_search(space: BugEyedSpace, points: Iterable[SymbolicPoint],
     grows, so the finest uniform choice dominates every mixed choice from
     the same grid: returning None means no grid choice separates the set.
     """
-    if not isinstance(max_param, int) or isinstance(max_param, bool) or max_param < 1:
+    if not is_int(max_param) or max_param < 1:
         raise BadParameter(f"grid size must be a positive integer, got {max_param!r}")
     pts = list(points)
-    for p in pts:
-        _check_point(space, p)
     for j in range(1, max_param + 1):
         nbhds = [neighborhood_of(space, p, Fraction(1, j) if isinstance(p, BasePoint) else j)
                  for p in pts]
@@ -458,7 +458,10 @@ def _check_digits(text: str, what: str) -> None:
 
 
 def _fraction(value, what: str) -> Fraction:
-    """``Fraction(value)``; text (or a ``Decimal``) is capped before it is expanded."""
+    """``Fraction(value)``, never of a bool; text (or a ``Decimal``) is capped before
+    it is expanded."""
+    if value is True or value is False:
+        raise BadParameter(f"bad {what} is {value!r}, not a number")
     if not isinstance(value, (int, float, Fraction)):
         _check_digits(str(value), what)
     return Fraction(value)

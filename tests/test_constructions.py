@@ -72,7 +72,7 @@ class TestTwoBlockTopology:
         with pytest.raises(BadParameter):
             two_block_topology(3, 3)
 
-    @pytest.mark.parametrize("x0", [True, False, 3, -1])
+    @pytest.mark.parametrize("x0", [True, False, 3, -1, "1", 1.0])
     def test_bool_base_point_refused_as_out_of_range(self, x0):
         with pytest.raises(BadParameter) as info:
             two_block_topology(3, x0)
@@ -137,7 +137,8 @@ class TestDoubledPointTopology:
         with pytest.raises(BadParameter):
             doubled_point_topology(4, 1, 1)
 
-    @pytest.mark.parametrize("special", [(True, 2), (2, False), (4, 1), (0, -1)])
+    @pytest.mark.parametrize("special", [(True, 2), (2, False), (4, 1), (0, -1),
+                                         ("1", 2), (0, 2.0)])
     def test_bool_special_point_refused_as_out_of_range(self, special):
         with pytest.raises(BadParameter) as info:
             doubled_point_topology(4, *special)

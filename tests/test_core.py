@@ -360,6 +360,21 @@ class TestPreorderCorrespondence:
         with pytest.raises(NotTransitive):
             Preorder(3, (1 | 2, 2 | 4, 4))
 
+    @pytest.mark.parametrize("n, rows", [
+        (1, (True,)), (2, (3, 2.0)), (2, (3, "2")), (2, (True, 2)),
+    ], ids=["true", "float", "text", "bool-first"])
+    def test_bool_and_non_int_rows_refused_as_out_of_range(self, n, rows):
+        bad = next(a for a, row in enumerate(rows) if type(row) is not int)
+        with pytest.raises(PointOutOfRange) as info:
+            Preorder(n, rows)
+        assert str(info.value) == f"row {bad} does not fit in {n} bits"
+
+    def test_rows_are_stored_as_a_tuple(self):
+        p = Preorder(2, [3, 2])
+        assert p.rows == (3, 2)
+        assert p == Preorder(2, (3, 2))
+        assert hash(p) == hash(Preorder(2, (3, 2)))
+
     def test_matrix_roundtrip_exhaustive_small(self):
         for n in range(1, 5):
             for p in enumerate_preorders(n):

@@ -10,6 +10,7 @@ from fractions import Fraction
 import pytest
 
 from hausnum.cli import main
+from hausnum.constructions import doubled_point_topology, two_block_topology
 from hausnum.core import Preorder, topology_from_preorder, validate_topology
 from hausnum.enumeration import (
     CACHE_VERSION,
@@ -155,7 +156,14 @@ def walk_histograms(n, t0_only, classes=True):
      "worker count must be >= 1, got '2'"),
     (lambda: count_by_hausdorff(2, jobs=True, use_cache=False), TooLarge,
      "worker count must be >= 1, got True"),
-], ids=["table", "classes", "labeled", "stirling", "topology", "jobs-text", "jobs-bool"])
+    (lambda: two_block_topology("3"), PointOutOfRange,
+     "point count must be in 1..64, got '3'"),
+    (lambda: two_block_topology(True), PointOutOfRange,
+     "point count must be in 1..64, got True"),
+    (lambda: doubled_point_topology("4"), PointOutOfRange,
+     "point count must be in 1..64, got '4'"),
+], ids=["table", "classes", "labeled", "stirling", "topology", "jobs-text", "jobs-bool",
+        "two-block-text", "two-block-bool", "doubled-text"])
 def test_bool_and_non_int_counts_refused(call, error, message):
     with pytest.raises(error) as info:
         call()

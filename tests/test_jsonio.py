@@ -14,6 +14,7 @@ from hausnum.jsonio import (
     topology_to_dict,
     topology_to_json,
 )
+from hausnum.limits import is_int
 
 from conftest import UNREADABLE_FILES
 
@@ -137,7 +138,8 @@ def test_int_subclass_points_are_accepted():
 ])
 def test_point_mask_accepts_what_the_core_point_check_accepts(value, accepted):
     """The loader keeps its own inline point test on its hot path; it must
-    accept exactly the values of ``core._check_point``."""
+    accept exactly the values of ``core._check_point``: the ints of
+    ``limits.is_int`` in range."""
     def passes(check, error):
         try:
             check()
@@ -147,6 +149,7 @@ def test_point_mask_accepts_what_the_core_point_check_accepts(value, accepted):
 
     assert passes(lambda: _check_point(3, value), PointOutOfRange) is accepted
     assert passes(lambda: _point_mask([value], 3, "opens", 0), ParseError) is accepted
+    assert (is_int(value) and 0 <= value < 3) is accepted
 
 
 def test_point_count_past_the_cap_is_refused_before_any_mask():

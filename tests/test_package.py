@@ -201,3 +201,39 @@ def test_json_import_check_sees_an_import():
 def test_only_jsonio_imports_json(path):
     """Every JSON file the package reads goes through ``jsonio.read_json``."""
     assert imports_json(path.read_text(encoding="utf-8")) == (path.name == "jsonio.py")
+
+
+def bool_tests(source: str) -> list[str]:
+    """The function (``<module>`` at top level) around each ``isinstance(…, bool)``
+    call of a module, ``bool`` alone or in a tuple of types."""
+    found = []
+
+    def visit(node, where):
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.Lambda)):
+            where = getattr(node, "name", "<lambda>")
+        if (isinstance(node, ast.Call) and isinstance(node.func, ast.Name)
+                and node.func.id == "isinstance" and len(node.args) == 2):
+            kinds = node.args[1]
+            kinds = kinds.elts if isinstance(kinds, ast.Tuple) else [kinds]
+            if any(isinstance(kind, ast.Name) and kind.id == "bool" for kind in kinds):
+                found.append(where)
+        for child in ast.iter_child_nodes(node):
+            visit(child, where)
+
+    visit(ast.parse(source), "<module>")
+    return found
+
+
+def test_bool_test_check_sees_an_inlined_copy():
+    source = ("def is_int(v):\n    return isinstance(v, int) and not isinstance(v, bool)\n"
+              "class A:\n    def __init__(self, n):\n"
+              "        if isinstance(n, (float, bool)):\n            raise TypeError\n"
+              "CHECK = lambda v: isinstance(v, bool)\n"
+              "FLAG = isinstance(1, bool)\n")
+    assert bool_tests(source) == ["is_int", "__init__", "<lambda>", "<module>"]
+
+
+def test_only_limits_is_int_tells_bools_from_ints():
+    """``limits.is_int`` is the package's one integer rule; no module inlines a copy."""
+    assert [(path.stem, where) for path in sorted(SRC.glob("*.py"))
+            for where in bool_tests(path.read_text(encoding="utf-8"))] == [("limits", "is_int")]

@@ -453,6 +453,17 @@ class TestPointSyntax:
             Vertical(0)
         with pytest.raises(BadParameter):
             neighborhood_of(T1_ONE, Base(Fraction(1, 2)), 0)
+        for bad in (lambda: Base(True), lambda: BasePoint(False),
+                    lambda: BallNeighborhood(T1_ONE, Base(0), True),
+                    lambda: neighborhood_of(T1_ONE, Base(0), True)):
+            with pytest.raises(BadParameter, match="is (True|False), not a number"):
+                bad()
+
+    @pytest.mark.parametrize("flag", ["no", 1, 0, None])
+    def test_t1_variant_must_be_a_bool(self, flag):
+        with pytest.raises(BadParameter) as info:
+            BugEyedSpace(1, flag)
+        assert str(info.value) == f"t1_variant must be True or False, got {flag!r}"
 
     @pytest.mark.parametrize("param", [2.7, True, Fraction(2), "3", "9" * 5000],
                              ids=["float", "bool", "Fraction", "text", "long-text"])

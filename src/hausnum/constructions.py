@@ -111,7 +111,7 @@ def build_example(name: str) -> tuple[str, FiniteTopology]:
         return name, filtered_four_point()
     for prefix, builder in (("two-block:", two_block_topology),
                             ("doubled:", doubled_point_topology)):
-        if name.startswith(prefix):
+        if isinstance(name, str) and name.startswith(prefix):
             try:
                 n = int(name[len(prefix):])
             except ValueError:

@@ -28,7 +28,7 @@ from .errors import (
     PointOutOfRange,
     TooLarge,
 )
-from .limits import MAX_OPENS, MAX_POINTS, REJECT_MAX_OPENS, is_int
+from .limits import MAX_OPENS, MAX_POINTS, REJECT_MAX_OPENS, collection, is_int
 
 
 def _check_n(n: int) -> None:
@@ -57,7 +57,8 @@ class PointSet(FrozenRecord):
     def from_points(cls, n: int, points: Iterable[int]) -> "PointSet":
         _check_n(n)
         mask = 0
-        for p in points:
+        # lists and tuples skip the call: one per family member on the hot path
+        for p in points if type(points) in (list, tuple) else collection(points, PointOutOfRange):
             _check_point(n, p)
             mask |= 1 << p
         return cls(n, mask)
@@ -122,17 +123,6 @@ _set_n = PointSet.n.__set__
 _set_mask = PointSet.mask.__set__
 
 
-def _pointsets(n: int, masks: Iterable[int]) -> tuple[PointSet, ...]:
-    """PointSets over n points for masks already known to fit, built unchecked."""
-    sets = []
-    for mask in masks:
-        s = object.__new__(PointSet)
-        _set_n(s, n)
-        _set_mask(s, mask)
-        sets.append(s)
-    return tuple(sets)
-
-
 def _as_mask(n: int, s: "PointSet | Iterable[int]") -> int:
     if isinstance(s, PointSet):
         if s.n != n:
@@ -186,9 +176,15 @@ def _fill(topology: FiniteTopology, n: int, opens: tuple[PointSet, ...],
 
 def _topology(n: int, masks: tuple[int, ...], rows: tuple[int, ...]) -> FiniteTopology:
     """The topology with these canonical, in-range open masks and their
-    minimal rows, built without re-deriving either."""
+    minimal rows, built without re-deriving either or checking its PointSets."""
+    opens = []
+    for mask in masks:
+        s = object.__new__(PointSet)
+        _set_n(s, n)
+        _set_mask(s, mask)
+        opens.append(s)
     topology = object.__new__(FiniteTopology)
-    _fill(topology, n, _pointsets(n, masks), masks, rows)
+    _fill(topology, n, tuple(opens), masks, rows)
     return topology
 
 
@@ -213,7 +209,12 @@ def validate_topology(n: int, family: Iterable["PointSet | Iterable[int]"]) -> F
     rejected family past ``REJECT_MAX_OPENS``, before the scan.
     """
     _check_n(n)
-    masks = _canonical_masks(_as_mask(n, s) for s in family)
+    return _validated(n, [_as_mask(n, s) for s in collection(family, PointOutOfRange)])
+
+
+def _validated(n: int, masks: Iterable[int]) -> FiniteTopology:
+    """:func:`validate_topology` of masks known to fit in n points, n checked."""
+    masks = _canonical_masks(masks)
     if len(masks) > MAX_OPENS:
         raise TooLarge(f"more than {MAX_OPENS} open sets")
     full = (1 << n) - 1
@@ -259,7 +260,12 @@ def generate_from_subbasis(n: int, subbasis: Iterable["PointSet | Iterable[int]"
     ``MAX_OPENS`` open sets.
     """
     _check_n(n)
-    return _from_rows(n, _rows_from_masks(n, [_as_mask(n, s) for s in subbasis]))
+    return _generated(n, [_as_mask(n, s) for s in collection(subbasis, PointOutOfRange)])
+
+
+def _generated(n: int, masks: Sequence[int]) -> FiniteTopology:
+    """:func:`generate_from_subbasis` of masks known to fit in n points, n checked."""
+    return _from_rows(n, _rows_from_masks(n, masks))
 
 
 def minimal_neighborhood(topology: FiniteTopology, a: int) -> PointSet:
@@ -313,7 +319,8 @@ class Preorder(FrozenRecord):
 
     def __init__(self, n: int, rows: Iterable[int]):
         _check_n(n)
-        rows = tuple(rows)
+        # the walk's leaves are lists: no call per leaf
+        rows = tuple(rows if type(rows) in (list, tuple) else collection(rows, PointOutOfRange))
         if len(rows) != n:
             raise PointOutOfRange(f"expected {n} rows, got {len(rows)}")
         full = (1 << n) - 1
@@ -346,14 +353,10 @@ class Preorder(FrozenRecord):
 
     @classmethod
     def from_matrix(cls, matrix: Iterable[Iterable[bool]]) -> "Preorder":
-        rows = []
-        mat = [list(r) for r in matrix]
-        n = len(mat)
-        for r in mat:
-            if len(r) != n:
-                raise PointOutOfRange("relation matrix must be square")
-            rows.append(sum(1 << b for b, v in enumerate(r) if v))
-        return cls(n, rows)
+        mat = [list(collection(r, PointOutOfRange)) for r in collection(matrix, PointOutOfRange)]
+        if any(len(r) != len(mat) for r in mat):
+            raise PointOutOfRange("relation matrix must be square")
+        return cls(len(mat), [sum(1 << b for b, v in enumerate(r) if v) for r in mat])
 
 
 def specialization_preorder(topology: FiniteTopology) -> Preorder:

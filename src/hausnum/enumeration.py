@@ -44,7 +44,7 @@ from pathlib import Path
 from typing import TYPE_CHECKING, Iterator
 
 from ._records import FrozenRecord, Record
-from .errors import ParseError, TooLarge
+from .errors import BadParameter, ParseError, TooLarge
 from .jsonio import dumps_canonical, read_json
 from .limits import ENUM_MAX_POINTS, NAIVE_MAX_POINTS, TABLE_MAX_POINTS, is_int
 
@@ -401,9 +401,13 @@ def _classes(n: int, t0_only: bool = False):
 
 
 def resolve_cache_dir(explicit: "str | os.PathLike | None" = None) -> Path:
-    if explicit:
+    """``explicit``, else the environment's or the default; ``BadParameter`` if not a path."""
+    if explicit in (None, ""):
+        explicit = os.environ.get(CACHE_ENV_VAR) or DEFAULT_CACHE_DIR
+    try:
         return Path(explicit)
-    return Path(os.environ.get(CACHE_ENV_VAR) or DEFAULT_CACHE_DIR)
+    except TypeError:
+        raise BadParameter(f"cache dir must be a path, got {explicit!r}") from None
 
 
 def _read_cache(path: Path, n: int, t0_only: bool) -> "CountsTable | None":
@@ -509,6 +513,8 @@ def labeled_and_t0_counts(n: int) -> tuple[int, int]:
 
 def stirling2(n: int, k: int) -> int:
     """Stirling number of the second kind by the standard recurrence."""
+    if not is_int(n) or not is_int(k):
+        raise BadParameter(f"Stirling numbers take integers, got {n!r} and {k!r}")
     if k < 0 or k > n:
         return 0
     table = [1] + [0] * k

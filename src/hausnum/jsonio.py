@@ -32,13 +32,19 @@ def _points_of(mask: int) -> list[int]:
     return points
 
 
+def _checked_name(name: "str | None") -> "str | None":
+    if name is not None and not isinstance(name, str):
+        raise ParseError('"name" must be a string')
+    return name
+
+
 def topology_to_dict(topology: FiniteTopology, name: str | None = None) -> dict:
     doc = {
         "format": FORMAT_TAG,
         "n": topology.n,
         "opens": [_points_of(u) for u in topology.open_masks],
     }
-    if name is not None:
+    if _checked_name(name) is not None:
         doc["name"] = name
     return doc
 
@@ -98,9 +104,7 @@ def topology_from_dict(doc: dict) -> tuple[FiniteTopology, str | None]:
     if has_opens == has_subbasis:
         raise ParseError('document must carry exactly one of "opens" or "subbasis"')
 
-    name = doc.get("name")
-    if name is not None and not isinstance(name, str):
-        raise ParseError('"name" must be a string')
+    name = _checked_name(doc.get("name"))
 
     key = "opens" if has_opens else "subbasis"
     family = doc[key]
@@ -108,20 +112,18 @@ def topology_from_dict(doc: dict) -> tuple[FiniteTopology, str | None]:
         raise ParseError(f'"{key}" must be an array of arrays')
     masks = [_point_mask(entry, n, key, i) for i, entry in enumerate(family)]
 
-    from .core import _pointsets, generate_from_subbasis, validate_topology
+    from .core import _check_n, _generated, _validated
 
-    sets = _pointsets(n, masks)
-    if has_opens:
-        return validate_topology(n, sets), name
-    return generate_from_subbasis(n, sets), name
+    _check_n(n)
+    return (_validated if has_opens else _generated)(n, masks), name
 
 
 def read_json(source: "str | Path"):
-    """The JSON value in a file; :class:`ParseError` if the file cannot be read,
-    is not UTF-8 JSON, nests past the recursion limit or holds an over-long int."""
+    """The JSON value in a file; :class:`ParseError` if ``source`` is no path, the file
+    cannot be read, is not UTF-8 JSON, nests too deep or holds an over-long int."""
     try:
         return json.loads(Path(source).read_text(encoding="utf-8"))
-    except OSError as exc:
+    except (OSError, TypeError) as exc:
         raise ParseError(f"cannot read {source}: {exc}") from exc
     except (ValueError, RecursionError) as exc:
         raise ParseError(f"not valid JSON: {exc}") from exc

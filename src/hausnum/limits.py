@@ -1,5 +1,5 @@
 """Size caps on every input the package accepts, each with the budget it is set from,
-and ``is_int``, the one rule for what an integer argument is.
+and the rules for what an integer (``is_int``) and a collection (``collection``) are.
 
 Timings are wall clock on a 2-vCPU VM with Python 3.11.  The modules that
 enforce a cap import it from here under the same name.  This module imports
@@ -32,3 +32,13 @@ COORDINATE_MAX_DIGITS = 2000
 def is_int(value) -> bool:
     """An ``int`` or int subclass, but not ``True`` or ``False``."""
     return isinstance(value, int) and not isinstance(value, bool)
+
+
+def collection(value, error: type):
+    """``value`` if ``iter`` accepts it (a ``str`` too; testing it consumes nothing);
+    otherwise ``error``, the calling module's ``TopologyError`` type, is raised."""
+    try:
+        iter(value)
+    except TypeError:
+        raise error(f"expected a collection, got {value!r}") from None
+    return value

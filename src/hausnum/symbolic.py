@@ -41,7 +41,7 @@ from .errors import (
     SetTooSmall,
     SpaceMismatch,
 )
-from .limits import COORDINATE_MAX_DIGITS, is_int
+from .limits import COORDINATE_MAX_DIGITS, collection, is_int
 
 HALF = Fraction(1, 2)
 
@@ -199,7 +199,7 @@ def intersection_nonempty(nbhds: Iterable[BasisNeighborhood]) -> SymbolicPoint |
     the common interval, or its quarter point if the midpoint is a removed
     1/2.
     """
-    nbhds = list(nbhds)
+    nbhds = list(collection(nbhds, BadParameter))
     if not nbhds:
         raise BadParameter("need at least one neighborhood")
     space = nbhds[0].space
@@ -258,7 +258,7 @@ def separable(space: BugEyedSpace, points: Iterable[SymbolicPoint]) -> Separabil
     matching stacked-point parameters.  Every witness is re-verified through
     :func:`intersection_nonempty` before being returned.
     """
-    pts = list(points)
+    pts = list(collection(points, BadParameter))
     if len(pts) < 2:
         raise SetTooSmall("separability queries need at least two points")
     if len(set(pts)) != len(pts):
@@ -424,7 +424,7 @@ def grid_witness_search(space: BugEyedSpace, points: Iterable[SymbolicPoint],
     """
     if not is_int(max_param) or max_param < 1:
         raise BadParameter(f"grid size must be a positive integer, got {max_param!r}")
-    pts = list(points)
+    pts = list(collection(points, BadParameter))
     for j in range(1, max_param + 1):
         nbhds = [neighborhood_of(space, p, Fraction(1, j) if isinstance(p, BasePoint) else j)
                  for p in pts]
@@ -458,13 +458,17 @@ def _check_digits(text: str, what: str) -> None:
 
 
 def _fraction(value, what: str) -> Fraction:
-    """``Fraction(value)``, never of a bool; text (or a ``Decimal``) is capped before
-    it is expanded."""
-    if value is True or value is False:
-        raise BadParameter(f"bad {what} is {value!r}, not a number")
+    """``Fraction(value)``, else :class:`BadParameter` (``Fraction``'s message for text);
+    never of a bool.  Text (or a ``Decimal``) is capped before it is expanded."""
     if not isinstance(value, (int, float, Fraction)):
         _check_digits(str(value), what)
-    return Fraction(value)
+    try:
+        if value is not True and value is not False:
+            return Fraction(value)
+    except (TypeError, ValueError, ArithmeticError) as exc:
+        if isinstance(value, str):
+            raise BadParameter(str(exc)) from None
+    raise BadParameter(f"bad {what} is {value!r}, not a number")
 
 
 def _integer(text: str, what: str) -> int:
@@ -487,21 +491,24 @@ def _parse_verticals(text: str) -> "int | _Omega":
 
 def parse_point(text: str) -> SymbolicPoint:
     """Parse ``b:<num>/<den>`` (or ``b:<int>``) and ``v:<m>``."""
-    text = text.strip()
-    if text.startswith("b:"):
-        try:
-            return BasePoint(text[2:])
-        except (ValueError, ZeroDivisionError, BadParameter) as exc:
-            raise ParseError(f"bad base point {text!r}: {exc}") from None
-    if text.startswith("v:"):
-        try:
-            return VerticalPoint(_integer(text[2:], "vertical point: its index"))
-        except (ValueError, BadParameter) as exc:
-            raise ParseError(f"bad vertical point {text!r}: {exc}") from None
+    if isinstance(text, str):
+        text = text.strip()
+        if text.startswith("b:"):
+            try:
+                return BasePoint(text[2:])
+            except BadParameter as exc:
+                raise ParseError(f"bad base point {text!r}: {exc}") from None
+        if text.startswith("v:"):
+            try:
+                return VerticalPoint(_integer(text[2:], "vertical point: its index"))
+            except (ValueError, BadParameter) as exc:
+                raise ParseError(f"bad vertical point {text!r}: {exc}") from None
     raise ParseError(f"points look like 'b:1/2' or 'v:3', got {text!r}")
 
 
 def parse_points(text: str) -> list[SymbolicPoint]:
+    if not isinstance(text, str):
+        raise ParseError(f"point lists look like 'b:1/2,v:3', got {text!r}")
     items = [chunk for chunk in (c.strip() for c in text.split(",")) if chunk]
     if not items:
         raise ParseError("empty point list")

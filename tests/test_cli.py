@@ -276,6 +276,14 @@ class TestSymbolic:
         assert doc["separable"] is False
         assert doc["certificate"]["kind"] == "hub"
 
+    @pytest.mark.parametrize("point, reason", [
+        ("b:abc", "Invalid literal for Fraction: 'abc'"), ("b:1/0", "Fraction(1, 0)")])
+    def test_coordinate_fraction_refuses_keeps_its_message(self, capsys, point, reason):
+        assert main(["symbolic", "--verticals", "2", "separable",
+                     "--points", f"{point},v:1"]) == 2
+        assert capsys.readouterr() == (
+            "", f"error (parse-error): bad base point {point!r}: {reason}\n")
+
     def test_omega_hausdorff_number(self, capsys):
         code, out = run_cli(capsys, "symbolic", "--verticals", "omega", "hnumber")
         doc = json.loads(out)

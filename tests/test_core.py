@@ -55,6 +55,22 @@ class TestPointSet:
         assert list(a.complement()) == [1, 3]
         assert len(a) == 3 and 4 in a and 1 not in a
 
+    @pytest.mark.parametrize("call", [
+        lambda v: PointSet.from_points(3, v), lambda v: validate_topology(3, v),
+        lambda v: validate_topology(3, [v]), lambda v: generate_from_subbasis(3, [v]),
+        lambda v: Preorder(1, v), lambda v: Preorder.from_matrix([v]),
+    ], ids=["points", "family", "member", "subbasis-member", "rows", "matrix-row"])
+    def test_non_collections_refused_with_one_message(self, call):
+        for value in (5, None):
+            with pytest.raises(PointOutOfRange) as info:
+                call(value)
+            assert str(info.value) == f"expected a collection, got {value!r}"
+
+    def test_lazy_collections_are_read_once(self):
+        assert PointSet.from_points(3, iter([0, 2])) == PointSet(3, 0b101)
+        assert validate_topology(2, (s for s in ([], [0, 1]))) == topo(2, (), (0, 1))
+        assert Preorder(2, iter([0b11, 0b10])) == Preorder(2, (0b11, 0b10))
+
     def test_point_bounds(self):
         with pytest.raises(PointOutOfRange):
             PointSet.from_points(3, [3])

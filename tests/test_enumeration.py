@@ -3,6 +3,7 @@ import hashlib
 import itertools
 import json
 import math
+import os
 import time
 import tracemalloc
 from fractions import Fraction
@@ -31,7 +32,7 @@ from hausnum.enumeration import (
     stirling2,
     stirling_consistency,
 )
-from hausnum.errors import PointOutOfRange, TooLarge
+from hausnum.errors import BadParameter, PointOutOfRange, TooLarge
 from hausnum.separation import hausdorff_number
 
 from conftest import UNREADABLE_FILES
@@ -162,8 +163,15 @@ def walk_histograms(n, t0_only, classes=True):
      "point count must be in 1..64, got True"),
     (lambda: doubled_point_topology("4"), PointOutOfRange,
      "point count must be in 1..64, got '4'"),
+    (lambda: stirling2(True, 1), BadParameter,
+     "Stirling numbers take integers, got True and 1"),
+    (lambda: stirling2(3, 2.5), BadParameter,
+     "Stirling numbers take integers, got 3 and 2.5"),
+    (lambda: stirling2("a", 1), BadParameter,
+     "Stirling numbers take integers, got 'a' and 1"),
 ], ids=["table", "classes", "labeled", "stirling", "topology", "jobs-text", "jobs-bool",
-        "two-block-text", "two-block-bool", "doubled-text"])
+        "two-block-text", "two-block-bool", "doubled-text", "stirling2-bool",
+        "stirling2-float", "stirling2-text"])
 def test_bool_and_non_int_counts_refused(call, error, message):
     with pytest.raises(error) as info:
         call()
@@ -710,6 +718,21 @@ class TestCache:
         assert capsys.readouterr().out == fresh
         assert path.read_text(encoding="utf-8") == fresh
 
+    def test_failed_rename_leaves_no_temp_file(self, tmp_path, capsys, monkeypatch):
+        """A directory where the cache file goes: the read fails, the temp file is
+        written, its rename fails and it is removed; the table is still right."""
+        assert main(["enumerate", "3", "--cache-dir", str(tmp_path / "fresh")]) == 0
+        fresh = capsys.readouterr()
+        cache = tmp_path / "cache"
+        (cache / "counts-n3-all.json").mkdir(parents=True)
+        renamed, replace = [], os.replace
+        monkeypatch.setattr(os, "replace", lambda src, dst: renamed.append(src) or replace(src, dst))
+        assert count_by_hausdorff(3, cache_dir=cache) == count_by_hausdorff(3, use_cache=False)
+        assert main(["enumerate", "3", "--cache-dir", str(cache)]) == 0
+        assert capsys.readouterr() == fresh
+        assert len(renamed) == 2 and not any(map(os.path.exists, renamed))
+        assert [p.name for p in cache.iterdir()] == ["counts-n3-all.json"]
+
     def test_write_leaves_no_temp_files(self, tmp_path):
         count_by_hausdorff(2, cache_dir=tmp_path)
         count_by_hausdorff(2, cache_dir=tmp_path, t0_only=True)
@@ -770,3 +793,10 @@ class TestStirling:
         report = stirling_consistency(3)
         assert report.terms == [(1, 1, 1), (2, 3, 3), (3, 1, 19)]
         assert report.combination_total == 1 * 1 + 3 * 3 + 1 * 19 == 29
+
+    def test_report_dict_n3(self):
+        assert stirling_consistency(3).to_dict() == {
+            "n": 3, "holds": True, "topology_count": 29, "combination_total": 29,
+            "terms": [{"k": 1, "stirling": 1, "t0_count": 1},
+                      {"k": 2, "stirling": 3, "t0_count": 3},
+                      {"k": 3, "stirling": 1, "t0_count": 19}]}

@@ -50,6 +50,16 @@ def test_subbasis_variant():
     assert loaded == generate_from_subbasis(3, [[1], [2], [0, 1]])
 
 
+@pytest.mark.parametrize("name", [5, b"x", ["x"]])
+def test_writer_refuses_a_name_its_reader_refuses(name):
+    doc = topology_to_dict(three_point_example())
+    with pytest.raises(ParseError) as read:
+        topology_from_dict({**doc, "name": name})
+    with pytest.raises(ParseError) as written:
+        topology_to_dict(three_point_example(), name=name)
+    assert str(written.value) == str(read.value) == '"name" must be a string'
+
+
 def test_file_roundtrip(tmp_path):
     path = tmp_path / "space.json"
     path.write_text(topology_to_json(three_point_example(), name="x"))

@@ -3,13 +3,17 @@
 import ast
 import importlib
 import inspect
+import math
 import subprocess
 import sys
+from collections.abc import Iterator
+from decimal import Decimal
 from pathlib import Path
 
 import pytest
 
 import hausnum
+from hausnum.errors import BadParameter, ParseError, PointOutOfRange, TooLarge
 
 SRC = Path(hausnum.__file__).resolve().parent
 
@@ -237,3 +241,144 @@ def test_only_limits_is_int_tells_bools_from_ints():
     """``limits.is_int`` is the package's one integer rule; no module inlines a copy."""
     assert [(path.stem, where) for path in sorted(SRC.glob("*.py"))
             for where in bool_tests(path.read_text(encoding="utf-8"))] == [("limits", "is_int")]
+
+
+# Wrong-kind values of each argument kind.  "optional" kinds have ``None`` as
+# their default, so ``None`` is valid there.
+COLLECTION = (5, None, 2.5)
+WRONG_KIND = {
+    "collection": COLLECTION,
+    "collection member": COLLECTION,
+    "number": (None, [1], math.nan, math.inf, -math.inf, Decimal("NaN"), "abc", "1/0"),
+    "text": (None, 5, b"b:1"),
+    "optional text": (5, b"b:1"),
+    "path": (5, None),
+    "optional path": (5,),
+    "integer": (True, 2.5, "3", None),
+    "document": (5, None, "{}", [1]),
+}
+THREE = hausnum.three_point_example()  # opens {}, {0}, {1,2}, X: 0 and 1 separate
+SPACE = hausnum.BugEyedSpace(2)
+
+# (entry, argument kind, error, call with the wrong-kind value).  The entry is a
+# name of ``hausnum.__all__``, or one of its methods after a dot.
+SWEEP = [
+    ("Preorder", "collection", PointOutOfRange, lambda v: hausnum.Preorder(2, v)),
+    ("Preorder.from_matrix", "collection", PointOutOfRange,
+     lambda v: hausnum.Preorder.from_matrix(v)),
+    ("Preorder.from_matrix", "collection member", PointOutOfRange,
+     lambda v: hausnum.Preorder.from_matrix([v])),
+    ("PointSet.from_points", "collection", PointOutOfRange,
+     lambda v: hausnum.PointSet.from_points(3, v)),
+    ("validate_topology", "collection", PointOutOfRange,
+     lambda v: hausnum.validate_topology(3, v)),
+    ("validate_topology", "collection member", PointOutOfRange,
+     lambda v: hausnum.validate_topology(3, [[], v])),
+    ("generate_from_subbasis", "collection", PointOutOfRange,
+     lambda v: hausnum.generate_from_subbasis(3, v)),
+    ("generate_from_subbasis", "collection member", PointOutOfRange,
+     lambda v: hausnum.generate_from_subbasis(3, [v])),
+    ("subspace", "collection", PointOutOfRange, lambda v: hausnum.subspace(THREE, v)),
+    ("FiniteTopology.is_open", "collection", PointOutOfRange, lambda v: THREE.is_open(v)),
+    ("is_separable", "collection", PointOutOfRange, lambda v: hausnum.is_separable(THREE, v)),
+    ("verify_witness", "collection", PointOutOfRange,
+     lambda v: hausnum.verify_witness(THREE, v, hausnum.is_separable(THREE, [0, 1]).witness)),
+    ("separable", "collection", BadParameter, lambda v: hausnum.separable(SPACE, v)),
+    ("intersection_nonempty", "collection", BadParameter,
+     lambda v: hausnum.intersection_nonempty(v)),
+    ("grid_witness_search", "collection", BadParameter,
+     lambda v: hausnum.grid_witness_search(SPACE, v)),
+    ("Base", "number", BadParameter, lambda v: hausnum.Base(v)),
+    ("BasePoint", "number", BadParameter, lambda v: hausnum.BasePoint(v)),
+    ("neighborhood_of", "number", BadParameter,
+     lambda v: hausnum.neighborhood_of(SPACE, hausnum.Base(0), v)),
+    ("parse_point", "text", ParseError, lambda v: hausnum.parse_point(v)),
+    ("parse_points", "text", ParseError, lambda v: hausnum.parse_points(v)),
+    ("build_example", "text", ParseError, lambda v: hausnum.build_example(v)),
+    ("export_example", "text", ParseError, lambda v: hausnum.export_example(v)),
+    ("topology_to_dict", "optional text", ParseError,
+     lambda v: hausnum.topology_to_dict(THREE, name=v)),
+    ("topology_to_json", "optional text", ParseError,
+     lambda v: hausnum.topology_to_json(THREE, name=v)),
+    ("load_topology", "path", ParseError, lambda v: hausnum.load_topology(v)),
+    ("count_by_hausdorff", "optional path", BadParameter,
+     lambda v: hausnum.count_by_hausdorff(3, cache_dir=v)),
+    ("stirling2", "integer", BadParameter, lambda v: hausnum.stirling2(v, 1)),
+    ("stirling2", "integer", BadParameter, lambda v: hausnum.stirling2(3, v)),
+]
+
+# The readers of integers and documents that refused every wrong-kind value
+# already; kept here so that the table below covers every public entry.
+GUARDED = [
+    ("PointSet", "integer", PointOutOfRange, lambda v: hausnum.PointSet(3, v)),
+    ("two_block_topology", "integer", PointOutOfRange, lambda v: hausnum.two_block_topology(v)),
+    ("doubled_point_topology", "integer", PointOutOfRange,
+     lambda v: hausnum.doubled_point_topology(v)),
+    ("minimal_neighborhood", "integer", PointOutOfRange,
+     lambda v: hausnum.minimal_neighborhood(THREE, v)),
+    ("count_by_hausdorff", "integer", TooLarge, lambda v: hausnum.count_by_hausdorff(v)),
+    ("enumerate_classes", "integer", TooLarge, lambda v: hausnum.enumerate_classes(v)),
+    ("enumerate_labeled", "integer", TooLarge, lambda v: hausnum.enumerate_labeled(v)),
+    ("enumerate_preorders", "integer", TooLarge, lambda v: hausnum.enumerate_preorders(v)),
+    ("labeled_and_t0_counts", "integer", TooLarge, lambda v: hausnum.labeled_and_t0_counts(v)),
+    ("naive_counts", "integer", TooLarge, lambda v: hausnum.naive_counts(v)),
+    ("stirling_consistency", "integer", TooLarge, lambda v: hausnum.stirling_consistency(v)),
+    ("is_n_hausdorff", "integer", BadParameter, lambda v: hausnum.is_n_hausdorff(THREE, v)),
+    ("BugEyedSpace", "integer", BadParameter, lambda v: hausnum.BugEyedSpace(v)),
+    ("Vertical", "integer", BadParameter, lambda v: hausnum.Vertical(v)),
+    ("VerticalPoint", "integer", BadParameter, lambda v: hausnum.VerticalPoint(v)),
+    ("restrict", "integer", BadParameter, lambda v: hausnum.restrict(SPACE, v)),
+    ("topology_from_dict", "document", ParseError, lambda v: hausnum.topology_from_dict(v)),
+]
+
+# Public callables outside both tables, each with the reason it needs no row.
+NOT_SWEPT = {
+    **dict.fromkeys(
+        ("three_point_example", "filtered_four_point"), "takes no argument"),
+    **dict.fromkeys(
+        ("specialization_preorder", "topology_from_preorder", "canonical_form",
+         "analysis_report", "axioms_report", "hausdorff_number", "hausdorff_number_oracle",
+         "hausdorff_number_symbolic", "largest_nonseparable_set", "membership",
+         "t1_status"), "every argument is a package object"),
+    **dict.fromkeys(
+        ("SubspaceResult", "CanonicalForm", "CountsTable", "StirlingReport", "AxiomsReport",
+         "HausdorffNumber", "SeparationDecision", "SeparationWitness", "SeparabilityVerdict",
+         "Cardinal", "Finite"), "a result record, built by the package"),
+    # its method ``is_open`` has a row; the constructor takes opens known to
+    # form a topology, and ``validate_topology`` is the checked entry
+    "FiniteTopology": "an unchecked constructor",
+    **dict.fromkeys(("BasisNeighborhood", "SymbolicPoint"), "a type alias"),
+}
+
+
+def _cases(table):
+    return [pytest.param(call, error, value, id=f"{entry}-{kind}-{value!r}")
+            for entry, kind, error, call in table for value in WRONG_KIND[kind]]
+
+
+def _refuses(call, error, value):
+    with pytest.raises(error):
+        result = call(value)
+        if isinstance(result, Iterator):  # a generator checks at its first step
+            next(result)
+
+
+@pytest.mark.parametrize("call, error, value", _cases(SWEEP))
+def test_wrong_kind_argument_raises_its_modules_error(call, error, value):
+    """Collections, symbolic numbers, text and paths: each public reader refuses a
+    value of the wrong kind with a ``TopologyError``, never a bare exception."""
+    _refuses(call, error, value)
+
+
+@pytest.mark.parametrize("call, error, value", _cases(GUARDED))
+def test_wrong_kind_integer_or_document_raises_its_modules_error(call, error, value):
+    _refuses(call, error, value)
+
+
+def test_every_public_callable_is_swept_or_exempt():
+    """A new public entry needs a row, or a reason on ``NOT_SWEPT``."""
+    callables = {name for name in hausnum.__all__ if callable(getattr(hausnum, name))}
+    entries = {entry for entry, *_ in SWEEP + GUARDED}
+    assert {entry.split(".")[0] for entry in entries} <= callables
+    assert set(NOT_SWEPT) <= callables and not entries & set(NOT_SWEPT)
+    assert callables == {entry.split(".")[0] for entry in entries} | set(NOT_SWEPT)

@@ -444,6 +444,24 @@ class TestPointSyntax:
             assert time.perf_counter() - start < 1.0
         assert entry("1e-5") == entry(Fraction(1, 100000))
 
+    @pytest.mark.parametrize("text, reason", [
+        ("abc", "Invalid literal for Fraction: 'abc'"), ("1/0", "Fraction(1, 0)")])
+    def test_text_fraction_refuses_keeps_its_message(self, text, reason):
+        for entry in (Base, lambda q: neighborhood_of(T1_ONE, Base(0), q)):
+            with pytest.raises(BadParameter) as info:
+                entry(text)
+            assert str(info.value) == reason
+
+    @pytest.mark.parametrize("value", [None, [1], float("nan"), float("-inf")],
+                             ids=["None", "list", "nan", "-inf"])
+    def test_non_numbers_refused_as_bools_are(self, value):
+        with pytest.raises(BadParameter) as info:
+            Base(value)
+        assert str(info.value) == f"bad base point: its coordinate is {value!r}, not a number"
+        with pytest.raises(BadParameter) as info:
+            BallNeighborhood(T1_ONE, Base(0), value)
+        assert str(info.value) == f"bad radius: its value is {value!r}, not a number"
+
     def test_spaces_validate_construction(self):
         with pytest.raises(BadParameter):
             BugEyedSpace(0)

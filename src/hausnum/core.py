@@ -26,9 +26,10 @@ from .errors import (
     NotReflexive,
     NotTransitive,
     PointOutOfRange,
+    SpaceMismatch,
     TooLarge,
 )
-from .limits import MAX_OPENS, MAX_POINTS, REJECT_MAX_OPENS, collection, is_int
+from .limits import MAX_OPENS, MAX_POINTS, REJECT_MAX_OPENS, collection, instance, is_int
 
 
 def _check_n(n: int) -> None:
@@ -75,13 +76,18 @@ class PointSet(FrozenRecord):
     def singleton(cls, n: int, point: int) -> "PointSet":
         return cls.from_points(n, (point,))
 
-    def _same_space(self, other: "PointSet") -> None:
+    def _same_space(self, other: "PointSet") -> bool:
+        """Whether ``other`` is a PointSet; :class:`PointOutOfRange` if over another n."""
+        if not isinstance(other, PointSet):
+            return False
         if self.n != other.n:
             raise PointOutOfRange(
                 f"sets live in different spaces ({self.n} vs {other.n} points)")
+        return True
 
     def __contains__(self, point: int) -> bool:
-        return 0 <= point < self.n and bool(self.mask >> point & 1)
+        return ((type(point) is int or is_int(point)) and 0 <= point < self.n
+                and bool(self.mask >> point & 1))
 
     def __len__(self) -> int:
         return self.mask.bit_count()
@@ -94,22 +100,19 @@ class PointSet(FrozenRecord):
             m ^= low
 
     def __or__(self, other: "PointSet") -> "PointSet":
-        self._same_space(other)
-        return PointSet(self.n, self.mask | other.mask)
+        return PointSet(self.n, self.mask | other.mask) if self._same_space(other) else NotImplemented
 
     def __and__(self, other: "PointSet") -> "PointSet":
-        self._same_space(other)
-        return PointSet(self.n, self.mask & other.mask)
+        return PointSet(self.n, self.mask & other.mask) if self._same_space(other) else NotImplemented
 
     def __sub__(self, other: "PointSet") -> "PointSet":
-        self._same_space(other)
-        return PointSet(self.n, self.mask & ~other.mask)
+        return PointSet(self.n, self.mask & ~other.mask) if self._same_space(other) else NotImplemented
 
     def complement(self) -> "PointSet":
         return PointSet(self.n, self.mask ^ ((1 << self.n) - 1))
 
     def issubset(self, other: "PointSet") -> bool:
-        self._same_space(other)
+        self._same_space(instance(other, PointSet, SpaceMismatch, "point set"))
         return self.mask & ~other.mask == 0
 
     def points(self) -> tuple[int, ...]:
@@ -166,6 +169,11 @@ class FiniteTopology(FrozenRecord):
 
     def __repr__(self) -> str:
         return f"FiniteTopology(n={self.n}, opens={len(self.opens)})"
+
+
+def _topology_arg(topology: FiniteTopology) -> FiniteTopology:
+    """``topology``, if it is a :class:`FiniteTopology`; else :class:`SpaceMismatch`."""
+    return instance(topology, FiniteTopology, SpaceMismatch, "finite topology")
 
 
 def _fill(topology: FiniteTopology, n: int, opens: tuple[PointSet, ...],
@@ -270,7 +278,7 @@ def _generated(n: int, masks: Sequence[int]) -> FiniteTopology:
 
 def minimal_neighborhood(topology: FiniteTopology, a: int) -> PointSet:
     """Intersection of all open sets containing ``a`` (open, since finite)."""
-    _check_point(topology.n, a)
+    _check_point(_topology_arg(topology).n, a)
     return PointSet(topology.n, topology._rows[a])
 
 
@@ -289,7 +297,7 @@ def _rows_from_masks(n: int, masks: Sequence[int]) -> tuple[int, ...]:
 
 def _point_closures(topology: FiniteTopology) -> tuple[int, ...]:
     """``closures[x]`` = {a : x in N(a)}, the closure of the point x."""
-    rows = topology._rows
+    rows = _topology_arg(topology)._rows
     return tuple(sum(1 << a for a, row in enumerate(rows) if row >> x & 1)
                  for x in range(len(rows)))
 
@@ -361,7 +369,7 @@ class Preorder(FrozenRecord):
 
 def specialization_preorder(topology: FiniteTopology) -> Preorder:
     """a <= b iff b belongs to the minimal neighborhood of a."""
-    return Preorder(topology.n, topology._rows)
+    return Preorder(_topology_arg(topology).n, topology._rows)
 
 
 def topology_from_preorder(preorder: Preorder) -> FiniteTopology:
@@ -370,6 +378,7 @@ def topology_from_preorder(preorder: Preorder) -> FiniteTopology:
     Inverse of :func:`specialization_preorder` in both directions.  Raises
     :class:`TooLarge` past ``MAX_OPENS`` open sets.
     """
+    instance(preorder, Preorder, SpaceMismatch, "preorder")
     return _from_rows(preorder.n, preorder.rows)
 
 
@@ -385,7 +394,7 @@ def subspace(topology: FiniteTopology, points: "PointSet | Iterable[int]") -> Su
     their unions.  The order-preserving point map is returned alongside so
     reports can refer to the original labels.
     """
-    s_mask = _as_mask(topology.n, points)
+    s_mask = _as_mask(_topology_arg(topology).n, points)
     if s_mask == 0:
         raise EmptySubset("subspace carrier must be nonempty")
     labels = tuple(PointSet(topology.n, s_mask))

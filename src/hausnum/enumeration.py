@@ -261,7 +261,9 @@ def enumerate_labeled(n: int) -> Iterator[FiniteTopology]:
 
 def canonical_form(topology: FiniteTopology) -> CanonicalForm:
     """Canonical form of a topology; equal forms iff homeomorphic."""
-    _check_cap(topology.n, ENUM_MAX_POINTS)
+    from .core import _topology_arg
+
+    _check_cap(_topology_arg(topology).n, TABLE_MAX_POINTS)
     return CanonicalForm(bytes(_least_rows(topology._rows, _invariant_cells(topology._rows))[0]))
 
 

@@ -39,9 +39,11 @@ def _checked_name(name: "str | None") -> "str | None":
 
 
 def topology_to_dict(topology: FiniteTopology, name: str | None = None) -> dict:
+    from .core import _topology_arg
+
     doc = {
         "format": FORMAT_TAG,
-        "n": topology.n,
+        "n": _topology_arg(topology).n,
         "opens": [_points_of(u) for u in topology.open_masks],
     }
     if _checked_name(name) is not None:

@@ -1,5 +1,6 @@
 """Size caps on every input the package accepts, each with the budget it is set from,
-and the rules for what an integer (``is_int``) and a collection (``collection``) are.
+and the rules for what an integer (``is_int``), a collection (``collection``) and a
+package object (``instance``) are.
 
 Timings are wall clock on a 2-vCPU VM with Python 3.11.  The modules that
 enforce a cap import it from here under the same name.  This module imports
@@ -13,11 +14,13 @@ MAX_OPENS = 1 << 16
 # A rejected family, scanned pair by pair to name its first failing pairs;
 # at most 1.1 s for 4,096 sets, 4x per doubling.
 REJECT_MAX_OPENS = 1 << 12
-# Labeled walk, canonical forms, classes, Stirling check; at n = 7 the walk's leaves
-# take 24-39 s (Stirling, a walk per k <= n, 34 s), the 4,535 classes 1.3-2.0 s.
+# Labeled walk, classes, Stirling check; at n = 7 the walk's leaves take 24-39 s
+# (Stirling, a walk per k <= n, 34 s), the 4,535 classes 1.3-2.0 s.  The 35,979
+# classes at n = 8 take 15 s (93 MB peak), 8 s of it their representatives.
 ENUM_MAX_POINTS = 7
 # Count tables, pinned by tests up to here; the poset engine takes 1.0-1.7 s at
-# n = 8, and 12-19 s with an 83 MB peak at n = 9.
+# n = 8, and 12-19 s with an 83 MB peak at n = 9.  Canonical forms: at n = 8 one
+# takes 0.1 ms on average over the classes, 1.2 ms at worst (a row is one byte).
 TABLE_MAX_POINTS = 8
 # Naive filter over 2**(2**n - 2) families: 16,384 at n = 4 (0.06 s), 2**30 at n = 5.
 NAIVE_MAX_POINTS = 4
@@ -42,3 +45,11 @@ def collection(value, error: type):
     except TypeError:
         raise error(f"expected a collection, got {value!r}") from None
     return value
+
+
+def instance(value, kind, error: type, what: str):
+    """``value`` if it is an instance of ``kind`` (a class or a tuple of them);
+    otherwise ``error`` is raised with the message ``not a <what>: <value!r>``."""
+    if isinstance(value, kind):
+        return value
+    raise error(f"not a {what}: {value!r}")

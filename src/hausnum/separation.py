@@ -19,9 +19,9 @@ intersection), hence H >= 2 always, and H = 2 on a one-point space.
 from __future__ import annotations
 
 from ._records import FrozenRecord
-from .core import FiniteTopology, PointSet, _as_mask, _point_closures
-from .errors import BadParameter, SetTooSmall, TooLarge
-from .limits import ORACLE_MAX_POINTS, is_int
+from .core import FiniteTopology, PointSet, _as_mask, _point_closures, _topology_arg
+from .errors import BadParameter, SetTooSmall, SpaceMismatch, TooLarge
+from .limits import ORACLE_MAX_POINTS, instance, is_int
 
 
 class SeparationWitness(FrozenRecord):
@@ -57,7 +57,7 @@ def is_separable(topology: FiniteTopology, points: "PointSet | object") -> Separ
     non-separable verdict carries a certificate point contained in every
     open that contains any member.
     """
-    a_mask = _as_mask(topology.n, points)
+    a_mask = _as_mask(_topology_arg(topology).n, points)
     if a_mask.bit_count() < 2:
         raise SetTooSmall("separability queries need at least two points")
 
@@ -81,7 +81,8 @@ def is_separable(topology: FiniteTopology, points: "PointSet | object") -> Separ
 def verify_witness(topology: FiniteTopology, points: "PointSet | object",
                    witness: SeparationWitness) -> bool:
     """Independent witness checker, straight from the definition."""
-    a_mask = _as_mask(topology.n, points)
+    a_mask = _as_mask(_topology_arg(topology).n, points)
+    instance(witness, SeparationWitness, SpaceMismatch, "separation witness")
     assigned = {a for a, _ in witness.assignments}
     if assigned != set(PointSet(topology.n, a_mask)):
         return False
@@ -130,7 +131,7 @@ def hausdorff_number_oracle(topology: FiniteTopology) -> HausdorffNumber:
     Kept free of minimal-neighborhood reasoning so it independently checks
     :func:`hausdorff_number`.
     """
-    n = topology.n
+    n = _topology_arg(topology).n
     if n > ORACLE_MAX_POINTS:
         raise TooLarge(f"oracle limited to {ORACLE_MAX_POINTS} points, got {n}")
     open_masks = topology.open_masks
@@ -178,9 +179,9 @@ def axioms_report(topology: FiniteTopology) -> AxiomsReport:
     singleton {a} is open iff N(a) = {a}, so the space is discrete iff it is
     T1.
     """
+    closures = _point_closures(topology)
     n = topology.n
     rows = topology._rows
-    closures = _point_closures(topology)
     t1 = all(rows[a] == 1 << a for a in range(n))
     pairs = [(a, b) for a in range(n) for b in range(a + 1, n)]
 

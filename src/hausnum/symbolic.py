@@ -41,7 +41,7 @@ from .errors import (
     SetTooSmall,
     SpaceMismatch,
 )
-from .limits import COORDINATE_MAX_DIGITS, collection, is_int
+from .limits import COORDINATE_MAX_DIGITS, collection, instance, is_int
 
 HALF = Fraction(1, 2)
 
@@ -123,14 +123,20 @@ def Vertical(m: int) -> VerticalPoint:
     return VerticalPoint(m)
 
 
+def _space(space: BugEyedSpace) -> BugEyedSpace:
+    return instance(space, BugEyedSpace, SpaceMismatch, "bug-eyed space")
+
+
+def _point(p: SymbolicPoint) -> SymbolicPoint:
+    return instance(p, (BasePoint, VerticalPoint), SpaceMismatch, "symbolic point")
+
+
 def _check_point(space: BugEyedSpace, p: SymbolicPoint) -> None:
-    if isinstance(p, VerticalPoint):
-        if not space.has_vertical(p.index):
-            raise SpaceMismatch(
-                f"vertical point {p.index} outside a space with "
-                f"{space.vertical_count!r} stacked points")
-    elif not isinstance(p, BasePoint):
-        raise SpaceMismatch(f"not a symbolic point: {p!r}")
+    _space(space)
+    if isinstance(_point(p), VerticalPoint) and not space.has_vertical(p.index):
+        raise SpaceMismatch(
+            f"vertical point {p.index} outside a space with "
+            f"{space.vertical_count!r} stacked points")
 
 
 class BallNeighborhood(FrozenRecord):
@@ -162,6 +168,15 @@ class VerticalNeighborhood(FrozenRecord):
 BasisNeighborhood = Union[BallNeighborhood, VerticalNeighborhood]
 
 
+def _neighborhood(nbhd: BasisNeighborhood, space: BugEyedSpace | None = None):
+    """``nbhd`` if it is a basis neighborhood, of ``space`` when one is given."""
+    instance(nbhd, (BallNeighborhood, VerticalNeighborhood), SpaceMismatch,
+             "basis neighborhood")
+    if space is not None and nbhd.space != space:
+        raise SpaceMismatch("neighborhoods from different spaces")
+    return nbhd
+
+
 def neighborhood_of(space: BugEyedSpace, p: SymbolicPoint, param) -> BasisNeighborhood:
     """Basis neighborhood of ``p``: radius for base points, k for stacked ones."""
     _check_point(space, p)
@@ -182,7 +197,7 @@ def _base_line(nbhd: BasisNeighborhood) -> tuple[Fraction, Fraction, bool]:
 
 def membership(nbhd: BasisNeighborhood, p: SymbolicPoint) -> bool:
     """Exact decision of p ∈ nbhd."""
-    _check_point(nbhd.space, p)
+    _check_point(_neighborhood(nbhd).space, p)
     if isinstance(p, VerticalPoint):
         return isinstance(nbhd, VerticalNeighborhood) and p.index == nbhd.owner.index
     lo, hi, punctured = _base_line(nbhd)
@@ -202,10 +217,9 @@ def intersection_nonempty(nbhds: Iterable[BasisNeighborhood]) -> SymbolicPoint |
     nbhds = list(collection(nbhds, BadParameter))
     if not nbhds:
         raise BadParameter("need at least one neighborhood")
-    space = nbhds[0].space
-    for nb in nbhds[1:]:
-        if nb.space != space:
-            raise SpaceMismatch("neighborhoods from different spaces")
+    space = None
+    for nb in nbhds:
+        space = _neighborhood(nb, space).space
     lows, highs, punctures = zip(*map(_base_line, nbhds))
     # Fraction bounds keep the midpoint exact when every interval covers [0,1]
     lo, hi = max(Fraction(0), *lows), min(Fraction(1), *highs)
@@ -261,7 +275,8 @@ def separable(space: BugEyedSpace, points: Iterable[SymbolicPoint]) -> Separabil
     pts = list(collection(points, BadParameter))
     if len(pts) < 2:
         raise SetTooSmall("separability queries need at least two points")
-    if len(set(pts)) != len(pts):
+    # each member's kind before the duplicate test hashes it, its space after
+    if len(set(map(_point, pts))) != len(pts):
         raise DuplicatePoints("points must be pairwise distinct")
     for p in pts:
         _check_point(space, p)
@@ -328,7 +343,7 @@ def hausdorff_number_symbolic(space: BugEyedSpace) -> Cardinal:
     stacked sequence itself is non-separable) while every uncountable set
     contains two distinct base points, so H = omega_1.
     """
-    if space.vertical_count is OMEGA:
+    if _space(space).vertical_count is OMEGA:
         return OMEGA_ONE
     return Finite(space.vertical_count + 2)
 
@@ -336,7 +351,7 @@ def hausdorff_number_symbolic(space: BugEyedSpace) -> Cardinal:
 def largest_nonseparable_set(space: BugEyedSpace) -> list[SymbolicPoint] | None:
     """The extremal non-separable set for finitely many stacked points;
     None for OMEGA (the extremal set is the infinite stacked sequence)."""
-    if space.vertical_count is OMEGA:
+    if _space(space).vertical_count is OMEGA:
         return None
     return [BasePoint(HALF)] + [VerticalPoint(m)
                                 for m in range(1, space.vertical_count + 1)]
@@ -407,7 +422,7 @@ def restrict(space: BugEyedSpace, n: int) -> BugEyedSpace:
     """Subspace keeping the base line and the first n stacked points."""
     if not is_int(n) or n < 1:
         raise BadParameter(f"need a positive number of stacked points, got {n!r}")
-    if space.vertical_count is OMEGA:
+    if _space(space).vertical_count is OMEGA:
         return BugEyedSpace(n, space.t1_variant)
     return BugEyedSpace(min(space.vertical_count, n), space.t1_variant)
 

@@ -7,8 +7,10 @@ import time
 import pytest
 
 from hausnum.cli import main
+from hausnum.core import PointSet
 from hausnum.jsonio import topology_to_json
 from hausnum.constructions import three_point_example
+from hausnum.separation import HausdorffNumber
 
 from conftest import DEEP_ARRAY, UNREADABLE_FILES
 
@@ -52,6 +54,13 @@ class TestAnalyze:
         assert code == 0
         assert report["oracle_hausdorff_number"] == 3
         assert report["oracle_agrees"] is True
+
+    def test_oracle_disagreement_exits_1(self, tmp_path, capsys, monkeypatch):
+        monkeypatch.setattr("hausnum.separation.hausdorff_number_oracle",
+                            lambda t: HausdorffNumber(99, PointSet(t.n, 1)))
+        code, out = run_cli(capsys, "analyze", "--oracle", self.write_example(tmp_path))
+        assert code == 1
+        assert '"oracle_agrees":false' in out
 
     def test_oracle_too_large(self, tmp_path, capsys):
         path = tmp_path / "big.json"
@@ -225,6 +234,13 @@ class TestExample:
             assert code == 0
             assert json.loads(out)["passed"] is True
 
+    def test_verify_failure_exits_1(self, capsys, monkeypatch):
+        monkeypatch.setattr("hausnum.separation.hausdorff_number_oracle",
+                            lambda t: HausdorffNumber(99, PointSet(t.n, 1)))
+        code, out = run_cli(capsys, "example", "three-point", "--verify")
+        assert code == 1
+        assert '"passed":false' in out
+
     def test_bad_name(self, capsys):
         code, _ = run_cli(capsys, "example", "klein-bottle")
         assert code == 2
@@ -283,6 +299,14 @@ class TestSymbolic:
                      "--points", f"{point},v:1"]) == 2
         assert capsys.readouterr() == (
             "", f"error (parse-error): bad base point {point!r}: {reason}\n")
+
+    @pytest.mark.parametrize("points, error", [
+        ("v:9,v:9", "error (duplicate-points): points must be pairwise distinct"),
+        ("v:9,b:1/3", "error (space-mismatch): vertical point 9 outside a space "
+                      "with 2 stacked points")])
+    def test_duplicates_are_found_before_the_space_check(self, capsys, points, error):
+        assert main(["symbolic", "--verticals", "2", "separable", "--points", points]) == 2
+        assert capsys.readouterr() == ("", error + "\n")
 
     def test_omega_hausdorff_number(self, capsys):
         code, out = run_cli(capsys, "symbolic", "--verticals", "omega", "hnumber")

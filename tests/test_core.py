@@ -28,6 +28,7 @@ from hausnum.errors import (
     NotReflexive,
     NotTransitive,
     PointOutOfRange,
+    SpaceMismatch,
     TooLarge,
 )
 from hausnum.limits import REJECT_MAX_OPENS
@@ -107,6 +108,22 @@ class TestPointSet:
     def test_mixed_spaces_rejected(self):
         with pytest.raises(PointOutOfRange):
             PointSet.full(3) | PointSet.full(4)
+        with pytest.raises(PointOutOfRange, match="set over 4 points used in a 3-point space"):
+            validate_topology(3, [PointSet.full(4)])
+
+    def test_empty(self):
+        assert PointSet.empty(3) == PointSet(3, 0) and list(PointSet.empty(3)) == []
+
+    def test_container_protocol_for_other_kinds(self):
+        s = PointSet(3, 0b011)
+        assert [x in s for x in (0, 1, 2, 3, -1)] == [True, True, False, False, False]
+        for value in ("a", None, 1.0, True, [0], PointSet(3, 1)):
+            assert value not in s
+        for op in (operator.or_, operator.and_, operator.sub):
+            with pytest.raises(TypeError, match="unsupported operand"):
+                op(s, 5)
+        with pytest.raises(SpaceMismatch, match="^not a point set: 5$"):
+            s.issubset(5)
 
     def test_issubset(self):
         a = PointSet.from_points(4, [1, 2])

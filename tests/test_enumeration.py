@@ -33,6 +33,7 @@ from hausnum.enumeration import (
     stirling_consistency,
 )
 from hausnum.errors import BadParameter, PointOutOfRange, TooLarge
+from hausnum.limits import TABLE_MAX_POINTS
 from hausnum.separation import hausdorff_number
 
 from conftest import UNREADABLE_FILES
@@ -220,7 +221,8 @@ class TestEnumerateLabeled:
         with pytest.raises(TooLarge):
             next(enumerate_labeled(8))
         with pytest.raises(TooLarge):
-            big = validate_topology(8, [[], list(range(8))])
+            n = TABLE_MAX_POINTS + 1
+            big = validate_topology(n, [[], list(range(n))])
             canonical_form(big)
 
 
@@ -266,6 +268,28 @@ class TestCanonicalForm:
             reference = canonical_form(t)
             for _ in range(4):
                 perm = list(range(6))
+                rng.shuffle(perm)
+                assert canonical_form(permute_topology(t, perm)) == reference
+
+
+    def test_eight_points_match_the_reference_and_relabelings(self):
+        """``canonical_form`` reads the table cap: at n = 8 it gives the per-bit
+        reference's bytes and is invariant under relabelings."""
+        import random
+
+        from conftest import random_preorder
+
+        rng = random.Random(1008)
+        # two of the slowest searches over one member per n = 8 class, then seeded samples
+        cases = [Preorder(8, rows) for rows in ((225, 210, 180, 120, 16, 32, 64, 128),
+                                                (129, 226, 228, 24, 16, 32, 64, 128))]
+        cases += [random_preorder(8, rng) for _ in range(40)]
+        for preorder in cases:
+            t = topology_from_preorder(preorder)
+            reference = canonical_form(t)
+            assert reference.encoding == bytes(canonical_per_bit(preorder.rows)[0])
+            for _ in range(3):
+                perm = list(range(8))
                 rng.shuffle(perm)
                 assert canonical_form(permute_topology(t, perm)) == reference
 
@@ -762,6 +786,7 @@ class TestStirling:
         assert stirling2(3, 2) == 3
         assert stirling2(4, 2) == 7
         assert stirling2(5, 3) == 25
+        assert stirling2(3, -1) == 0 and stirling2(3, 4) == 0
 
     def test_against_recurrence_bruteforce(self):
         # count surjections / k! by direct partition enumeration at n = 4

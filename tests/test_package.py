@@ -13,7 +13,7 @@ from pathlib import Path
 import pytest
 
 import hausnum
-from hausnum.errors import BadParameter, ParseError, PointOutOfRange, TooLarge
+from hausnum.errors import BadParameter, ParseError, PointOutOfRange, SpaceMismatch, TooLarge
 
 SRC = Path(hausnum.__file__).resolve().parent
 
@@ -82,6 +82,7 @@ def test_readme_states_the_caps_of_limits():
                    f"`MAX_OPENS` = {MAX_OPENS:,} sets",
                    f"rejected family of up to `REJECT_MAX_OPENS` = {REJECT_MAX_OPENS:,} sets",
                    f"homeomorphism classes on up to {ENUM_MAX_POINTS} points",
+                   f"canonical forms of topologies on up to {TABLE_MAX_POINTS} points",
                    f"`COORDINATE_MAX_DIGITS` = {COORDINATE_MAX_DIGITS:,} digits"):
         assert phrase in text
 
@@ -243,10 +244,23 @@ def test_only_limits_is_int_tells_bools_from_ints():
             for where in bool_tests(path.read_text(encoding="utf-8"))] == [("limits", "is_int")]
 
 
+THREE = hausnum.three_point_example()  # opens {}, {0}, {1,2}, X: 0 and 1 separate
+SPACE = hausnum.BugEyedSpace(2)
+BALL = hausnum.neighborhood_of(SPACE, hausnum.Base(0), 1)
+
 # Wrong-kind values of each argument kind.  "optional" kinds have ``None`` as
-# their default, so ``None`` is valid there.
+# their default, so ``None`` is valid there.  A package object's wrong kinds are
+# three values of no package kind and one package object of another kind.
 COLLECTION = (5, None, 2.5)
+NO_OBJECT = (5, None, "x")
 WRONG_KIND = {
+    "package object: topology": (*NO_OBJECT, hausnum.PointSet(3, 1)),
+    "package object: preorder": (*NO_OBJECT, THREE),
+    "package object: point set": (*NO_OBJECT, THREE),
+    "package object: witness": (*NO_OBJECT, THREE),
+    "package object: space": (*NO_OBJECT, hausnum.Base(0)),
+    "package object: point": (*NO_OBJECT, [1], SPACE),  # [1] cannot be hashed
+    "package object: neighborhood": (*NO_OBJECT, SPACE),
     "collection": COLLECTION,
     "collection member": COLLECTION,
     "number": (None, [1], math.nan, math.inf, -math.inf, Decimal("NaN"), "abc", "1/0"),
@@ -257,12 +271,63 @@ WRONG_KIND = {
     "integer": (True, 2.5, "3", None),
     "document": (5, None, "{}", [1]),
 }
-THREE = hausnum.three_point_example()  # opens {}, {0}, {1,2}, X: 0 and 1 separate
-SPACE = hausnum.BugEyedSpace(2)
+BASES = [hausnum.Base(0), hausnum.Base(1)]
 
 # (entry, argument kind, error, call with the wrong-kind value).  The entry is a
 # name of ``hausnum.__all__``, or one of its methods after a dot.
 SWEEP = [
+    ("hausdorff_number", "package object: topology", SpaceMismatch,
+     lambda v: hausnum.hausdorff_number(v)),
+    ("hausdorff_number_oracle", "package object: topology", SpaceMismatch,
+     lambda v: hausnum.hausdorff_number_oracle(v)),
+    ("is_n_hausdorff", "package object: topology", SpaceMismatch,
+     lambda v: hausnum.is_n_hausdorff(v, 3)),
+    ("axioms_report", "package object: topology", SpaceMismatch,
+     lambda v: hausnum.axioms_report(v)),
+    ("analysis_report", "package object: topology", SpaceMismatch,
+     lambda v: hausnum.analysis_report(v)),
+    ("is_separable", "package object: topology", SpaceMismatch,
+     lambda v: hausnum.is_separable(v, [0, 1])),
+    ("verify_witness", "package object: topology", SpaceMismatch,
+     lambda v: hausnum.verify_witness(v, [0, 1], hausnum.is_separable(THREE, [0, 1]).witness)),
+    ("verify_witness", "package object: witness", SpaceMismatch,
+     lambda v: hausnum.verify_witness(THREE, [0, 1], v)),
+    ("canonical_form", "package object: topology", SpaceMismatch,
+     lambda v: hausnum.canonical_form(v)),
+    ("topology_to_dict", "package object: topology", SpaceMismatch,
+     lambda v: hausnum.topology_to_dict(v)),
+    ("topology_to_json", "package object: topology", SpaceMismatch,
+     lambda v: hausnum.topology_to_json(v)),
+    ("specialization_preorder", "package object: topology", SpaceMismatch,
+     lambda v: hausnum.specialization_preorder(v)),
+    ("topology_from_preorder", "package object: preorder", SpaceMismatch,
+     lambda v: hausnum.topology_from_preorder(v)),
+    ("subspace", "package object: topology", SpaceMismatch, lambda v: hausnum.subspace(v, [0])),
+    ("minimal_neighborhood", "package object: topology", SpaceMismatch,
+     lambda v: hausnum.minimal_neighborhood(v, 0)),
+    ("PointSet.issubset", "package object: point set", SpaceMismatch,
+     lambda v: hausnum.PointSet(3, 1).issubset(v)),
+    ("membership", "package object: neighborhood", SpaceMismatch,
+     lambda v: hausnum.membership(v, hausnum.Base(0))),
+    ("intersection_nonempty", "package object: neighborhood", SpaceMismatch,
+     lambda v: hausnum.intersection_nonempty([v])),
+    ("intersection_nonempty", "package object: neighborhood", SpaceMismatch,
+     lambda v: hausnum.intersection_nonempty([BALL, v])),
+    ("hausdorff_number_symbolic", "package object: space", SpaceMismatch,
+     lambda v: hausnum.hausdorff_number_symbolic(v)),
+    ("largest_nonseparable_set", "package object: space", SpaceMismatch,
+     lambda v: hausnum.largest_nonseparable_set(v)),
+    ("restrict", "package object: space", SpaceMismatch, lambda v: hausnum.restrict(v, 2)),
+    ("separable", "package object: space", SpaceMismatch, lambda v: hausnum.separable(v, BASES)),
+    # a member twice: its kind is read before the duplicate test hashes it
+    ("separable", "package object: point", SpaceMismatch,
+     lambda v: hausnum.separable(SPACE, [v, v])),
+    ("grid_witness_search", "package object: space", SpaceMismatch,
+     lambda v: hausnum.grid_witness_search(v, BASES)),
+    ("t1_status", "package object: space", SpaceMismatch,
+     lambda v: hausnum.t1_status(v, *BASES)),
+    ("neighborhood_of", "package object: space", SpaceMismatch,
+     lambda v: hausnum.neighborhood_of(v, hausnum.Base(0), 1)),
     ("Preorder", "collection", PointOutOfRange, lambda v: hausnum.Preorder(2, v)),
     ("Preorder.from_matrix", "collection", PointOutOfRange,
      lambda v: hausnum.Preorder.from_matrix(v)),
@@ -307,9 +372,16 @@ SWEEP = [
     ("stirling2", "integer", BadParameter, lambda v: hausnum.stirling2(3, v)),
 ]
 
-# The readers of integers and documents that refused every wrong-kind value
-# already; kept here so that the table below covers every public entry.
+# The readers of integers, documents and symbolic points that refused every
+# wrong-kind value already; kept here so that the table below covers every
+# public entry.
 GUARDED = [
+    ("membership", "package object: point", SpaceMismatch,
+     lambda v: hausnum.membership(BALL, v)),
+    ("t1_status", "package object: point", SpaceMismatch,
+     lambda v: hausnum.t1_status(SPACE, hausnum.Base(0), v)),
+    ("neighborhood_of", "package object: point", SpaceMismatch,
+     lambda v: hausnum.neighborhood_of(SPACE, v, 1)),
     ("PointSet", "integer", PointOutOfRange, lambda v: hausnum.PointSet(3, v)),
     ("two_block_topology", "integer", PointOutOfRange, lambda v: hausnum.two_block_topology(v)),
     ("doubled_point_topology", "integer", PointOutOfRange,
@@ -336,17 +408,12 @@ NOT_SWEPT = {
     **dict.fromkeys(
         ("three_point_example", "filtered_four_point"), "takes no argument"),
     **dict.fromkeys(
-        ("specialization_preorder", "topology_from_preorder", "canonical_form",
-         "analysis_report", "axioms_report", "hausdorff_number", "hausdorff_number_oracle",
-         "hausdorff_number_symbolic", "largest_nonseparable_set", "membership",
-         "t1_status"), "every argument is a package object"),
-    **dict.fromkeys(
         ("SubspaceResult", "CanonicalForm", "CountsTable", "StirlingReport", "AxiomsReport",
          "HausdorffNumber", "SeparationDecision", "SeparationWitness", "SeparabilityVerdict",
          "Cardinal", "Finite"), "a result record, built by the package"),
     # its method ``is_open`` has a row; the constructor takes opens known to
     # form a topology, and ``validate_topology`` is the checked entry
-    "FiniteTopology": "an unchecked constructor",
+    "FiniteTopology": "the unchecked FiniteTopology constructor",
     **dict.fromkeys(("BasisNeighborhood", "SymbolicPoint"), "a type alias"),
 }
 
@@ -365,8 +432,9 @@ def _refuses(call, error, value):
 
 @pytest.mark.parametrize("call, error, value", _cases(SWEEP))
 def test_wrong_kind_argument_raises_its_modules_error(call, error, value):
-    """Collections, symbolic numbers, text and paths: each public reader refuses a
-    value of the wrong kind with a ``TopologyError``, never a bare exception."""
+    """Package objects, collections, symbolic numbers, text and paths: each public
+    reader refuses a value of the wrong kind with a ``TopologyError``, never a bare
+    exception, and never answers for a space that is not one."""
     _refuses(call, error, value)
 
 
@@ -376,7 +444,10 @@ def test_wrong_kind_integer_or_document_raises_its_modules_error(call, error, va
 
 
 def test_every_public_callable_is_swept_or_exempt():
-    """A new public entry needs a row, or a reason on ``NOT_SWEPT``."""
+    """A new public entry needs a row, or one of the closed list of reasons on ``NOT_SWEPT``."""
+    assert set(NOT_SWEPT.values()) <= {
+        "takes no argument", "a result record, built by the package", "a type alias",
+        "the unchecked FiniteTopology constructor"}
     callables = {name for name in hausnum.__all__ if callable(getattr(hausnum, name))}
     entries = {entry for entry, *_ in SWEEP + GUARDED}
     assert {entry.split(".")[0] for entry in entries} <= callables

@@ -16,6 +16,7 @@ from hausnum.core import FiniteTopology, PointSet, Preorder
 from hausnum.enumeration import CanonicalForm, CountsTable, StirlingReport
 from hausnum.errors import (
     BadParameter,
+    InvalidTopology,
     MissingEmptySet,
     MissingFullSet,
     NotClosedUnderIntersection,
@@ -244,6 +245,10 @@ class TestConversionsAndChecks:
             VerticalNeighborhood(SPACE, STACKED, 0)
         with pytest.raises(SpaceMismatch):
             VerticalNeighborhood(SPACE, VerticalPoint(3), 1)
+
+
+def test_an_issue_without_a_message_is_named_by_its_code():
+    assert str(InvalidTopology([ValidationIssue("x")])) == "x"
 
 
 class TestEqualityAcrossClasses:

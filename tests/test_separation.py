@@ -18,6 +18,7 @@ from hausnum.errors import BadParameter, SetTooSmall, TooLarge
 from hausnum.jsonio import FORMAT_TAG, dumps_canonical, topology_from_dict
 from hausnum.limits import ORACLE_MAX_POINTS
 from hausnum.separation import (
+    SeparationWitness,
     analysis_report,
     axioms_report,
     hausdorff_number,
@@ -74,6 +75,16 @@ class TestIsSeparable:
     def test_too_small(self):
         with pytest.raises(SetTooSmall):
             is_separable(EXAMPLE_3PT, [1])
+
+    def test_verify_witness_refuses_a_bad_witness(self):
+        witness = is_separable(EXAMPLE_3PT, [0, 1]).witness  # {0} and {1,2}
+        assert verify_witness(EXAMPLE_3PT, [0, 1], witness)
+        # another point set, a set that is not open, a set missing its point
+        assert not verify_witness(EXAMPLE_3PT, [0, 2], witness)
+        assert not verify_witness(EXAMPLE_3PT, [0, 1], SeparationWitness(
+            ((0, PointSet(3, 0b001)), (1, PointSet(3, 0b010)))))
+        assert not verify_witness(EXAMPLE_3PT, [0, 1], SeparationWitness(
+            ((0, PointSet(3, 0b001)), (1, PointSet(3, 0b001)))))
 
     def test_monotone_in_supersets(self):
         # A separable and A ⊆ B implies B separable, exhaustively at n <= 4

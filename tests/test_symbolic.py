@@ -127,8 +127,21 @@ class TestMembership:
         with pytest.raises(SpaceMismatch):
             membership(VerticalNeighborhood(T1_ONE, Vertical(1), 3), Vertical(2))
 
+    def test_no_stacked_point_zero(self):
+        assert not T1_OMEGA.has_vertical(0) and not T1_ONE.has_vertical(-1)
+
 
 class TestIntersectionNonempty:
+    def test_needs_a_neighborhood(self):
+        with pytest.raises(BadParameter, match="need at least one neighborhood"):
+            intersection_nonempty([])
+
+    def test_members_of_another_kind_or_space(self):
+        ball = BallNeighborhood(T1_ONE, Base(0), 1)
+        with pytest.raises(SpaceMismatch, match="^not a basis neighborhood: 5$"):
+            intersection_nonempty([ball, 5])
+        with pytest.raises(SpaceMismatch, match="^neighborhoods from different spaces$"):
+            intersection_nonempty([ball, BallNeighborhood(T1_OMEGA, Base(0), 1)])
     def test_disjoint_balls(self):
         a = BallNeighborhood(T1_ONE, Base(Fraction(1, 4)), Fraction(1, 8))
         b = BallNeighborhood(T1_ONE, Base(Fraction(3, 4)), Fraction(1, 8))
@@ -255,6 +268,15 @@ class TestSeparable:
         with pytest.raises(SpaceMismatch):
             separable(T1_ONE, [Vertical(1), Vertical(2)])
 
+    def test_member_kind_before_duplicates_space_after(self):
+        # unhashable members are refused by kind before the duplicate test
+        with pytest.raises(SpaceMismatch, match=r"^not a symbolic point: \[1\]$"):
+            separable(BugEyedSpace(2), [[1], [2]])
+        with pytest.raises(DuplicatePoints):
+            separable(BugEyedSpace(2), [Vertical(9), Vertical(9)])
+        with pytest.raises(SpaceMismatch, match="^not a bug-eyed space: 5$"):
+            separable(5, [Base(0), Base(1)])
+
     def test_verdict_json_shape(self):
         doc = separable(T1_ONE, [Base(Fraction(1, 3)), Vertical(1)]).to_dict()
         assert doc["separable"] is True
@@ -299,6 +321,7 @@ class TestHausdorffNumberSymbolic:
 
     def test_omega_gives_omega_one(self):
         assert hausdorff_number_symbolic(T1_OMEGA) == OMEGA_ONE
+        assert largest_nonseparable_set(T1_OMEGA) is None
 
     def test_cardinal_order(self):
         assert Finite(3) < Finite(4) < OMEGA_ONE

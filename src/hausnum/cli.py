@@ -130,16 +130,15 @@ def _cmd_enumerate(args) -> int:
 
 
 def _verification_checks(name: str, topology) -> list[dict]:
-    from .constructions import CLAIMS
-    from .separation import analysis_report, hausdorff_number_oracle
+    from .constructions import check_claims
+    from .separation import hausdorff_number, hausdorff_number_oracle
 
-    report = analysis_report(topology)
-    checks = [{"check": label, "passed": bool(holds(report))}
-              for label, holds in CLAIMS[name.split(":")[0]](topology.n)]
+    checks = [{"check": label, "passed": passed}
+              for label, passed in check_claims(name.split(":")[0], topology)]
     if topology.n <= ORACLE_MAX_POINTS:
         oracle = hausdorff_number_oracle(topology).value
         checks.append({"check": "oracle agrees with closed form",
-                       "passed": oracle == report["hausdorff_number"]})
+                       "passed": oracle == hausdorff_number(topology).value})
     return checks
 
 

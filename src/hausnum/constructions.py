@@ -1,10 +1,11 @@
 """Named example topologies and the claims each one makes.
 
 ``CLAIMS`` holds every construction's claims, the one place they are written
-down.  Each constructor checks all of its claims on one ``analysis_report``
-before returning, so importing and calling these doubles as a regression test
-of the claimed Hausdorff numbers, and ``hausnum example NAME --verify``
-reports the same claims.  Point naming for the four-point space is fixed as
+down, and ``check_claims`` the one place they are evaluated, on one
+``analysis_report``.  Each constructor checks all of its claims before
+returning, so importing and calling these doubles as a regression test of the
+claimed Hausdorff numbers, and ``hausnum example NAME --verify`` reports the
+same claims.  Point naming for the four-point space is fixed as
 (w, x, y, z) = (0, 1, 2, 3).
 """
 
@@ -40,11 +41,16 @@ CLAIMS = {
 }
 
 
+def check_claims(kind: str, topology: FiniteTopology) -> list[tuple[str, bool]]:
+    """(label, passed) for each claim of ``kind``, in order, on one ``analysis_report``."""
+    report = analysis_report(topology)
+    return [(label, bool(holds(report))) for label, holds in CLAIMS[kind](topology.n)]
+
+
 def _checked(kind: str, topology: FiniteTopology) -> FiniteTopology:
     """``topology``, once every claim of ``kind`` holds on its report."""
-    report = analysis_report(topology)
-    for label, holds in CLAIMS[kind](topology.n):
-        if not holds(report):
+    for label, passed in check_claims(kind, topology):
+        if not passed:
             raise ConstructionClaimError(
                 f"{kind} on {topology.n} points fails its claim {label!r}")
     return topology

@@ -70,7 +70,7 @@ class PointSet(FrozenRecord):
 
     @classmethod
     def full(cls, n: int) -> "PointSet":
-        return cls(n, (1 << n) - 1)
+        return cls(n, 0).complement()
 
     @classmethod
     def singleton(cls, n: int, point: int) -> "PointSet":
@@ -364,7 +364,12 @@ class Preorder(FrozenRecord):
         mat = [list(collection(r, PointOutOfRange)) for r in collection(matrix, PointOutOfRange)]
         if any(len(r) != len(mat) for r in mat):
             raise PointOutOfRange("relation matrix must be square")
-        return cls(len(mat), [sum(1 << b for b, v in enumerate(r) if v) for r in mat])
+        for a, r in enumerate(mat):
+            for b, v in enumerate(r):
+                if not (isinstance(v, int) and 0 <= v <= 1):  # a bool, 0 or 1
+                    raise PointOutOfRange(f"matrix entry ({a}, {b}) must be True, False, "
+                                          f"0 or 1, got {v!r}")
+        return cls(len(mat), [sum(v << b for b, v in enumerate(r)) for r in mat])
 
 
 def specialization_preorder(topology: FiniteTopology) -> Preorder:

@@ -38,7 +38,7 @@ from __future__ import annotations
 import contextlib
 import os
 import tempfile
-from itertools import accumulate, combinations
+from itertools import accumulate, chain, combinations
 from math import factorial, prod
 from pathlib import Path
 from typing import TYPE_CHECKING, Iterator
@@ -105,12 +105,31 @@ class CountsTable(Record):
 
     @classmethod
     def from_dict(cls, doc: dict) -> "CountsTable":
-        rows = {row["hausdorff_number"]: (row["labeled_count"], row["class_count"])
-                for row in doc["rows"]}
-        return cls(n=doc["n"], rows=rows, labeled_total=doc["labeled_total"],
-                   class_total=doc["class_total"],
-                   t0_labeled_count=doc["t0_labeled_count"],
-                   t0_only=doc.get("t0_only", False))
+        """The table of a ``counts-table/v1`` document, the one reader of the format.
+
+        :class:`ParseError` unless ``doc`` is exactly what ``to_dict`` writes for a
+        consistent table: n and every count an integer >= 1, every Hausdorff number
+        in 2..n+1, at most as many classes as labeled topologies in each row, totals
+        that equal the row sums, and a T0 count at most the labeled total, equal to
+        it under ``t0_only``.
+        """
+        get = doc.get if isinstance(doc, dict) else {}.get
+        rows = get("rows") if isinstance(get("rows"), list) else []
+        rows = [tuple(map(row.get, ("hausdorff_number", "labeled_count", "class_count")))
+                for row in rows if isinstance(row, dict)]
+        n, labeled, classes, t0 = map(get, ("n", "labeled_total", "class_total",
+                                            "t0_labeled_count"))
+        if not all(is_int(c) and c >= 1 for c in (n, labeled, classes, t0, *chain(*rows))):
+            raise ParseError("counts-table/v1: n and every count must be integers >= 1")
+        table = cls(n, {h: (lab, c) for h, lab, c in rows}, labeled, classes, t0,
+                    get("t0_only"))
+        if not (type(table.t0_only) is bool and table.to_dict() == doc
+                and all(2 <= h <= n + 1 and c <= lab for h, lab, c in rows)
+                and labeled == sum(lab for _, lab, _ in rows)
+                and classes == sum(c for _, _, c in rows)
+                and (t0 == labeled if table.t0_only else t0 <= labeled)):
+            raise ParseError("not the counts-table/v1 document of a consistent table")
+        return table
 
     def to_csv(self) -> str:
         lines = ["n,hausdorff_number,labeled_count,class_count"]
@@ -413,32 +432,16 @@ def resolve_cache_dir(explicit: "str | os.PathLike | None" = None) -> Path:
 
 
 def _read_cache(path: Path, n: int, t0_only: bool) -> "CountsTable | None":
-    """The cached table for (n, t0_only), or None unless it is well formed.
+    """The cached table for (n, t0_only), or None unless the file holds one.
 
-    Well formed: exactly the document this version writes; every count an
-    integer >= 1 and every Hausdorff number in 2..n+1; in each row at most
-    as many classes as labeled topologies; totals that equal the row sums;
-    and a T0 count at most the labeled total, equal to it under ``t0_only``.
+    ``CountsTable.from_dict`` reads the document; this checks only the cache key,
+    that the table's n and ``t0_only`` are the ones asked for.
     """
     try:
-        doc = read_json(path)
-        table = CountsTable.from_dict(doc)
-        counts = [table.n, table.labeled_total, table.class_total,
-                  table.t0_labeled_count, *table.rows,
-                  *(c for row in table.rows.values() for c in row)]
-        well_formed = (
-            table.to_dict() == doc and table.n == n
-            and type(table.t0_only) is bool and table.t0_only == t0_only
-            and all(type(c) is int and c >= 1 for c in counts)
-            and all(2 <= h <= n + 1 for h in table.rows)
-            and all(classes <= labeled for labeled, classes in table.rows.values())
-            and table.labeled_total == sum(c for c, _ in table.rows.values())
-            and table.class_total == sum(c for _, c in table.rows.values())
-            and table.t0_labeled_count <= table.labeled_total
-            and (table.t0_labeled_count == table.labeled_total or not t0_only))
-    except (ParseError, LookupError, TypeError):
+        table = CountsTable.from_dict(read_json(path))
+    except ParseError:
         return None
-    return table if well_formed else None
+    return table if table.n == n and table.t0_only == t0_only else None
 
 
 def _write_cache(path: Path, table: "CountsTable") -> None:

@@ -19,9 +19,9 @@ intersection), hence H >= 2 always, and H = 2 on a one-point space.
 from __future__ import annotations
 
 from ._records import FrozenRecord
-from .core import FiniteTopology, PointSet, _as_mask, _point_closures, _topology_arg
-from .errors import BadParameter, SetTooSmall, SpaceMismatch, TooLarge
-from .limits import ORACLE_MAX_POINTS, instance, is_int
+from .core import FiniteTopology, PointSet, _as_mask, _check_point, _point_closures, _topology_arg
+from .errors import BadParameter, PointOutOfRange, SetTooSmall, SpaceMismatch, TooLarge
+from .limits import ORACLE_MAX_POINTS, collection, instance, is_int
 
 
 class SeparationWitness(FrozenRecord):
@@ -80,18 +80,29 @@ def is_separable(topology: FiniteTopology, points: "PointSet | object") -> Separ
 
 def verify_witness(topology: FiniteTopology, points: "PointSet | object",
                    witness: SeparationWitness) -> bool:
-    """Independent witness checker, straight from the definition."""
-    a_mask = _as_mask(_topology_arg(topology).n, points)
-    instance(witness, SeparationWitness, SpaceMismatch, "separation witness")
-    assigned = {a for a, _ in witness.assignments}
-    if assigned != set(PointSet(topology.n, a_mask)):
+    """Independent witness checker, straight from the definition.
+
+    The witness's assignments are read as a collection of (point, point set)
+    pairs, each point and set as the core reads them (:class:`PointOutOfRange`).
+    """
+    n = _topology_arg(topology).n
+    a_mask = _as_mask(n, points)
+    pairs = []
+    for pair in collection(instance(witness, SeparationWitness, SpaceMismatch,
+                                    "separation witness").assignments, PointOutOfRange):
+        pair = tuple(collection(pair, PointOutOfRange))
+        if len(pair) != 2:
+            raise PointOutOfRange(f"expected a (point, point set) pair, got {pair!r}")
+        _check_point(n, pair[0])
+        pairs.append((pair[0], _as_mask(n, pair[1])))
+    if {a for a, _ in pairs} != set(PointSet(n, a_mask)):
         return False
     open_masks = set(topology.open_masks)
-    common = (1 << topology.n) - 1
-    for a, u in witness.assignments:
-        if u.mask not in open_masks or not u.mask >> a & 1:
+    common = (1 << n) - 1
+    for a, u in pairs:
+        if u not in open_masks or not u >> a & 1:
             return False
-        common &= u.mask
+        common &= u
     return common == 0
 
 

@@ -84,9 +84,9 @@ class BugEyedSpace(FrozenRecord):
         self._assign(vertical_count, t1_variant)
 
     def has_vertical(self, index: int) -> bool:
-        if index < 1:
-            return False
-        return self.vertical_count is OMEGA or index <= self.vertical_count
+        if not is_int(index):
+            raise BadParameter(f"vertical index must be an integer, got {index!r}")
+        return index >= 1 and (self.vertical_count is OMEGA or index <= self.vertical_count)
 
 
 class BasePoint(FrozenRecord):
@@ -148,7 +148,7 @@ class BallNeighborhood(FrozenRecord):
         radius = _fraction(radius, "radius: its value")
         if radius <= 0:
             raise BadParameter(f"radius must be positive, got {radius}")
-        _check_point(space, owner)
+        _check_point(space, instance(owner, BasePoint, SpaceMismatch, "base point"))
         self._assign(space, owner, radius)
 
 
@@ -161,7 +161,7 @@ class VerticalNeighborhood(FrozenRecord):
     def __init__(self, space: BugEyedSpace, owner: VerticalPoint, k: int):
         if not is_int(k) or k < 1:
             raise BadParameter(f"neighborhood parameter must be a positive integer, got {k!r}")
-        _check_point(space, owner)
+        _check_point(space, instance(owner, VerticalPoint, SpaceMismatch, "vertical point"))
         self._assign(space, owner, k)
 
 
@@ -308,18 +308,21 @@ class Cardinal(FrozenRecord):
 
     __slots__ = ("kind", "value")
 
-    def __init__(self, kind: str, value: int | None = None):  # kind: "finite" | "omega_1"
+    def __init__(self, kind: str, value: int | None = None):
+        if not (kind == "finite" and is_int(value) and value >= 0
+                or kind == "omega_1" and value is None):
+            raise BadParameter(f"a cardinal is ('finite', an integer >= 0) or "
+                               f"('omega_1', None), got ({kind!r}, {value!r})")
         self._assign(kind, value)
 
+    def _order(self) -> tuple:
+        return self.kind == "omega_1", self.value  # (False, k) < (True, None)
+
     def __lt__(self, other: "Cardinal") -> bool:
-        if self.kind == "finite" and other.kind == "omega_1":
-            return True
-        if self.kind == "finite" and other.kind == "finite":
-            return self.value < other.value
-        return False
+        return self._order() < other._order() if isinstance(other, Cardinal) else NotImplemented
 
     def __le__(self, other: "Cardinal") -> bool:
-        return self == other or self < other
+        return self._order() <= other._order() if isinstance(other, Cardinal) else NotImplemented
 
     def to_dict(self) -> dict:
         if self.kind == "finite":

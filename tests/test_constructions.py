@@ -7,6 +7,7 @@ from hausnum import constructions
 from hausnum.cli import main
 from hausnum.constructions import (
     build_example,
+    check_claims,
     doubled_point_topology,
     export_example,
     filtered_four_point,
@@ -194,6 +195,21 @@ class TestClaims:
                             lambda topology: {**analysis_report(topology), **forced})
         with pytest.raises(ConstructionClaimError, match=re.escape(f"claim {label!r}")):
             build(*args)
+
+    def test_check_claims_evaluates_every_claim_on_one_report(self, monkeypatch):
+        topology = two_block_topology(4)
+        labels = [label for label, _ in constructions.CLAIMS["two-block"](4)]
+        assert check_claims("two-block", topology) == [(label, True) for label in labels]
+        reports = []
+
+        def forced(topology):
+            reports.append(topology)
+            return {**analysis_report(topology), "hausdorff_number": 5}
+
+        monkeypatch.setattr(constructions, "analysis_report", forced)
+        assert check_claims("two-block", topology) == [
+            ("hausdorff number is 4", False), ("4-hausdorff", False), ("not discrete", True)]
+        assert reports == [topology]
 
     def test_false_claim_exits_two_from_the_cli(self, monkeypatch, capsys):
         monkeypatch.setattr(constructions, "analysis_report",

@@ -408,6 +408,12 @@ class TestPreorderCorrespondence:
         assert p == Preorder(2, (3, 2))
         assert hash(p) == hash(Preorder(2, (3, 2)))
 
+    def test_matrix_entries_are_bools_or_zero_and_one(self):
+        assert Preorder.from_matrix([[1, True], [False, 1]]) == Preorder(2, (3, 2))
+        with pytest.raises(PointOutOfRange, match=r"matrix entry \(0, 1\) must be True, "
+                                                  r"False, 0 or 1, got 'x'"):
+            Preorder.from_matrix([[1, "x"], [0, 1]])
+
     def test_matrix_roundtrip_exhaustive_small(self):
         for n in range(1, 5):
             for p in enumerate_preorders(n):
@@ -418,6 +424,12 @@ class TestPreorderCorrespondence:
         ([[True, False, False], [False, True, False]], PointOutOfRange),  # 2 x 3
         ([[True, True], [False, False]], NotReflexive),
         ([[True, True, False], [False, True, True], [False, False, True]], NotTransitive),
+        # entries are True, False, 0 or 1
+        ([[1, "x"], [0, 1]], PointOutOfRange),
+        ([[1, None], [0, 1]], PointOutOfRange),
+        ([[1, 2], [0, 1]], PointOutOfRange),
+        ([[1, -1], [0, 1]], PointOutOfRange),
+        ([[1.0, 0], [0, 1]], PointOutOfRange),
     ])
     def test_matrix_must_be_a_preorder(self, matrix, error):
         with pytest.raises(error):

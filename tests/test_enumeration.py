@@ -32,11 +32,34 @@ from hausnum.enumeration import (
     stirling2,
     stirling_consistency,
 )
-from hausnum.errors import BadParameter, PointOutOfRange, TooLarge
+from hausnum.errors import BadParameter, ParseError, PointOutOfRange, TooLarge
 from hausnum.limits import TABLE_MAX_POINTS
 from hausnum.separation import hausdorff_number
 
 from conftest import UNREADABLE_FILES
+
+
+def _replace_first_row(doc, row):
+    return {**doc, "rows": [row, *doc["rows"][1:]]}
+
+
+# Edits of the n = 2 table's document, each a shape that is not a counts-table
+# document: (id, edit returning the new document).
+MALFORMED_COUNTS = [
+    ("json-array", lambda doc: [doc]),
+    ("row-is-a-list", lambda doc: _replace_first_row(doc, list(doc["rows"][0].values()))),
+    ("text-hausdorff-number",
+     lambda doc: _replace_first_row(doc, {**doc["rows"][0], "hausdorff_number": "2"})),
+    ("text-n", lambda doc: {**doc, "n": "2"}),
+    ("missing-t0-only", lambda doc: {k: v for k, v in doc.items() if k != "t0_only"}),
+    ("rows-an-object", lambda doc: {**doc, "rows": {}}),
+    ("bool-count", lambda doc: _replace_first_row(doc, {**doc["rows"][0], "class_count": True})),
+    ("extra-key", lambda doc: {**doc, "extra": 1}),
+    ("duplicate-row", lambda doc: {**doc, "rows": doc["rows"] + doc["rows"][-1:]}),
+    ("row-is-a-number", lambda doc: {**doc, "rows": [1]}),
+    ("empty-object", lambda doc: {}),
+]
+
 
 # OEIS, from n = 0: topologies (A000798), their classes (A001930), T0
 # topologies (A001035) and posets (A000112).
@@ -519,6 +542,13 @@ class TestCountsTable:
         table = count_by_hausdorff(3, use_cache=False)
         assert CountsTable.from_dict(table.to_dict()) == table
 
+    @pytest.mark.parametrize("edit", [edit for _, edit in MALFORMED_COUNTS],
+                             ids=[name for name, _ in MALFORMED_COUNTS])
+    def test_from_dict_refuses_a_malformed_document(self, edit):
+        doc = count_by_hausdorff(2, use_cache=False).to_dict()
+        with pytest.raises(ParseError):
+            CountsTable.from_dict(edit(doc))
+
     def test_too_large(self):
         with pytest.raises(TooLarge):
             count_by_hausdorff(9, use_cache=False)
@@ -722,6 +752,15 @@ class TestCache:
 
     def test_t0_only_t0_count_below_labeled_total_recomputes(self, tmp_path):
         self.corrupt(tmp_path, 3, lambda doc: doc.update(t0_labeled_count=18), t0_only=True)
+
+    @pytest.mark.parametrize("edit", [edit for _, edit in MALFORMED_COUNTS],
+                             ids=[name for name, _ in MALFORMED_COUNTS])
+    def test_malformed_document_recomputes(self, tmp_path, edit):
+        expected = count_by_hausdorff(2, cache_dir=tmp_path)
+        path = next(tmp_path.glob("counts-*.json"))
+        path.write_text(json.dumps(edit(json.loads(path.read_text()))))
+        assert count_by_hausdorff(2, cache_dir=tmp_path) == expected
+        assert json.loads(path.read_text()) == expected.to_dict()
 
     def test_unparsable_file_recomputes(self, tmp_path):
         expected = count_by_hausdorff(2, cache_dir=tmp_path)

@@ -8,6 +8,7 @@ import subprocess
 import sys
 from collections.abc import Iterator
 from decimal import Decimal
+from functools import reduce
 from pathlib import Path
 
 import pytest
@@ -261,8 +262,17 @@ WRONG_KIND = {
     "package object: space": (*NO_OBJECT, hausnum.Base(0)),
     "package object: point": (*NO_OBJECT, [1], SPACE),  # [1] cannot be hashed
     "package object: neighborhood": (*NO_OBJECT, SPACE),
+    # a neighbourhood's owner of the other point kind; GUARDED's "package object:
+    # point" rows give its constructor the values of no point kind
+    "package object: base point": (hausnum.Vertical(1),),
+    "package object: vertical point": (hausnum.Base(0),),
     "collection": COLLECTION,
     "collection member": COLLECTION,
+    # a witness's assignments; "collection" under its own name, so that the case
+    # ids of ``verify_witness`` stay apart
+    "pairs": COLLECTION,
+    # read by ``core._as_mask``: a collection of points, or a PointSet of the same n
+    "point set": (*COLLECTION, hausnum.PointSet(4, 1)),
     "number": (None, [1], math.nan, math.inf, -math.inf, Decimal("NaN"), "abc", "1/0"),
     "text": (None, 5, b"b:1"),
     "optional text": (5, b"b:1"),
@@ -273,8 +283,14 @@ WRONG_KIND = {
 }
 BASES = [hausnum.Base(0), hausnum.Base(1)]
 
+
+def witness(*pairs):
+    """``verify_witness`` of ``pairs`` for the points 0 and 1 of ``THREE``."""
+    return hausnum.verify_witness(THREE, [0, 1], hausnum.SeparationWitness(pairs))
+
+
 # (entry, argument kind, error, call with the wrong-kind value).  The entry is a
-# name of ``hausnum.__all__``, or one of its methods after a dot.
+# name of ``hausnum.__all__`` or a submodule's name, then its attributes after dots.
 SWEEP = [
     ("hausdorff_number", "package object: topology", SpaceMismatch,
      lambda v: hausnum.hausdorff_number(v)),
@@ -292,6 +308,14 @@ SWEEP = [
      lambda v: hausnum.verify_witness(v, [0, 1], hausnum.is_separable(THREE, [0, 1]).witness)),
     ("verify_witness", "package object: witness", SpaceMismatch,
      lambda v: hausnum.verify_witness(THREE, [0, 1], v)),
+    # the witness's assignments: (point, point set) pairs of the topology's space
+    ("verify_witness", "pairs", PointOutOfRange,
+     lambda v: hausnum.verify_witness(THREE, [0, 1], hausnum.SeparationWitness(v))),
+    ("verify_witness", "collection member", PointOutOfRange, lambda v: witness(v)),
+    ("verify_witness", "integer", PointOutOfRange,
+     lambda v: witness((v, hausnum.PointSet(3, 1)), (1, hausnum.PointSet(3, 6)))),
+    ("verify_witness", "point set", PointOutOfRange,
+     lambda v: witness((0, v), (1, hausnum.PointSet(3, 6)))),
     ("canonical_form", "package object: topology", SpaceMismatch,
      lambda v: hausnum.canonical_form(v)),
     ("topology_to_dict", "package object: topology", SpaceMismatch,
@@ -328,6 +352,10 @@ SWEEP = [
      lambda v: hausnum.t1_status(v, *BASES)),
     ("neighborhood_of", "package object: space", SpaceMismatch,
      lambda v: hausnum.neighborhood_of(v, hausnum.Base(0), 1)),
+    ("symbolic.BallNeighborhood", "package object: base point", SpaceMismatch,
+     lambda v: hausnum.symbolic.BallNeighborhood(SPACE, v, 1)),
+    ("symbolic.VerticalNeighborhood", "package object: vertical point", SpaceMismatch,
+     lambda v: hausnum.symbolic.VerticalNeighborhood(SPACE, v, 1)),
     ("Preorder", "collection", PointOutOfRange, lambda v: hausnum.Preorder(2, v)),
     ("Preorder.from_matrix", "collection", PointOutOfRange,
      lambda v: hausnum.Preorder.from_matrix(v)),
@@ -368,13 +396,20 @@ SWEEP = [
     ("load_topology", "path", ParseError, lambda v: hausnum.load_topology(v)),
     ("count_by_hausdorff", "optional path", BadParameter,
      lambda v: hausnum.count_by_hausdorff(3, cache_dir=v)),
+    ("CountsTable.from_dict", "document", ParseError, lambda v: hausnum.CountsTable.from_dict(v)),
+    ("Cardinal", "text", BadParameter, lambda v: hausnum.Cardinal(v)),
+    ("Cardinal", "integer", BadParameter, lambda v: hausnum.Cardinal("finite", v)),
+    ("Finite", "integer", BadParameter, lambda v: hausnum.Finite(v)),
+    ("BugEyedSpace.has_vertical", "integer", BadParameter, lambda v: SPACE.has_vertical(v)),
+    ("PointSet.full", "integer", PointOutOfRange, lambda v: hausnum.PointSet.full(v)),
     ("stirling2", "integer", BadParameter, lambda v: hausnum.stirling2(v, 1)),
     ("stirling2", "integer", BadParameter, lambda v: hausnum.stirling2(3, v)),
 ]
 
 # The readers of integers, documents and symbolic points that refused every
-# wrong-kind value already; kept here so that the table below covers every
-# public entry.
+# wrong-kind value already; kept here so that every public entry, every public
+# class or static method taking an argument and both neighbourhood constructors
+# have a row.
 GUARDED = [
     ("membership", "package object: point", SpaceMismatch,
      lambda v: hausnum.membership(BALL, v)),
@@ -382,7 +417,14 @@ GUARDED = [
      lambda v: hausnum.t1_status(SPACE, hausnum.Base(0), v)),
     ("neighborhood_of", "package object: point", SpaceMismatch,
      lambda v: hausnum.neighborhood_of(SPACE, v, 1)),
+    ("symbolic.BallNeighborhood", "package object: point", SpaceMismatch,
+     lambda v: hausnum.symbolic.BallNeighborhood(SPACE, v, 1)),
+    ("symbolic.VerticalNeighborhood", "package object: point", SpaceMismatch,
+     lambda v: hausnum.symbolic.VerticalNeighborhood(SPACE, v, 1)),
     ("PointSet", "integer", PointOutOfRange, lambda v: hausnum.PointSet(3, v)),
+    ("PointSet.empty", "integer", PointOutOfRange, lambda v: hausnum.PointSet.empty(v)),
+    ("PointSet.singleton", "integer", PointOutOfRange, lambda v: hausnum.PointSet.singleton(v, 0)),
+    ("PointSet.singleton", "integer", PointOutOfRange, lambda v: hausnum.PointSet.singleton(3, v)),
     ("two_block_topology", "integer", PointOutOfRange, lambda v: hausnum.two_block_topology(v)),
     ("doubled_point_topology", "integer", PointOutOfRange,
      lambda v: hausnum.doubled_point_topology(v)),
@@ -409,8 +451,8 @@ NOT_SWEPT = {
         ("three_point_example", "filtered_four_point"), "takes no argument"),
     **dict.fromkeys(
         ("SubspaceResult", "CanonicalForm", "CountsTable", "StirlingReport", "AxiomsReport",
-         "HausdorffNumber", "SeparationDecision", "SeparationWitness", "SeparabilityVerdict",
-         "Cardinal", "Finite"), "a result record, built by the package"),
+         "HausdorffNumber", "SeparationDecision", "SeparationWitness", "SeparabilityVerdict"),
+        "a result record, built by the package"),
     # its method ``is_open`` has a row; the constructor takes opens known to
     # form a topology, and ``validate_topology`` is the checked entry
     "FiniteTopology": "the unchecked FiniteTopology constructor",
@@ -432,9 +474,10 @@ def _refuses(call, error, value):
 
 @pytest.mark.parametrize("call, error, value", _cases(SWEEP))
 def test_wrong_kind_argument_raises_its_modules_error(call, error, value):
-    """Package objects, collections, symbolic numbers, text and paths: each public
-    reader refuses a value of the wrong kind with a ``TopologyError``, never a bare
-    exception, and never answers for a space that is not one."""
+    """Package objects and their members, collections, symbolic numbers, text, paths,
+    documents and integers: each public reader refuses a value of the wrong kind with
+    a ``TopologyError``, never a bare exception, and never answers for a space that is
+    not one."""
     _refuses(call, error, value)
 
 
@@ -450,6 +493,38 @@ def test_every_public_callable_is_swept_or_exempt():
         "the unchecked FiniteTopology constructor"}
     callables = {name for name in hausnum.__all__ if callable(getattr(hausnum, name))}
     entries = {entry for entry, *_ in SWEEP + GUARDED}
-    assert {entry.split(".")[0] for entry in entries} <= callables
+    for entry in entries:
+        assert callable(reduce(getattr, entry.split("."), hausnum)), entry
+    public = {entry.split(".")[0] for entry in entries} - hausnum._SUBMODULES
+    assert public <= callables
     assert set(NOT_SWEPT) <= callables and not entries & set(NOT_SWEPT)
-    assert callables == {entry.split(".")[0] for entry in entries} | set(NOT_SWEPT)
+    assert callables == public | set(NOT_SWEPT)
+
+
+def unswept_class_methods(names, entries) -> list[str]:
+    """``Class.method`` for each public classmethod or staticmethod of a class among
+    ``names`` (of ``hausnum``) that takes an argument besides ``cls`` and is not
+    among ``entries``."""
+    missing = []
+    for name in names:
+        cls = getattr(hausnum, name)
+        if not inspect.isclass(cls):
+            continue
+        for attr in dir(cls):
+            if (not attr.startswith("_")
+                    and isinstance(inspect.getattr_static(cls, attr), (classmethod, staticmethod))
+                    and inspect.signature(getattr(cls, attr)).parameters
+                    and f"{name}.{attr}" not in entries):
+                missing.append(f"{name}.{attr}")
+    return missing
+
+
+def test_class_method_check_sees_a_missing_row():
+    assert unswept_class_methods(["CountsTable", "OMEGA", "SymbolicPoint"], set()) == [
+        "CountsTable.from_dict"]
+    assert unswept_class_methods(["PointSet"], {"PointSet.from_points", "PointSet.full"}) == [
+        "PointSet.empty", "PointSet.singleton"]
+
+
+def test_every_public_class_method_with_an_argument_has_a_row():
+    assert unswept_class_methods(hausnum.__all__, {entry for entry, *_ in SWEEP + GUARDED}) == []

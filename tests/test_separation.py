@@ -14,7 +14,7 @@ from hausnum.core import (
     validate_topology,
 )
 from hausnum.enumeration import enumerate_labeled
-from hausnum.errors import BadParameter, SetTooSmall, TooLarge
+from hausnum.errors import BadParameter, PointOutOfRange, SetTooSmall, TooLarge
 from hausnum.jsonio import FORMAT_TAG, dumps_canonical, topology_from_dict
 from hausnum.limits import ORACLE_MAX_POINTS
 from hausnum.separation import (
@@ -85,6 +85,21 @@ class TestIsSeparable:
             ((0, PointSet(3, 0b001)), (1, PointSet(3, 0b010)))))
         assert not verify_witness(EXAMPLE_3PT, [0, 1], SeparationWitness(
             ((0, PointSet(3, 0b001)), (1, PointSet(3, 0b001)))))
+
+    def test_verify_witness_reads_its_pairs_like_the_core(self):
+        # a point set is a PointSet of the same space or a collection of points
+        assert verify_witness(EXAMPLE_3PT, [0, 1], SeparationWitness(([0, [0]], (1, {1, 2}))))
+        # masks that would separate {0, 1}, but of a 4-point space
+        with pytest.raises(PointOutOfRange, match="set over 4 points used in a 3-point space"):
+            verify_witness(EXAMPLE_3PT, [0, 1], SeparationWitness(
+                ((0, PointSet(4, 0b0001)), (1, PointSet(4, 0b0110)))))
+        for pairs, message in [
+                (((0,),), r"expected a \(point, point set\) pair, got \(0,\)"),
+                (((0, PointSet(3, 1), 1),), r"pair, got \(0, PointSet\(3, \{0\}\), 1\)"),
+                (((3, PointSet(3, 1)),), r"point 3 not in 0\.\.2"),
+                (((0, [5]),), r"point 5 not in 0\.\.2")]:
+            with pytest.raises(PointOutOfRange, match=message):
+                verify_witness(EXAMPLE_3PT, [0, 1], SeparationWitness(pairs))
 
     def test_monotone_in_supersets(self):
         # A separable and A ⊆ B implies B separable, exhaustively at n <= 4

@@ -21,6 +21,7 @@ from hausnum.symbolic import (
     Base,
     BasePoint,
     BugEyedSpace,
+    Cardinal,
     Finite,
     Vertical,
     VerticalNeighborhood,
@@ -129,6 +130,12 @@ class TestMembership:
 
     def test_no_stacked_point_zero(self):
         assert not T1_OMEGA.has_vertical(0) and not T1_ONE.has_vertical(-1)
+
+    def test_owner_of_the_other_kind(self):
+        with pytest.raises(SpaceMismatch, match=r"not a base point: VerticalPoint\(index=1\)"):
+            BallNeighborhood(BugEyedSpace(2), Vertical(1), 1)
+        with pytest.raises(SpaceMismatch, match=r"not a vertical point: BasePoint\("):
+            VerticalNeighborhood(BugEyedSpace(2), Base(0), 1)
 
 
 class TestIntersectionNonempty:
@@ -327,6 +334,19 @@ class TestHausdorffNumberSymbolic:
         assert Finite(3) < Finite(4) < OMEGA_ONE
         assert not OMEGA_ONE < Finite(100)
         assert Finite(5) <= Finite(5) <= OMEGA_ONE
+        assert OMEGA_ONE <= OMEGA_ONE and not OMEGA_ONE < OMEGA_ONE
+        assert Finite(4) > Finite(3) and OMEGA_ONE >= Finite(0)
+
+    @pytest.mark.parametrize("cardinal", [Finite(3), OMEGA_ONE])
+    def test_cardinal_order_with_another_type_is_pythons_protocol(self, cardinal):
+        assert cardinal.__lt__(5) is NotImplemented and cardinal.__le__(5) is NotImplemented
+        with pytest.raises(TypeError):
+            cardinal < 5
+
+    @pytest.mark.parametrize("kind, value", [("finite", -1), ("omega_1", 3), ("omega", None)])
+    def test_cardinal_reads_its_kind_and_value(self, kind, value):
+        with pytest.raises(BadParameter, match="a cardinal is"):
+            Cardinal(kind, value)
 
 
 class TestT1Status:

@@ -144,7 +144,10 @@ class FiniteTopology(FrozenRecord):
     """A validated family of open sets on n points, in canonical order.
 
     Construct via :func:`validate_topology` or :func:`generate_from_subbasis`
-    unless the family is already known to be a topology.
+    unless the family is already known to be a topology: the constructor is
+    unchecked in that it takes the axioms on trust, but it reads the kinds of
+    its arguments, n as a point count and ``opens`` as a collection of
+    :class:`PointSet` over n points, stored as a tuple.
 
     The fields are ``n`` and ``opens``.  Every topology also holds, from
     construction, ``_masks`` (the open masks, in the order of ``opens``) and
@@ -157,7 +160,10 @@ class FiniteTopology(FrozenRecord):
     __slots__ = ("n", "opens", "_masks", "_rows")
 
     def __init__(self, n: int, opens: tuple[PointSet, ...]):
-        masks = tuple(u.mask for u in opens)
+        _check_n(n)
+        opens = tuple(instance(u, PointSet, SpaceMismatch, "point set")
+                      for u in collection(opens, PointOutOfRange))
+        masks = tuple(_as_mask(n, u) for u in opens)
         _fill(self, n, opens, masks, _rows_from_masks(n, masks))
 
     @property

@@ -426,9 +426,12 @@ def resolve_cache_dir(explicit: "str | os.PathLike | None" = None) -> Path:
     if explicit in (None, ""):
         explicit = os.environ.get(CACHE_ENV_VAR) or DEFAULT_CACHE_DIR
     try:
-        return Path(explicit)
+        path = Path(explicit)
     except TypeError:
-        raise BadParameter(f"cache dir must be a path, got {explicit!r}") from None
+        path = None
+    if path is None or "\0" in str(path):  # no file system call takes a NUL
+        raise BadParameter(f"cache dir must be a path, got {explicit!r}")
+    return path
 
 
 def _read_cache(path: Path, n: int, t0_only: bool) -> "CountsTable | None":
@@ -477,6 +480,9 @@ def count_by_hausdorff(n: int, jobs: int = 1,
     _check_cap(n, TABLE_MAX_POINTS)
     if not is_int(jobs) or jobs < 1:
         raise TooLarge(f"worker count must be >= 1, got {jobs!r}")
+    for name, flag in (("use_cache", use_cache), ("t0_only", t0_only)):
+        if type(flag) is not bool:
+            raise BadParameter(f"{name} must be True or False, got {flag!r}")
     tag = "t0" if t0_only else "all"
     cache_path = resolve_cache_dir(cache_dir) / f"counts-n{n}-{tag}.json"
     if use_cache:

@@ -10,12 +10,13 @@ one trailing newline.
 
 from __future__ import annotations
 
+import io
 import json
 from pathlib import Path
 from typing import TYPE_CHECKING
 
 from .errors import ParseError
-from .limits import MAX_POINTS, is_int
+from .limits import MAX_DOCUMENT_BYTES, MAX_POINTS, is_int
 
 if TYPE_CHECKING:
     from .core import FiniteTopology
@@ -122,11 +123,18 @@ def topology_from_dict(doc: dict) -> tuple[FiniteTopology, str | None]:
 
 def read_json(source: "str | Path"):
     """The JSON value in a file; :class:`ParseError` if ``source`` is no path, the file
-    cannot be read, is not UTF-8 JSON, nests too deep or holds an over-long int."""
+    cannot be read or holds more than ``MAX_DOCUMENT_BYTES``, is not UTF-8 JSON,
+    nests too deep or holds an over-long int."""
     try:
-        return json.loads(Path(source).read_text(encoding="utf-8"))
-    except (OSError, TypeError) as exc:
+        with Path(source).open("rb") as fh:
+            data = fh.read(MAX_DOCUMENT_BYTES + 1)
+    except (OSError, TypeError, ValueError) as exc:  # ValueError: a NUL in the path
         raise ParseError(f"cannot read {source}: {exc}") from exc
+    if len(data) > MAX_DOCUMENT_BYTES:
+        raise ParseError(f"cannot read {source}: more than {MAX_DOCUMENT_BYTES} bytes")
+    try:
+        # decoded as ``Path.read_text`` decodes: universal newlines, one error position
+        return json.loads(io.TextIOWrapper(io.BytesIO(data), encoding="utf-8").read())
     except (ValueError, RecursionError) as exc:
         raise ParseError(f"not valid JSON: {exc}") from exc
 

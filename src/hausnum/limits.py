@@ -30,6 +30,11 @@ ORACLE_MAX_POINTS = 5
 # coordinate, radius, `v:` index or `--verticals`.  A radius (half a gap) then prints
 # in at most 4,001 digits and H = v + 2 in 2,001, under the 4,300-digit int limit.
 COORDINATE_MAX_DIGITS = 2000
+# Bytes of a JSON file read (a topology document or a cached table): the longest
+# compact `opens` document of MAX_OPENS distinct sets on MAX_POINTS points has
+# 11,480,569.  Reading and parsing 12 MB takes 0.4-1.0 s; `analyze` of that
+# document 2.1 s in all, with a 75 MB peak.
+MAX_DOCUMENT_BYTES = 12_000_000
 
 
 def is_int(value) -> bool:

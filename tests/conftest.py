@@ -5,6 +5,7 @@ from pathlib import Path
 import pytest
 
 from hausnum.core import Preorder
+from hausnum.limits import MAX_DOCUMENT_BYTES
 
 
 def pytest_configure(config):
@@ -25,6 +26,24 @@ UNREADABLE_FILES = {
     "deep-array": DEEP_ARRAY,
     "long-int": b'{"format":"finite-topology/v1","n":' + b"9" * 5000 + b',"opens":[]}',
 }
+
+
+@pytest.fixture(params=["one-byte-over", "dev-zero"])
+def place_oversized(request):
+    """Makes a path a source of more than ``MAX_DOCUMENT_BYTES``: the JSON text
+    ``value`` padded one byte past the cap, or a link to ``/dev/zero``, which never
+    ends."""
+    if request.param == "dev-zero" and not os.path.exists("/dev/zero"):
+        pytest.skip("no /dev/zero")
+
+    def place(path: Path, value: bytes = b"[]") -> Path:
+        if request.param == "dev-zero":
+            path.symlink_to("/dev/zero")
+        else:
+            path.write_bytes(value.ljust(MAX_DOCUMENT_BYTES + 1))
+        return path
+
+    return place
 
 
 def transitive_closure(rows: list[int]) -> tuple[int, ...]:

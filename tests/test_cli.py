@@ -9,6 +9,7 @@ import pytest
 from hausnum.cli import main
 from hausnum.core import PointSet
 from hausnum.jsonio import topology_to_json
+from hausnum.limits import MAX_DOCUMENT_BYTES
 from hausnum.constructions import three_point_example
 from hausnum.separation import HausdorffNumber
 
@@ -136,6 +137,18 @@ class TestUnreadableFiles:
         assert captured.out == ""
         assert captured.err.startswith("error (parse-error): ")
         assert captured.err.count("\n") == 1 and captured.err.endswith("\n")
+        assert elapsed < 1.0
+
+    def test_analyze_past_the_cap_is_a_parse_error(self, tmp_path, capsys, place_oversized):
+        path = place_oversized(tmp_path / "big.json")
+        start = time.perf_counter()
+        code = main(["analyze", str(path)])
+        elapsed = time.perf_counter() - start
+        captured = capsys.readouterr()
+        assert code == 2
+        assert captured.out == ""
+        assert captured.err == (f"error (parse-error): cannot read {path}: "
+                                f"more than {MAX_DOCUMENT_BYTES} bytes\n")
         assert elapsed < 1.0
 
     def test_no_traceback_from_the_command(self, tmp_path):

@@ -606,6 +606,26 @@ class TestCarriedRows:
         self.check(t)
         assert t._rows == (0b001, 0b110, 0b110)
 
+    def test_bare_topology_stores_its_opens_as_a_tuple(self):
+        from hausnum.core import FiniteTopology
+
+        opens = [PointSet(3, 0), PointSet(3, 0b111)]
+        for given in (opens, iter(opens), (u for u in opens)):
+            t = FiniteTopology(3, given)
+            self.check(t)
+            assert t.opens == tuple(opens) and t._rows == (0b111,) * 3
+            assert hash(t) == hash(FiniteTopology(3, tuple(opens)))
+
+    def test_bare_topology_reads_its_arguments(self):
+        from hausnum.core import FiniteTopology
+
+        with pytest.raises(PointOutOfRange, match="^point count must be in 1..64, got True$"):
+            FiniteTopology(True, ())
+        with pytest.raises(PointOutOfRange, match="^set over 5 points used in a 3-point space$"):
+            FiniteTopology(3, (PointSet(5, 16),))
+        with pytest.raises(SpaceMismatch, match="^not a point set: 'a'$"):
+            FiniteTopology(3, "ab")
+
     def test_copies_and_pickles(self):
         import copy
         import pickle

@@ -781,6 +781,31 @@ class TestCache:
         assert capsys.readouterr().out == fresh
         assert path.read_text(encoding="utf-8") == fresh
 
+    def test_file_past_the_cap_is_recomputed(self, tmp_path, capsys, place_oversized):
+        assert main(["enumerate", "3", "--cache-dir", str(tmp_path / "fresh")]) == 0
+        fresh = capsys.readouterr().out
+        path = tmp_path / "cache" / "counts-n3-all.json"
+        path.parent.mkdir()
+        place_oversized(path, fresh.encode())  # a right table, past the cap
+        start = time.perf_counter()
+        assert main(["enumerate", "3", "--cache-dir", str(path.parent)]) == 0
+        assert time.perf_counter() - start < 1.0
+        assert capsys.readouterr().out == fresh
+        assert not path.is_symlink() and path.read_text(encoding="utf-8") == fresh
+
+    @pytest.mark.parametrize("flag", ["use_cache", "t0_only"])
+    @pytest.mark.parametrize("value", [1, 0, None, "yes", 2.5, [1]])
+    def test_flag_that_is_not_a_bool_touches_no_cache(self, tmp_path, flag, value):
+        with pytest.raises(BadParameter) as raised:
+            count_by_hausdorff(2, cache_dir=tmp_path, **{flag: value})
+        assert str(raised.value) == f"{flag} must be True or False, got {value!r}"
+        assert list(tmp_path.iterdir()) == []
+
+    def test_cache_dir_with_a_nul_is_refused(self):
+        with pytest.raises(BadParameter) as raised:
+            count_by_hausdorff(3, cache_dir="a\0b")
+        assert str(raised.value) == "cache dir must be a path, got 'a\\x00b'"
+
     def test_failed_rename_leaves_no_temp_file(self, tmp_path, capsys, monkeypatch):
         """A directory where the cache file goes: the read fails, the temp file is
         written, its rename fails and it is removed; the table is still right."""

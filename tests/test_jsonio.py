@@ -14,7 +14,7 @@ from hausnum.jsonio import (
     topology_to_dict,
     topology_to_json,
 )
-from hausnum.limits import is_int
+from hausnum.limits import MAX_DOCUMENT_BYTES, is_int
 
 from conftest import UNREADABLE_FILES
 
@@ -85,6 +85,26 @@ def test_read_json_refuses_an_undecodable_file(tmp_path, name):
     path.write_bytes(UNREADABLE_FILES[name])
     with pytest.raises(ParseError, match="^not valid JSON: "):
         read_json(path)
+
+
+def test_read_json_reads_a_file_at_the_cap(tmp_path):
+    path = tmp_path / "padded.json"
+    path.write_bytes(b"[]".ljust(MAX_DOCUMENT_BYTES))
+    assert read_json(path) == []
+
+
+def test_source_past_the_cap_cannot_be_read(tmp_path, place_oversized):
+    path = place_oversized(tmp_path / "big.json")
+    with pytest.raises(ParseError) as raised:
+        load_topology(path)
+    assert str(raised.value) == f"cannot read {path}: more than {MAX_DOCUMENT_BYTES} bytes"
+
+
+def test_path_with_a_nul_cannot_be_read():
+    # the fault is the path's, not the content's: undecodable content stays "not valid JSON"
+    with pytest.raises(ParseError) as raised:
+        load_topology("a\0b")
+    assert str(raised.value) == "cannot read a\0b: embedded null byte"
 
 
 @pytest.mark.parametrize("doc,fragment", [

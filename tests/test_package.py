@@ -10,6 +10,7 @@ from collections.abc import Iterator
 from decimal import Decimal
 from functools import reduce
 from pathlib import Path
+from types import FunctionType
 
 import pytest
 
@@ -67,6 +68,7 @@ def test_readme_states_the_caps_of_limits():
     from hausnum.limits import (
         COORDINATE_MAX_DIGITS,
         ENUM_MAX_POINTS,
+        MAX_DOCUMENT_BYTES,
         MAX_OPENS,
         ORACLE_MAX_POINTS,
         REJECT_MAX_OPENS,
@@ -84,7 +86,8 @@ def test_readme_states_the_caps_of_limits():
                    f"rejected family of up to `REJECT_MAX_OPENS` = {REJECT_MAX_OPENS:,} sets",
                    f"homeomorphism classes on up to {ENUM_MAX_POINTS} points",
                    f"canonical forms of topologies on up to {TABLE_MAX_POINTS} points",
-                   f"`COORDINATE_MAX_DIGITS` = {COORDINATE_MAX_DIGITS:,} digits"):
+                   f"`COORDINATE_MAX_DIGITS` = {COORDINATE_MAX_DIGITS:,} digits",
+                   f"`MAX_DOCUMENT_BYTES` = {MAX_DOCUMENT_BYTES:,} bytes"):
         assert phrase in text
 
 
@@ -246,6 +249,7 @@ def test_only_limits_is_int_tells_bools_from_ints():
 
 
 THREE = hausnum.three_point_example()  # opens {}, {0}, {1,2}, X: 0 and 1 separate
+PREORDER = hausnum.specialization_preorder(THREE)
 SPACE = hausnum.BugEyedSpace(2)
 BALL = hausnum.neighborhood_of(SPACE, hausnum.Base(0), 1)
 
@@ -266,6 +270,8 @@ WRONG_KIND = {
     # point" rows give its constructor the values of no point kind
     "package object: base point": (hausnum.Vertical(1),),
     "package object: vertical point": (hausnum.Base(0),),
+    # a PointSet over 4 points, given where the space has 3
+    "another space's point set": (hausnum.PointSet(4, 1),),
     "collection": COLLECTION,
     "collection member": COLLECTION,
     # a witness's assignments; "collection" under its own name, so that the case
@@ -276,9 +282,10 @@ WRONG_KIND = {
     "number": (None, [1], math.nan, math.inf, -math.inf, Decimal("NaN"), "abc", "1/0"),
     "text": (None, 5, b"b:1"),
     "optional text": (5, b"b:1"),
-    "path": (5, None),
-    "optional path": (5,),
+    "path": (5, None, "a\0b"),
+    "optional path": (5, "a\0b"),
     "integer": (True, 2.5, "3", None),
+    "flag": (1, 0, None, "yes"),
     "document": (5, None, "{}", [1]),
 }
 BASES = [hausnum.Base(0), hausnum.Base(1)]
@@ -289,160 +296,212 @@ def witness(*pairs):
     return hausnum.verify_witness(THREE, [0, 1], hausnum.SeparationWitness(pairs))
 
 
-# (entry, argument kind, error, call with the wrong-kind value).  The entry is a
-# name of ``hausnum.__all__`` or a submodule's name, then its attributes after dots.
+# (entry, parameter, argument kind, error, call with the wrong-kind value).  The
+# entry is a name of ``hausnum.__all__`` or a submodule's name, then its attributes
+# after dots; the parameter is the one the value is passed in, itself or as a member.
 SWEEP = [
-    ("hausdorff_number", "package object: topology", SpaceMismatch,
+    ("hausdorff_number", "topology", "package object: topology", SpaceMismatch,
      lambda v: hausnum.hausdorff_number(v)),
-    ("hausdorff_number_oracle", "package object: topology", SpaceMismatch,
+    ("hausdorff_number_oracle", "topology", "package object: topology", SpaceMismatch,
      lambda v: hausnum.hausdorff_number_oracle(v)),
-    ("is_n_hausdorff", "package object: topology", SpaceMismatch,
+    ("is_n_hausdorff", "topology", "package object: topology", SpaceMismatch,
      lambda v: hausnum.is_n_hausdorff(v, 3)),
-    ("axioms_report", "package object: topology", SpaceMismatch,
+    ("axioms_report", "topology", "package object: topology", SpaceMismatch,
      lambda v: hausnum.axioms_report(v)),
-    ("analysis_report", "package object: topology", SpaceMismatch,
+    ("analysis_report", "topology", "package object: topology", SpaceMismatch,
      lambda v: hausnum.analysis_report(v)),
-    ("is_separable", "package object: topology", SpaceMismatch,
+    ("is_separable", "topology", "package object: topology", SpaceMismatch,
      lambda v: hausnum.is_separable(v, [0, 1])),
-    ("verify_witness", "package object: topology", SpaceMismatch,
+    ("verify_witness", "topology", "package object: topology", SpaceMismatch,
      lambda v: hausnum.verify_witness(v, [0, 1], hausnum.is_separable(THREE, [0, 1]).witness)),
-    ("verify_witness", "package object: witness", SpaceMismatch,
+    ("verify_witness", "witness", "package object: witness", SpaceMismatch,
      lambda v: hausnum.verify_witness(THREE, [0, 1], v)),
     # the witness's assignments: (point, point set) pairs of the topology's space
-    ("verify_witness", "pairs", PointOutOfRange,
+    ("verify_witness", "witness", "pairs", PointOutOfRange,
      lambda v: hausnum.verify_witness(THREE, [0, 1], hausnum.SeparationWitness(v))),
-    ("verify_witness", "collection member", PointOutOfRange, lambda v: witness(v)),
-    ("verify_witness", "integer", PointOutOfRange,
+    ("verify_witness", "witness", "collection member", PointOutOfRange, lambda v: witness(v)),
+    ("verify_witness", "witness", "integer", PointOutOfRange,
      lambda v: witness((v, hausnum.PointSet(3, 1)), (1, hausnum.PointSet(3, 6)))),
-    ("verify_witness", "point set", PointOutOfRange,
+    ("verify_witness", "witness", "point set", PointOutOfRange,
      lambda v: witness((0, v), (1, hausnum.PointSet(3, 6)))),
-    ("canonical_form", "package object: topology", SpaceMismatch,
+    ("canonical_form", "topology", "package object: topology", SpaceMismatch,
      lambda v: hausnum.canonical_form(v)),
-    ("topology_to_dict", "package object: topology", SpaceMismatch,
+    ("topology_to_dict", "topology", "package object: topology", SpaceMismatch,
      lambda v: hausnum.topology_to_dict(v)),
-    ("topology_to_json", "package object: topology", SpaceMismatch,
+    ("topology_to_json", "topology", "package object: topology", SpaceMismatch,
      lambda v: hausnum.topology_to_json(v)),
-    ("specialization_preorder", "package object: topology", SpaceMismatch,
+    ("specialization_preorder", "topology", "package object: topology", SpaceMismatch,
      lambda v: hausnum.specialization_preorder(v)),
-    ("topology_from_preorder", "package object: preorder", SpaceMismatch,
+    ("topology_from_preorder", "preorder", "package object: preorder", SpaceMismatch,
      lambda v: hausnum.topology_from_preorder(v)),
-    ("subspace", "package object: topology", SpaceMismatch, lambda v: hausnum.subspace(v, [0])),
-    ("minimal_neighborhood", "package object: topology", SpaceMismatch,
+    ("subspace", "topology", "package object: topology", SpaceMismatch,
+     lambda v: hausnum.subspace(v, [0])),
+    ("minimal_neighborhood", "topology", "package object: topology", SpaceMismatch,
      lambda v: hausnum.minimal_neighborhood(v, 0)),
-    ("PointSet.issubset", "package object: point set", SpaceMismatch,
+    ("PointSet.issubset", "other", "package object: point set", SpaceMismatch,
      lambda v: hausnum.PointSet(3, 1).issubset(v)),
-    ("membership", "package object: neighborhood", SpaceMismatch,
+    ("membership", "nbhd", "package object: neighborhood", SpaceMismatch,
      lambda v: hausnum.membership(v, hausnum.Base(0))),
-    ("intersection_nonempty", "package object: neighborhood", SpaceMismatch,
+    ("intersection_nonempty", "nbhds", "package object: neighborhood", SpaceMismatch,
      lambda v: hausnum.intersection_nonempty([v])),
-    ("intersection_nonempty", "package object: neighborhood", SpaceMismatch,
+    ("intersection_nonempty", "nbhds", "package object: neighborhood", SpaceMismatch,
      lambda v: hausnum.intersection_nonempty([BALL, v])),
-    ("hausdorff_number_symbolic", "package object: space", SpaceMismatch,
+    ("hausdorff_number_symbolic", "space", "package object: space", SpaceMismatch,
      lambda v: hausnum.hausdorff_number_symbolic(v)),
-    ("largest_nonseparable_set", "package object: space", SpaceMismatch,
+    ("largest_nonseparable_set", "space", "package object: space", SpaceMismatch,
      lambda v: hausnum.largest_nonseparable_set(v)),
-    ("restrict", "package object: space", SpaceMismatch, lambda v: hausnum.restrict(v, 2)),
-    ("separable", "package object: space", SpaceMismatch, lambda v: hausnum.separable(v, BASES)),
+    ("restrict", "space", "package object: space", SpaceMismatch,
+     lambda v: hausnum.restrict(v, 2)),
+    ("separable", "space", "package object: space", SpaceMismatch,
+     lambda v: hausnum.separable(v, BASES)),
     # a member twice: its kind is read before the duplicate test hashes it
-    ("separable", "package object: point", SpaceMismatch,
+    ("separable", "points", "package object: point", SpaceMismatch,
      lambda v: hausnum.separable(SPACE, [v, v])),
-    ("grid_witness_search", "package object: space", SpaceMismatch,
+    ("grid_witness_search", "space", "package object: space", SpaceMismatch,
      lambda v: hausnum.grid_witness_search(v, BASES)),
-    ("t1_status", "package object: space", SpaceMismatch,
+    ("t1_status", "space", "package object: space", SpaceMismatch,
      lambda v: hausnum.t1_status(v, *BASES)),
-    ("neighborhood_of", "package object: space", SpaceMismatch,
+    ("neighborhood_of", "space", "package object: space", SpaceMismatch,
      lambda v: hausnum.neighborhood_of(v, hausnum.Base(0), 1)),
-    ("symbolic.BallNeighborhood", "package object: base point", SpaceMismatch,
+    ("symbolic.BallNeighborhood", "owner", "package object: base point", SpaceMismatch,
      lambda v: hausnum.symbolic.BallNeighborhood(SPACE, v, 1)),
-    ("symbolic.VerticalNeighborhood", "package object: vertical point", SpaceMismatch,
+    ("symbolic.VerticalNeighborhood", "owner", "package object: vertical point", SpaceMismatch,
      lambda v: hausnum.symbolic.VerticalNeighborhood(SPACE, v, 1)),
-    ("Preorder", "collection", PointOutOfRange, lambda v: hausnum.Preorder(2, v)),
-    ("Preorder.from_matrix", "collection", PointOutOfRange,
+    ("FiniteTopology", "n", "integer", PointOutOfRange,
+     lambda v: hausnum.FiniteTopology(v, ())),
+    ("FiniteTopology", "opens", "collection", PointOutOfRange,
+     lambda v: hausnum.FiniteTopology(3, v)),
+    ("FiniteTopology", "opens", "package object: point set", SpaceMismatch,
+     lambda v: hausnum.FiniteTopology(3, [v])),
+    ("FiniteTopology", "opens", "another space's point set", PointOutOfRange,
+     lambda v: hausnum.FiniteTopology(3, [v])),
+    ("Preorder", "rows", "collection", PointOutOfRange, lambda v: hausnum.Preorder(2, v)),
+    ("Preorder.from_matrix", "matrix", "collection", PointOutOfRange,
      lambda v: hausnum.Preorder.from_matrix(v)),
-    ("Preorder.from_matrix", "collection member", PointOutOfRange,
+    ("Preorder.from_matrix", "matrix", "collection member", PointOutOfRange,
      lambda v: hausnum.Preorder.from_matrix([v])),
-    ("PointSet.from_points", "collection", PointOutOfRange,
+    ("PointSet.from_points", "points", "collection", PointOutOfRange,
      lambda v: hausnum.PointSet.from_points(3, v)),
-    ("validate_topology", "collection", PointOutOfRange,
+    ("validate_topology", "family", "collection", PointOutOfRange,
      lambda v: hausnum.validate_topology(3, v)),
-    ("validate_topology", "collection member", PointOutOfRange,
+    ("validate_topology", "family", "collection member", PointOutOfRange,
      lambda v: hausnum.validate_topology(3, [[], v])),
-    ("generate_from_subbasis", "collection", PointOutOfRange,
+    ("generate_from_subbasis", "subbasis", "collection", PointOutOfRange,
      lambda v: hausnum.generate_from_subbasis(3, v)),
-    ("generate_from_subbasis", "collection member", PointOutOfRange,
+    ("generate_from_subbasis", "subbasis", "collection member", PointOutOfRange,
      lambda v: hausnum.generate_from_subbasis(3, [v])),
-    ("subspace", "collection", PointOutOfRange, lambda v: hausnum.subspace(THREE, v)),
-    ("FiniteTopology.is_open", "collection", PointOutOfRange, lambda v: THREE.is_open(v)),
-    ("is_separable", "collection", PointOutOfRange, lambda v: hausnum.is_separable(THREE, v)),
-    ("verify_witness", "collection", PointOutOfRange,
+    ("subspace", "points", "collection", PointOutOfRange, lambda v: hausnum.subspace(THREE, v)),
+    ("FiniteTopology.is_open", "s", "collection", PointOutOfRange, lambda v: THREE.is_open(v)),
+    ("is_separable", "points", "collection", PointOutOfRange,
+     lambda v: hausnum.is_separable(THREE, v)),
+    ("verify_witness", "points", "collection", PointOutOfRange,
      lambda v: hausnum.verify_witness(THREE, v, hausnum.is_separable(THREE, [0, 1]).witness)),
-    ("separable", "collection", BadParameter, lambda v: hausnum.separable(SPACE, v)),
-    ("intersection_nonempty", "collection", BadParameter,
+    ("separable", "points", "collection", BadParameter, lambda v: hausnum.separable(SPACE, v)),
+    ("intersection_nonempty", "nbhds", "collection", BadParameter,
      lambda v: hausnum.intersection_nonempty(v)),
-    ("grid_witness_search", "collection", BadParameter,
+    ("grid_witness_search", "points", "collection", BadParameter,
      lambda v: hausnum.grid_witness_search(SPACE, v)),
-    ("Base", "number", BadParameter, lambda v: hausnum.Base(v)),
-    ("BasePoint", "number", BadParameter, lambda v: hausnum.BasePoint(v)),
-    ("neighborhood_of", "number", BadParameter,
+    ("Base", "q", "number", BadParameter, lambda v: hausnum.Base(v)),
+    ("BasePoint", "coordinate", "number", BadParameter, lambda v: hausnum.BasePoint(v)),
+    ("neighborhood_of", "param", "number", BadParameter,
      lambda v: hausnum.neighborhood_of(SPACE, hausnum.Base(0), v)),
-    ("parse_point", "text", ParseError, lambda v: hausnum.parse_point(v)),
-    ("parse_points", "text", ParseError, lambda v: hausnum.parse_points(v)),
-    ("build_example", "text", ParseError, lambda v: hausnum.build_example(v)),
-    ("export_example", "text", ParseError, lambda v: hausnum.export_example(v)),
-    ("topology_to_dict", "optional text", ParseError,
+    ("parse_point", "text", "text", ParseError, lambda v: hausnum.parse_point(v)),
+    ("parse_points", "text", "text", ParseError, lambda v: hausnum.parse_points(v)),
+    ("build_example", "name", "text", ParseError, lambda v: hausnum.build_example(v)),
+    ("export_example", "name", "text", ParseError, lambda v: hausnum.export_example(v)),
+    ("topology_to_dict", "name", "optional text", ParseError,
      lambda v: hausnum.topology_to_dict(THREE, name=v)),
-    ("topology_to_json", "optional text", ParseError,
+    ("topology_to_json", "name", "optional text", ParseError,
      lambda v: hausnum.topology_to_json(THREE, name=v)),
-    ("load_topology", "path", ParseError, lambda v: hausnum.load_topology(v)),
-    ("count_by_hausdorff", "optional path", BadParameter,
+    ("load_topology", "source", "path", ParseError, lambda v: hausnum.load_topology(v)),
+    ("count_by_hausdorff", "cache_dir", "optional path", BadParameter,
      lambda v: hausnum.count_by_hausdorff(3, cache_dir=v)),
-    ("CountsTable.from_dict", "document", ParseError, lambda v: hausnum.CountsTable.from_dict(v)),
-    ("Cardinal", "text", BadParameter, lambda v: hausnum.Cardinal(v)),
-    ("Cardinal", "integer", BadParameter, lambda v: hausnum.Cardinal("finite", v)),
-    ("Finite", "integer", BadParameter, lambda v: hausnum.Finite(v)),
-    ("BugEyedSpace.has_vertical", "integer", BadParameter, lambda v: SPACE.has_vertical(v)),
-    ("PointSet.full", "integer", PointOutOfRange, lambda v: hausnum.PointSet.full(v)),
-    ("stirling2", "integer", BadParameter, lambda v: hausnum.stirling2(v, 1)),
-    ("stirling2", "integer", BadParameter, lambda v: hausnum.stirling2(3, v)),
+    ("count_by_hausdorff", "use_cache", "flag", BadParameter,
+     lambda v: hausnum.count_by_hausdorff(2, use_cache=v)),
+    ("count_by_hausdorff", "t0_only", "flag", BadParameter,
+     lambda v: hausnum.count_by_hausdorff(2, use_cache=False, t0_only=v)),
+    ("CountsTable.from_dict", "doc", "document", ParseError,
+     lambda v: hausnum.CountsTable.from_dict(v)),
+    ("Cardinal", "kind", "text", BadParameter, lambda v: hausnum.Cardinal(v)),
+    ("Cardinal", "value", "integer", BadParameter, lambda v: hausnum.Cardinal("finite", v)),
+    ("Finite", "k", "integer", BadParameter, lambda v: hausnum.Finite(v)),
+    ("BugEyedSpace.has_vertical", "index", "integer", BadParameter,
+     lambda v: SPACE.has_vertical(v)),
+    ("PointSet.full", "n", "integer", PointOutOfRange, lambda v: hausnum.PointSet.full(v)),
+    ("stirling2", "n", "integer", BadParameter, lambda v: hausnum.stirling2(v, 1)),
+    ("stirling2", "k", "integer", BadParameter, lambda v: hausnum.stirling2(3, v)),
 ]
 
-# The readers of integers, documents and symbolic points that refused every
-# wrong-kind value already; kept here so that every public entry, every public
-# class or static method taking an argument and both neighbourhood constructors
-# have a row.
+# The readers of integers, flags, documents and symbolic points that refused every
+# wrong-kind value already; kept here so that every public parameter has a row.
 GUARDED = [
-    ("membership", "package object: point", SpaceMismatch,
+    ("membership", "p", "package object: point", SpaceMismatch,
      lambda v: hausnum.membership(BALL, v)),
-    ("t1_status", "package object: point", SpaceMismatch,
+    ("t1_status", "p", "package object: point", SpaceMismatch,
+     lambda v: hausnum.t1_status(SPACE, v, hausnum.Base(0))),
+    ("t1_status", "q", "package object: point", SpaceMismatch,
      lambda v: hausnum.t1_status(SPACE, hausnum.Base(0), v)),
-    ("neighborhood_of", "package object: point", SpaceMismatch,
+    ("neighborhood_of", "p", "package object: point", SpaceMismatch,
      lambda v: hausnum.neighborhood_of(SPACE, v, 1)),
-    ("symbolic.BallNeighborhood", "package object: point", SpaceMismatch,
+    ("symbolic.BallNeighborhood", "owner", "package object: point", SpaceMismatch,
      lambda v: hausnum.symbolic.BallNeighborhood(SPACE, v, 1)),
-    ("symbolic.VerticalNeighborhood", "package object: point", SpaceMismatch,
+    ("symbolic.VerticalNeighborhood", "owner", "package object: point", SpaceMismatch,
      lambda v: hausnum.symbolic.VerticalNeighborhood(SPACE, v, 1)),
-    ("PointSet", "integer", PointOutOfRange, lambda v: hausnum.PointSet(3, v)),
-    ("PointSet.empty", "integer", PointOutOfRange, lambda v: hausnum.PointSet.empty(v)),
-    ("PointSet.singleton", "integer", PointOutOfRange, lambda v: hausnum.PointSet.singleton(v, 0)),
-    ("PointSet.singleton", "integer", PointOutOfRange, lambda v: hausnum.PointSet.singleton(3, v)),
-    ("two_block_topology", "integer", PointOutOfRange, lambda v: hausnum.two_block_topology(v)),
-    ("doubled_point_topology", "integer", PointOutOfRange,
+    ("PointSet", "n", "integer", PointOutOfRange, lambda v: hausnum.PointSet(v, 0)),
+    ("PointSet", "mask", "integer", PointOutOfRange, lambda v: hausnum.PointSet(3, v)),
+    ("PointSet.empty", "n", "integer", PointOutOfRange, lambda v: hausnum.PointSet.empty(v)),
+    ("PointSet.from_points", "n", "integer", PointOutOfRange,
+     lambda v: hausnum.PointSet.from_points(v, [])),
+    ("PointSet.singleton", "n", "integer", PointOutOfRange,
+     lambda v: hausnum.PointSet.singleton(v, 0)),
+    ("PointSet.singleton", "point", "integer", PointOutOfRange,
+     lambda v: hausnum.PointSet.singleton(3, v)),
+    ("Preorder", "n", "integer", PointOutOfRange, lambda v: hausnum.Preorder(v, [1])),
+    ("Preorder.leq", "a", "integer", PointOutOfRange, lambda v: PREORDER.leq(v, 0)),
+    ("Preorder.leq", "b", "integer", PointOutOfRange, lambda v: PREORDER.leq(0, v)),
+    ("validate_topology", "n", "integer", PointOutOfRange,
+     lambda v: hausnum.validate_topology(v, [[]])),
+    ("generate_from_subbasis", "n", "integer", PointOutOfRange,
+     lambda v: hausnum.generate_from_subbasis(v, [])),
+    ("two_block_topology", "n", "integer", PointOutOfRange,
+     lambda v: hausnum.two_block_topology(v)),
+    ("two_block_topology", "x0", "integer", BadParameter,
+     lambda v: hausnum.two_block_topology(3, v)),
+    ("doubled_point_topology", "n", "integer", PointOutOfRange,
      lambda v: hausnum.doubled_point_topology(v)),
-    ("minimal_neighborhood", "integer", PointOutOfRange,
+    ("doubled_point_topology", "x0", "integer", BadParameter,
+     lambda v: hausnum.doubled_point_topology(4, v)),
+    ("doubled_point_topology", "x1", "integer", BadParameter,
+     lambda v: hausnum.doubled_point_topology(4, 0, v)),
+    ("minimal_neighborhood", "a", "integer", PointOutOfRange,
      lambda v: hausnum.minimal_neighborhood(THREE, v)),
-    ("count_by_hausdorff", "integer", TooLarge, lambda v: hausnum.count_by_hausdorff(v)),
-    ("enumerate_classes", "integer", TooLarge, lambda v: hausnum.enumerate_classes(v)),
-    ("enumerate_labeled", "integer", TooLarge, lambda v: hausnum.enumerate_labeled(v)),
-    ("enumerate_preorders", "integer", TooLarge, lambda v: hausnum.enumerate_preorders(v)),
-    ("labeled_and_t0_counts", "integer", TooLarge, lambda v: hausnum.labeled_and_t0_counts(v)),
-    ("naive_counts", "integer", TooLarge, lambda v: hausnum.naive_counts(v)),
-    ("stirling_consistency", "integer", TooLarge, lambda v: hausnum.stirling_consistency(v)),
-    ("is_n_hausdorff", "integer", BadParameter, lambda v: hausnum.is_n_hausdorff(THREE, v)),
-    ("BugEyedSpace", "integer", BadParameter, lambda v: hausnum.BugEyedSpace(v)),
-    ("Vertical", "integer", BadParameter, lambda v: hausnum.Vertical(v)),
-    ("VerticalPoint", "integer", BadParameter, lambda v: hausnum.VerticalPoint(v)),
-    ("restrict", "integer", BadParameter, lambda v: hausnum.restrict(SPACE, v)),
-    ("topology_from_dict", "document", ParseError, lambda v: hausnum.topology_from_dict(v)),
+    ("count_by_hausdorff", "n", "integer", TooLarge, lambda v: hausnum.count_by_hausdorff(v)),
+    ("count_by_hausdorff", "jobs", "integer", TooLarge,
+     lambda v: hausnum.count_by_hausdorff(2, jobs=v)),
+    ("enumerate_classes", "n", "integer", TooLarge, lambda v: hausnum.enumerate_classes(v)),
+    ("enumerate_labeled", "n", "integer", TooLarge, lambda v: hausnum.enumerate_labeled(v)),
+    ("enumerate_preorders", "n", "integer", TooLarge,
+     lambda v: hausnum.enumerate_preorders(v)),
+    ("labeled_and_t0_counts", "n", "integer", TooLarge,
+     lambda v: hausnum.labeled_and_t0_counts(v)),
+    ("naive_counts", "n", "integer", TooLarge, lambda v: hausnum.naive_counts(v)),
+    ("stirling_consistency", "n", "integer", TooLarge,
+     lambda v: hausnum.stirling_consistency(v)),
+    ("is_n_hausdorff", "bound", "integer", BadParameter,
+     lambda v: hausnum.is_n_hausdorff(THREE, v)),
+    ("BugEyedSpace", "vertical_count", "integer", BadParameter,
+     lambda v: hausnum.BugEyedSpace(v)),
+    ("BugEyedSpace", "t1_variant", "flag", BadParameter,
+     lambda v: hausnum.BugEyedSpace(2, t1_variant=v)),
+    ("Vertical", "m", "integer", BadParameter, lambda v: hausnum.Vertical(v)),
+    ("VerticalPoint", "index", "integer", BadParameter, lambda v: hausnum.VerticalPoint(v)),
+    ("neighborhood_of", "param", "integer", BadParameter,
+     lambda v: hausnum.neighborhood_of(SPACE, hausnum.Vertical(1), v)),
+    ("grid_witness_search", "max_param", "integer", BadParameter,
+     lambda v: hausnum.grid_witness_search(SPACE, BASES, v)),
+    ("restrict", "n", "integer", BadParameter, lambda v: hausnum.restrict(SPACE, v)),
+    ("topology_from_dict", "doc", "document", ParseError,
+     lambda v: hausnum.topology_from_dict(v)),
 ]
 
 # Public callables outside both tables, each with the reason it needs no row.
@@ -453,16 +512,13 @@ NOT_SWEPT = {
         ("SubspaceResult", "CanonicalForm", "CountsTable", "StirlingReport", "AxiomsReport",
          "HausdorffNumber", "SeparationDecision", "SeparationWitness", "SeparabilityVerdict"),
         "a result record, built by the package"),
-    # its method ``is_open`` has a row; the constructor takes opens known to
-    # form a topology, and ``validate_topology`` is the checked entry
-    "FiniteTopology": "the unchecked FiniteTopology constructor",
     **dict.fromkeys(("BasisNeighborhood", "SymbolicPoint"), "a type alias"),
 }
 
 
 def _cases(table):
-    return [pytest.param(call, error, value, id=f"{entry}-{kind}-{value!r}")
-            for entry, kind, error, call in table for value in WRONG_KIND[kind]]
+    return [pytest.param(call, error, value, id=f"{entry}:{parameter}-{kind}-{value!r}")
+            for entry, parameter, kind, error, call in table for value in WRONG_KIND[kind]]
 
 
 def _refuses(call, error, value):
@@ -475,9 +531,9 @@ def _refuses(call, error, value):
 @pytest.mark.parametrize("call, error, value", _cases(SWEEP))
 def test_wrong_kind_argument_raises_its_modules_error(call, error, value):
     """Package objects and their members, collections, symbolic numbers, text, paths,
-    documents and integers: each public reader refuses a value of the wrong kind with
-    a ``TopologyError``, never a bare exception, and never answers for a space that is
-    not one."""
+    flags, documents and integers: each public reader refuses a value of the wrong
+    kind with a ``TopologyError``, never a bare exception, never stores it, and never
+    answers for a space that is not one."""
     _refuses(call, error, value)
 
 
@@ -486,45 +542,71 @@ def test_wrong_kind_integer_or_document_raises_its_modules_error(call, error, va
     _refuses(call, error, value)
 
 
-def test_every_public_callable_is_swept_or_exempt():
-    """A new public entry needs a row, or one of the closed list of reasons on ``NOT_SWEPT``."""
-    assert set(NOT_SWEPT.values()) <= {
-        "takes no argument", "a result record, built by the package", "a type alias",
-        "the unchecked FiniteTopology constructor"}
-    callables = {name for name in hausnum.__all__ if callable(getattr(hausnum, name))}
-    entries = {entry for entry, *_ in SWEEP + GUARDED}
-    for entry in entries:
-        assert callable(reduce(getattr, entry.split("."), hausnum)), entry
-    public = {entry.split(".")[0] for entry in entries} - hausnum._SUBMODULES
-    assert public <= callables
-    assert set(NOT_SWEPT) <= callables and not entries & set(NOT_SWEPT)
-    assert callables == public | set(NOT_SWEPT)
-
-
-def unswept_class_methods(names, entries) -> list[str]:
-    """``Class.method`` for each public classmethod or staticmethod of a class among
-    ``names`` (of ``hausnum``) that takes an argument besides ``cls`` and is not
-    among ``entries``."""
-    missing = []
-    for name in names:
-        cls = getattr(hausnum, name)
-        if not inspect.isclass(cls):
+def parameters(objects: dict) -> set:
+    """(entry, parameter) for each parameter of each callable in ``objects`` (name ->
+    value) and of each public plain, class or static method of a class among them,
+    ``self`` left out; (name, None) for a callable in ``objects`` that takes none."""
+    pairs = set()
+    for name, value in objects.items():
+        if not callable(value):
             continue
-        for attr in dir(cls):
-            if (not attr.startswith("_")
-                    and isinstance(inspect.getattr_static(cls, attr), (classmethod, staticmethod))
-                    and inspect.signature(getattr(cls, attr)).parameters
-                    and f"{name}.{attr}" not in entries):
-                missing.append(f"{name}.{attr}")
-    return missing
+        entries = {name: value}
+        if inspect.isclass(value):
+            entries.update((f"{name}.{attr}", getattr(value, attr)) for attr in dir(value)
+                           if not attr.startswith("_") and isinstance(
+                               inspect.getattr_static(value, attr),
+                               (FunctionType, classmethod, staticmethod)))
+        for entry, function in entries.items():
+            pairs.update((entry, parameter) for parameter in inspect.signature(function).parameters
+                         if parameter != "self")
+        if not inspect.signature(value).parameters:
+            pairs.add((name, None))
+    return pairs
 
 
-def test_class_method_check_sees_a_missing_row():
-    assert unswept_class_methods(["CountsTable", "OMEGA", "SymbolicPoint"], set()) == [
-        "CountsTable.from_dict"]
-    assert unswept_class_methods(["PointSet"], {"PointSet.from_points", "PointSet.full"}) == [
-        "PointSet.empty", "PointSet.singleton"]
+def unswept(objects: dict, rows: set, reasons: dict) -> list:
+    """The pairs of ``parameters(objects)`` with no row among ``rows`` and no reason
+    for their entry in ``reasons``."""
+    return sorted((pair for pair in parameters(objects) - rows if pair[0] not in reasons),
+                  key=str)
 
 
-def test_every_public_class_method_with_an_argument_has_a_row():
-    assert unswept_class_methods(hausnum.__all__, {entry for entry, *_ in SWEEP + GUARDED}) == []
+def test_parameter_check_sees_a_missing_row():
+    class Planted:
+        def __init__(self, n, flag=False): ...
+
+        @classmethod
+        def build(cls, doc): ...
+
+        @staticmethod
+        def size(k): ...
+
+        def read(self, other): ...
+
+        def points(self): ...
+
+        def _private(self, x): ...
+
+    def bare(): ...
+
+    rows = {("Planted", "n"), ("Planted.build", "doc"), ("Planted.read", "other")}
+    assert unswept({"Planted": Planted, "bare": bare, "CAP": 5}, rows, {}) == [
+        ("Planted", "flag"), ("Planted.size", "k"), ("bare", None)]
+    assert unswept({"bare": bare}, set(), {"bare": "takes no argument"}) == []
+
+
+def test_every_public_parameter_has_a_row_or_a_reason():
+    """Every parameter of a public callable, and of a public method of an exported
+    class, needs a row, or its callable one of the closed list of reasons on
+    ``NOT_SWEPT``; a row names a parameter that its entry has."""
+    assert set(NOT_SWEPT.values()) <= {
+        "takes no argument", "a result record, built by the package", "a type alias"}
+    public = {name: getattr(hausnum, name) for name in hausnum.__all__}
+    rows = {(entry, parameter) for entry, parameter, *_ in SWEEP + GUARDED}
+    listed = {row for row in rows if row[0].split(".")[0] not in hausnum._SUBMODULES}
+    assert unswept(public, listed, NOT_SWEPT) == []
+    assert listed <= parameters(public)
+    assert set(NOT_SWEPT) <= {entry for entry, _ in parameters(public)}
+    assert not {entry for entry, _ in listed} & set(NOT_SWEPT)
+    for entry, parameter in rows - listed:  # a class of a submodule
+        assert parameter in inspect.signature(reduce(getattr, entry.split("."), hausnum)).parameters

@@ -7,8 +7,8 @@ derived from its fields there (a cache), which equality, hashing, the repr,
 ``__match_args__`` and pickling leave out.
 ``Record`` compares two records of the same class field by field and prints
 ``Name(field=value, ...)``.  ``FrozenRecord`` also hashes like the tuple of
-its fields and refuses assignment, so its ``__init__`` sets the fields with
-``object.__setattr__`` or ``_assign``.
+its fields and refuses assignment, so its ``__init__`` sets every slot in
+order, the fields then the caches, with ``_assign``.
 
 Records are written this way, not with the standard library's record
 decorator, because importing that module (it loads ``inspect`` and ``ast``)
@@ -24,10 +24,11 @@ class Record:
 
     def __init_subclass__(cls, **kwargs):
         super().__init_subclass__(**kwargs)
-        fields = tuple(name for base in reversed(cls.__mro__)
-                       for name in base.__dict__.get("__slots__", ())
-                       if not name.startswith("_"))
+        slots = [name for base in reversed(cls.__mro__)
+                 for name in base.__dict__.get("__slots__", ())]
+        fields = tuple(name for name in slots if not name.startswith("_"))
         cls._fields = cls.__match_args__ = fields
+        cls._slots = fields + tuple(name for name in slots if name.startswith("_"))
         # ``_astuple(record)``: the tuple of its field values
         if len(fields) == 1:
             get = attrgetter(fields[0])
@@ -49,7 +50,7 @@ class FrozenRecord(Record):
     __slots__ = ()
 
     def _assign(self, *values) -> None:
-        for name, value in zip(self._fields, values):
+        for name, value in zip(self._slots, values):
             object.__setattr__(self, name, value)
 
     def __hash__(self) -> int:

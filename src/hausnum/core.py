@@ -51,15 +51,13 @@ class PointSet(FrozenRecord):
         _check_n(n)
         if not is_int(mask) or not 0 <= mask < (1 << n):
             raise PointOutOfRange(f"mask {mask!r} does not fit in a {n}-point space")
-        object.__setattr__(self, "n", n)
-        object.__setattr__(self, "mask", mask)
+        self._assign(n, mask)
 
     @classmethod
     def from_points(cls, n: int, points: Iterable[int]) -> "PointSet":
         _check_n(n)
         mask = 0
-        # lists and tuples skip the call: one per family member on the hot path
-        for p in points if type(points) in (list, tuple) else collection(points, PointOutOfRange):
+        for p in collection(points, PointOutOfRange):
             _check_point(n, p)
             mask |= 1 << p
         return cls(n, mask)
@@ -86,8 +84,7 @@ class PointSet(FrozenRecord):
         return True
 
     def __contains__(self, point: int) -> bool:
-        return ((type(point) is int or is_int(point)) and 0 <= point < self.n
-                and bool(self.mask >> point & 1))
+        return is_int(point) and 0 <= point < self.n and bool(self.mask >> point & 1)
 
     def __len__(self) -> int:
         return self.mask.bit_count()
@@ -164,7 +161,7 @@ class FiniteTopology(FrozenRecord):
         opens = tuple(instance(u, PointSet, SpaceMismatch, "point set")
                       for u in collection(opens, PointOutOfRange))
         masks = tuple(_as_mask(n, u) for u in opens)
-        _fill(self, n, opens, masks, _rows_from_masks(n, masks))
+        self._assign(n, opens, masks, _rows_from_masks(n, masks))
 
     @property
     def open_masks(self) -> tuple[int, ...]:
@@ -182,12 +179,6 @@ def _topology_arg(topology: FiniteTopology) -> FiniteTopology:
     return instance(topology, FiniteTopology, SpaceMismatch, "finite topology")
 
 
-def _fill(topology: FiniteTopology, n: int, opens: tuple[PointSet, ...],
-          masks: tuple[int, ...], rows: tuple[int, ...]) -> None:
-    for name, value in zip(FiniteTopology.__slots__, (n, opens, masks, rows)):
-        object.__setattr__(topology, name, value)
-
-
 def _topology(n: int, masks: tuple[int, ...], rows: tuple[int, ...]) -> FiniteTopology:
     """The topology with these canonical, in-range open masks and their
     minimal rows, built without re-deriving either or checking its PointSets."""
@@ -198,7 +189,7 @@ def _topology(n: int, masks: tuple[int, ...], rows: tuple[int, ...]) -> FiniteTo
         _set_mask(s, mask)
         opens.append(s)
     topology = object.__new__(FiniteTopology)
-    _fill(topology, n, tuple(opens), masks, rows)
+    topology._assign(n, tuple(opens), masks, rows)
     return topology
 
 
@@ -326,20 +317,20 @@ class Preorder(FrozenRecord):
     """A reflexive transitive relation; ``rows[a]`` is the mask {b : a <= b}.
 
     ``a <= b`` holds exactly when b lies in every open set containing a, so a
-    preorder is the same data as a finite topology.
+    preorder is the same data as a finite topology.  The constructor checks
+    outside input; ``_preorder`` builds those the package derives, unchecked.
     """
 
     __slots__ = ("n", "rows")
 
     def __init__(self, n: int, rows: Iterable[int]):
         _check_n(n)
-        # the walk's leaves are lists: no call per leaf
-        rows = tuple(rows if type(rows) in (list, tuple) else collection(rows, PointOutOfRange))
+        rows = tuple(collection(rows, PointOutOfRange))
         if len(rows) != n:
             raise PointOutOfRange(f"expected {n} rows, got {len(rows)}")
         full = (1 << n) - 1
         for a, row in enumerate(rows):
-            if type(row) is not int and not is_int(row) or not 0 <= row <= full:
+            if not is_int(row) or not 0 <= row <= full:
                 raise PointOutOfRange(f"row {a} does not fit in {n} bits")
             if not row >> a & 1:
                 raise NotReflexive(f"{a} <= {a} fails")
@@ -353,8 +344,7 @@ class Preorder(FrozenRecord):
                     c = (c & -c).bit_length() - 1
                     raise NotTransitive(f"{a} <= {b} and {b} <= {c} but not {a} <= {c}")
                 m ^= low
-        object.__setattr__(self, "n", n)
-        object.__setattr__(self, "rows", rows)
+        self._assign(n, rows)
 
     def leq(self, a: int, b: int) -> bool:
         _check_point(self.n, a)
@@ -378,9 +368,17 @@ class Preorder(FrozenRecord):
         return cls(len(mat), [sum(v << b for b, v in enumerate(r)) for r in mat])
 
 
+def _preorder(n: int, rows: tuple[int, ...]) -> Preorder:
+    """The preorder with these rows, known reflexive and transitive, built unchecked."""
+    preorder = object.__new__(Preorder)
+    preorder._assign(n, rows)
+    return preorder
+
+
 def specialization_preorder(topology: FiniteTopology) -> Preorder:
-    """a <= b iff b belongs to the minimal neighborhood of a."""
-    return Preorder(_topology_arg(topology).n, topology._rows)
+    """a <= b iff b belongs to the minimal neighborhood of a.  The rows of any family
+    are a preorder: a is in every set holding a, and b in N(a) puts N(b) in N(a)."""
+    return _preorder(_topology_arg(topology).n, topology._rows)
 
 
 def topology_from_preorder(preorder: Preorder) -> FiniteTopology:

@@ -7,10 +7,11 @@ of the points b with a <= b.  Two independent routes lead to the counts.
 The direct walk, ``_walk``, backtracks over relation matrices row by row
 with incremental transitivity checks, emitting row tuples in ascending order
 (rows compared as integers, row 0 outermost).  Its clients read it and keep
-only what they need: ``enumerate_preorders`` streams every labeled topology,
-``labeled_and_t0_counts`` counts the leaves and the T0 ones (rows pairwise
-distinct), and ``stirling_consistency`` sums those counts.  The tests keep
-their own class map on the walk, the first leaf of each canonical form.
+only what they need: ``enumerate_preorders`` and ``enumerate_labeled`` stream
+every labeled topology, built from a leaf's rows unchecked (each is a preorder
+by construction), ``labeled_and_t0_counts`` counts the leaves and the T0 ones
+(rows pairwise distinct), and ``stirling_consistency`` sums those counts.
+The tests keep their own class map on the walk, the first leaf of each canonical form.
 One search, ``_least_rows``, relabels: the least row tuple over the labelings
 that keep given cells of points on their runs of labels gives canonical forms
 (from the invariant cells), automorphism cosets and class representatives.
@@ -37,7 +38,6 @@ from __future__ import annotations
 
 import contextlib
 import os
-import tempfile
 from itertools import accumulate, chain, combinations
 from math import factorial, prod
 from pathlib import Path
@@ -264,18 +264,19 @@ def _canonical(rows) -> tuple[tuple[int, ...], list[list[int]]]:
 def enumerate_preorders(n: int) -> Iterator[Preorder]:
     """Every specialization preorder on n points, in ascending matrix order."""
     _check_cap(n, ENUM_MAX_POINTS)
-    from .core import Preorder
+    from .core import _preorder
 
     for rows in _walk(n):
-        yield Preorder(n, rows)
+        yield _preorder(n, tuple(rows))
 
 
 def enumerate_labeled(n: int) -> Iterator[FiniteTopology]:
-    """Every topology on n labeled points exactly once, deterministic order."""
-    from .core import topology_from_preorder
+    """Every topology on n labeled points once, in ``enumerate_preorders`` order."""
+    _check_cap(n, ENUM_MAX_POINTS)
+    from .core import _from_rows
 
-    for preorder in enumerate_preorders(n):
-        yield topology_from_preorder(preorder)
+    for rows in _walk(n):
+        yield _from_rows(n, tuple(rows))
 
 
 def canonical_form(topology: FiniteTopology) -> CanonicalForm:
@@ -448,21 +449,18 @@ def _read_cache(path: Path, n: int, t0_only: bool) -> "CountsTable | None":
 
 
 def _write_cache(path: Path, table: "CountsTable") -> None:
-    """Best effort; a temp file and a rename, so readers never see half a file."""
+    """Best effort; a new temp file (mode ``0o666 & ~umask``, so a cache shared between
+    users serves them all) and a rename, so readers never see half a file."""
     text = dumps_canonical(table.to_dict())
-    tmp = None
+    tmp = path.with_name(f".{path.name}.{os.urandom(8).hex()}.tmp")
     try:
         path.parent.mkdir(parents=True, exist_ok=True)
-        with tempfile.NamedTemporaryFile("w", encoding="utf-8", dir=path.parent,
-                                         prefix=f".{path.name}.", suffix=".tmp",
-                                         delete=False) as fh:
-            tmp = fh.name
+        with open(tmp, "x", encoding="utf-8") as fh:  # O_CREAT | O_EXCL, mode 0o666
             fh.write(text)
         os.replace(tmp, path)
     except OSError:
-        if tmp is not None:
-            with contextlib.suppress(OSError):
-                os.unlink(tmp)
+        with contextlib.suppress(OSError):
+            os.unlink(tmp)
 
 
 def count_by_hausdorff(n: int, jobs: int = 1,

@@ -75,7 +75,7 @@ def _point_mask(value, n: int, key: str, i: int) -> int:
     last = -1
     ascending = True
     for p in value:
-        if type(p) is not int and not is_int(p) or not 0 <= p < n:
+        if not is_int(p) or not 0 <= p < n:
             raise ParseError(f'"{key}"[{i}] contains {p!r}, not a point in 0..{n - 1}')
         if p <= last:
             ascending = False

@@ -1,6 +1,7 @@
 """Size caps on every input the package accepts, each with the budget it is set from,
 and the rules for what an integer (``is_int``), a collection (``collection``) and a
-package object (``instance``) are.
+package object (``instance``) are.  Each rule is written once, here, fast path
+included; every module calls it rather than inlining a copy.
 
 Timings are wall clock on a 2-vCPU VM with Python 3.11.  The modules that
 enforce a cap import it from here under the same name.  This module imports
@@ -38,8 +39,8 @@ MAX_DOCUMENT_BYTES = 12_000_000
 
 
 def is_int(value) -> bool:
-    """An ``int`` or int subclass, but not ``True`` or ``False``."""
-    return isinstance(value, int) and not isinstance(value, bool)
+    """An ``int`` or int subclass, but not ``True`` or ``False`` (a plain int first)."""
+    return type(value) is int or isinstance(value, int) and not isinstance(value, bool)
 
 
 def collection(value, error: type):

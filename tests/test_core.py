@@ -8,6 +8,7 @@ from hypothesis import strategies as st
 
 from hausnum.core import (
     MAX_OPENS,
+    FiniteTopology,
     PointSet,
     Preorder,
     generate_from_subbasis,
@@ -448,6 +449,39 @@ class TestPreorderCorrespondence:
             t = topology_from_preorder(p)
             assert specialization_preorder(t) == p
             assert topology_from_preorder(specialization_preorder(t)) == t
+
+
+class TestDerivedPreorders:
+    """The walk's leaves and the rows of a topology are built as preorders without
+    being checked again; the checked constructor, given the same rows, is their
+    reference."""
+
+    @pytest.mark.parametrize("n", [1, 2, 3, 4, 5])
+    def test_walk_leaves_are_the_checked_preorders(self, n):
+        for leaf in enumerate_preorders(n):
+            assert leaf == Preorder(n, leaf.rows)
+
+    @pytest.mark.parametrize("n", [1, 2, 3, 4, 5])
+    def test_labeled_walk_is_the_topologies_of_the_preorders(self, n):
+        assert [(t.n, t.open_masks, t._rows) for t in enumerate_labeled(n)] == [
+            (t.n, t.open_masks, t._rows)
+            for t in map(topology_from_preorder, enumerate_preorders(n))]
+
+    @pytest.mark.parametrize("n", [1, 2, 3, 4, 5, 6])
+    def test_rows_of_any_family_are_the_checked_preorder(self, n):
+        """Families built by the unchecked constructor, most of them no topology."""
+        rng = random.Random(n)
+        rejected = 0
+        for _ in range(200):
+            family = rng.sample(range(1 << n), rng.randint(0, min(12, 1 << n)))
+            t = FiniteTopology(n, tuple(PointSet(n, m) for m in family))
+            preorder = specialization_preorder(t)
+            assert preorder == Preorder(n, preorder.rows)
+            try:
+                validate_topology(n, t.opens)
+            except InvalidTopology:
+                rejected += 1
+        assert rejected > 100
 
 
 def traced_subspace(t, s_mask):

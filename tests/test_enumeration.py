@@ -836,6 +836,17 @@ class TestCache:
         assert code == 0
         assert (tmp_path / name).read_bytes() == capsys.readouterr().out.encode()
 
+    def test_cache_file_takes_the_umasks_mode(self, tmp_path):
+        """A new file's mode, 0o666 & ~umask, so a shared cache serves every user."""
+        for umask in (0o022, 0o077):
+            cache = tmp_path / f"umask-{umask:03o}"
+            old = os.umask(umask)
+            try:
+                count_by_hausdorff(4, cache_dir=cache)
+            finally:
+                os.umask(old)
+            assert (cache / "counts-n4-all.json").stat().st_mode & 0o777 == 0o666 & ~umask
+
     def test_env_var_controls_default(self, tmp_path, monkeypatch):
         monkeypatch.setenv("TOPO_CACHE_DIR", str(tmp_path))
         count_by_hausdorff(2)

@@ -212,25 +212,46 @@ def test_only_jsonio_imports_json(path):
     assert imports_json(path.read_text(encoding="utf-8")) == (path.name == "jsonio.py")
 
 
-def bool_tests(source: str) -> list[str]:
-    """The function (``<module>`` at top level) around each ``isinstance(…, bool)``
-    call of a module, ``bool`` alone or in a tuple of types."""
+def functions_around(source: str, matches) -> list[str]:
+    """The function (``<module>`` at top level) around each node of a module
+    that ``matches`` accepts, in source order."""
     found = []
 
     def visit(node, where):
         if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.Lambda)):
             where = getattr(node, "name", "<lambda>")
-        if (isinstance(node, ast.Call) and isinstance(node.func, ast.Name)
-                and node.func.id == "isinstance" and len(node.args) == 2):
-            kinds = node.args[1]
-            kinds = kinds.elts if isinstance(kinds, ast.Tuple) else [kinds]
-            if any(isinstance(kind, ast.Name) and kind.id == "bool" for kind in kinds):
-                found.append(where)
+        if matches(node):
+            found.append(where)
         for child in ast.iter_child_nodes(node):
             visit(child, where)
 
     visit(ast.parse(source), "<module>")
     return found
+
+
+def type_names(node) -> set[str]:
+    """The names in ``node``, a name or a tuple of them (a tuple of types)."""
+    return {kind.id for kind in (node.elts if isinstance(node, ast.Tuple) else [node])
+            if isinstance(kind, ast.Name)}
+
+
+def bool_tests(source: str) -> list[str]:
+    """The function (``<module>`` at top level) around each ``isinstance(…, bool)``
+    call of a module, ``bool`` alone or in a tuple of types."""
+    return functions_around(source, lambda node: (
+        isinstance(node, ast.Call) and isinstance(node.func, ast.Name)
+        and node.func.id == "isinstance" and len(node.args) == 2
+        and "bool" in type_names(node.args[1])))
+
+
+def exact_type_tests(source: str) -> list[str]:
+    """The function (``<module>`` at top level) around each comparison of
+    ``type(…)`` with ``int``, ``list`` or ``tuple``, alone or in a tuple: a fast
+    path of the integer or the collection rule.  ``type(…) is bool`` is not one."""
+    return functions_around(source, lambda node: (
+        isinstance(node, ast.Compare) and isinstance(node.left, ast.Call)
+        and isinstance(node.left.func, ast.Name) and node.left.func.id == "type"
+        and any(type_names(kinds) & {"int", "list", "tuple"} for kinds in node.comparators)))
 
 
 def test_bool_test_check_sees_an_inlined_copy():
@@ -246,6 +267,25 @@ def test_only_limits_is_int_tells_bools_from_ints():
     """``limits.is_int`` is the package's one integer rule; no module inlines a copy."""
     assert [(path.stem, where) for path in sorted(SRC.glob("*.py"))
             for where in bool_tests(path.read_text(encoding="utf-8"))] == [("limits", "is_int")]
+
+
+def test_exact_type_check_sees_an_inlined_copy():
+    source = ("def is_int(v):\n    return type(v) is int or isinstance(v, int)\n"
+              "class A:\n    def __init__(self, rows):\n"
+              "        rows = rows if type(rows) in (list, tuple) else list(rows)\n"
+              "        if type(rows[0]) is not int or type(self) is bool:\n"
+              "            raise TypeError\n"
+              "FLAG = lambda v: type(v) is bool\n"
+              "PLAIN = type(1) == int\n")
+    assert exact_type_tests(source) == ["is_int", "__init__", "__init__", "<module>"]
+
+
+def test_no_module_inlines_a_fast_path_of_a_limits_rule():
+    """Each rule of ``limits`` is written once, fast path included: only
+    ``limits.is_int`` compares ``type(…)`` with ``int``, ``list`` or ``tuple``."""
+    assert [(path.stem, where) for path in sorted(SRC.glob("*.py"))
+            for where in exact_type_tests(path.read_text(encoding="utf-8"))] == [
+        ("limits", "is_int")]
 
 
 THREE = hausnum.three_point_example()  # opens {}, {0}, {1,2}, X: 0 and 1 separate

@@ -60,11 +60,20 @@ def _emit(text: str, out: "str | None") -> None:
             raise _StdoutLost from None
 
 
+def _write(args, doc: dict, text) -> None:
+    """``doc`` as canonical JSON, or as ``text(doc)`` under ``--format text``, to ``--out``."""
+    from .jsonio import dumps_canonical
+
+    _emit(dumps_canonical(doc) if args.format == "json" else text(doc), args.out)
+
+
 def _report_text(report: dict) -> str:
+    from .separation import AxiomsReport
+
     lines = [f"points: {report['n']}",
              f"hausdorff number: {report['hausdorff_number']}",
              f"largest non-separable set: {set(report['largest_nonseparable'])}"]
-    for key in ("t0", "t1", "hausdorff", "regular", "normal", "discrete", "compact"):
+    for key in AxiomsReport._fields:
         lines.append(f"{key}: {'yes' if report[key] else 'no'}")
     if "oracle_hausdorff_number" in report:
         lines.append(f"oracle hausdorff number: {report['oracle_hausdorff_number']}")
@@ -73,7 +82,7 @@ def _report_text(report: dict) -> str:
 
 
 def _cmd_analyze(args) -> int:
-    from .jsonio import dumps_canonical, load_topology
+    from .jsonio import load_topology
     from .separation import analysis_report, hausdorff_number_oracle
 
     topology, _ = load_topology(args.input)
@@ -85,10 +94,7 @@ def _cmd_analyze(args) -> int:
         report["oracle_agrees"] = oracle.value == report["hausdorff_number"]
         if not report["oracle_agrees"]:
             status = EXIT_CHECK_FAILED
-    if args.format == "json":
-        _emit(dumps_canonical(report), args.out)
-    else:
-        _emit(_report_text(report), args.out)
+    _write(args, report, _report_text)
     return status
 
 
@@ -142,6 +148,11 @@ def _verification_checks(name: str, topology) -> list[dict]:
     return checks
 
 
+def _example_text(doc: dict) -> str:
+    opens = ", ".join("{" + ",".join(map(str, u)) + "}" for u in doc["opens"])
+    return f"{doc['name']}: n={doc['n']}, opens: {opens}\n"
+
+
 def _cmd_example(args) -> int:
     from .constructions import build_example
     from .jsonio import dumps_canonical, topology_to_dict
@@ -149,11 +160,7 @@ def _cmd_example(args) -> int:
     name, topology = build_example(args.name)
     doc = topology_to_dict(topology, name=name)
     if not args.verify:
-        if args.format == "json":
-            _emit(dumps_canonical(doc), args.out)
-        else:
-            opens = ", ".join("{" + ",".join(map(str, u)) + "}" for u in doc["opens"])
-            _emit(f"{name}: n={topology.n}, opens: {opens}\n", args.out)
+        _write(args, doc, _example_text)
         return EXIT_OK
 
     checks = _verification_checks(name, topology)
@@ -172,7 +179,6 @@ def _cmd_example(args) -> int:
 
 
 def _cmd_symbolic(args) -> int:
-    from .jsonio import dumps_canonical
     from .symbolic import (
         BugEyedSpace,
         _parse_verticals,
@@ -194,10 +200,7 @@ def _cmd_symbolic(args) -> int:
         p, q = map(parse_point, args.pair)
         doc = t1_status(space, p, q).to_dict(p, q)
 
-    if args.format == "json":
-        _emit(dumps_canonical(doc), args.out)
-    else:
-        _emit(_symbolic_text(doc), args.out)
+    _write(args, doc, _symbolic_text)
     return EXIT_OK
 
 

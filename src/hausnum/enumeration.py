@@ -430,9 +430,12 @@ def resolve_cache_dir(explicit: "str | os.PathLike | None" = None) -> Path:
 def _read_cache(path: Path, n: int, t0_only: bool) -> "CountsTable | None":
     """The cached table for (n, t0_only), or None unless the file holds one.
 
-    ``CountsTable.from_dict`` reads the document; this checks only the cache key,
-    that the table's n and ``t0_only`` are the ones asked for.
+    Only a regular file (or a link to one) is read, so a FIFO, a device or a path
+    that cannot be looked up is a miss.  ``CountsTable.from_dict`` reads the document; this checks only
+    the cache key, that the table's n and ``t0_only`` are the ones asked for.
     """
+    if not os.path.isfile(path):  # False on any OSError, unlike Path.is_file
+        return None
     try:
         table = CountsTable.from_dict(read_json(path))
     except ParseError:

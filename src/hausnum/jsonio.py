@@ -24,15 +24,6 @@ if TYPE_CHECKING:
 FORMAT_TAG = "finite-topology/v1"
 
 
-def _points_of(mask: int) -> list[int]:
-    points = []
-    while mask:
-        low = mask & -mask
-        points.append(low.bit_length() - 1)
-        mask ^= low
-    return points
-
-
 def _checked_name(name: "str | None") -> "str | None":
     if name is not None and not isinstance(name, str):
         raise ParseError('"name" must be a string')
@@ -40,12 +31,12 @@ def _checked_name(name: "str | None") -> "str | None":
 
 
 def topology_to_dict(topology: FiniteTopology, name: str | None = None) -> dict:
-    from .core import _topology_arg
+    from .core import _points, _topology_arg
 
     doc = {
         "format": FORMAT_TAG,
         "n": _topology_arg(topology).n,
-        "opens": [_points_of(u) for u in topology.open_masks],
+        "opens": [_points(u) for u in topology.open_masks],
     }
     if _checked_name(name) is not None:
         doc["name"] = name

@@ -15,9 +15,10 @@ MAX_OPENS = 1 << 16
 # A rejected family, scanned pair by pair to name its first failing pairs;
 # at most 1.1 s for 4,096 sets, 4x per doubling.
 REJECT_MAX_OPENS = 1 << 12
-# Labeled walk, classes, Stirling check; at n = 7 the walk's leaves take 24-39 s
-# (Stirling, a walk per k <= n, 34 s), the 4,535 classes 1.3-2.0 s.  The 35,979
-# classes at n = 8 take 15 s (93 MB peak), 8 s of it their representatives.
+# Labeled walk, classes, Stirling check; at n = 7 the walk's 9,535,241 leaves take
+# 24-39 s bare, 42 s built as preorders and 230 s as topologies (Stirling, a walk per
+# k <= n, 34 s), the 4,535 classes 1.3-2.0 s.  With the cap at 8, the 35,979 classes
+# take 15 s (28 MB peak RSS), 9 s of it their representatives.
 ENUM_MAX_POINTS = 7
 # Count tables, pinned by tests up to here; the poset engine takes 1.0-1.7 s at
 # n = 8, and 12-19 s with an 83 MB peak at n = 9.  Canonical forms: at n = 8 one

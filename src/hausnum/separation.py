@@ -19,7 +19,8 @@ intersection), hence H >= 2 always, and H = 2 on a one-point space.
 from __future__ import annotations
 
 from ._records import FrozenRecord
-from .core import FiniteTopology, PointSet, _as_mask, _check_point, _point_closures, _topology_arg
+from .core import (FiniteTopology, PointSet, _as_mask, _check_point, _point_closures, _points,
+                   _topology_arg)
 from .errors import BadParameter, PointOutOfRange, SetTooSmall, SpaceMismatch, TooLarge
 from .limits import ORACLE_MAX_POINTS, collection, instance, is_int
 
@@ -62,19 +63,15 @@ def is_separable(topology: FiniteTopology, points: "PointSet | object") -> Separ
         raise SetTooSmall("separability queries need at least two points")
 
     rows = topology._rows
+    members = _points(a_mask)
     common = (1 << topology.n) - 1
-    m = a_mask
-    while m:
-        low = m & -m
-        common &= rows[low.bit_length() - 1]
-        m ^= low
+    for a in members:
+        common &= rows[a]
 
     if common:
-        return SeparationDecision(False, None, (common & -common).bit_length() - 1)
+        return SeparationDecision(False, None, _points(common)[0])
 
-    witness = SeparationWitness(tuple(
-        (a, PointSet(topology.n, rows[a])) for a in PointSet(topology.n, a_mask)
-    ))
+    witness = SeparationWitness(tuple((a, PointSet(topology.n, rows[a])) for a in members))
     return SeparationDecision(True, witness, None)
 
 
@@ -95,7 +92,7 @@ def verify_witness(topology: FiniteTopology, points: "PointSet | object",
             raise PointOutOfRange(f"expected a (point, point set) pair, got {pair!r}")
         _check_point(n, pair[0])
         pairs.append((pair[0], _as_mask(n, pair[1])))
-    if {a for a, _ in pairs} != set(PointSet(n, a_mask)):
+    if {a for a, _ in pairs} != set(_points(a_mask)):
         return False
     open_masks = set(topology.open_masks)
     common = (1 << n) - 1
@@ -120,7 +117,7 @@ def hausdorff_number(topology: FiniteTopology) -> HausdorffNumber:
                            PointSet(n, closures[best_x]))
 
 
-def _choice_separable(open_masks: tuple[int, ...], members: tuple[int, ...],
+def _choice_separable(open_masks: tuple[int, ...], members: list[int],
                       idx: int, inter: int) -> bool:
     """Does some choice of opens (one per member, each containing its member)
     have empty intersection?  Plain depth-first search over all choices."""
@@ -154,8 +151,7 @@ def hausdorff_number_oracle(topology: FiniteTopology) -> HausdorffNumber:
         size = a_mask.bit_count()
         if size < 2 or size <= best_size:
             continue
-        members = tuple(PointSet(n, a_mask))
-        if not _choice_separable(open_masks, members, 0, full):
+        if not _choice_separable(open_masks, _points(a_mask), 0, full):
             best_size = size
             best_set = a_mask
     if best_set is None:

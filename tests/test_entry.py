@@ -6,8 +6,10 @@ teardown.  Each subprocess test runs ``python -m hausnum`` and ``python -m
 hausnum.cli`` and checks that what can be seen from outside (exit code,
 stdout, stderr, files written, atexit callbacks, profiler output, the ``-i``
 prompt, a failed flush) is what the same call gives through
-``sys.exit(main())``, which lets the interpreter end the process.  The unit
-tests check which of the two exits each guard selects.
+``sys.exit(main())``, which lets the interpreter end the process.  The
+command-line cases also run a copy of pip's console-script launcher for
+``hausnum.cli:run``, written to the test's directory.  The unit tests check which of the two exits each
+guard selects.
 """
 
 import atexit
@@ -24,6 +26,16 @@ from hausnum import cli
 ENTRIES = ["hausnum", "hausnum.cli"]
 # What ``python -m hausnum`` ran before it had its own exit.
 REFERENCE = ["-c", "import sys\nfrom hausnum.cli import main\nsys.exit(main())"]
+# pip's launcher for the console script ``hausnum = "hausnum.cli:run"``.
+CONSOLE_SCRIPT = """\
+# -*- coding: utf-8 -*-
+import re
+import sys
+from hausnum.cli import run
+if __name__ == '__main__':
+    sys.argv[0] = re.sub(r'(-script\\.pyw|\\.exe)?$', '', sys.argv[0])
+    sys.exit(run())
+"""
 # Buffered stdout, so that the final flush writes the output; the default
 # cache directory, under each test's own working directory.
 ENV = {k: v for k, v in os.environ.items() if k not in ("PYTHONUNBUFFERED", "TOPO_CACHE_DIR")}
@@ -37,14 +49,24 @@ def python(args, cwd, **kwargs):
     return proc.returncode, proc.stdout, proc.stderr
 
 
+def entry_args(tmp_path, entry):
+    """``-m entry``, or for ``"console-script"`` the launcher, written to ``tmp_path/bin``."""
+    if entry != "console-script":
+        return ["-m", entry]
+    script = tmp_path / "bin" / "hausnum"
+    script.parent.mkdir()
+    script.write_text(CONSOLE_SCRIPT)
+    return [str(script)]
+
+
 def both(tmp_path, entry, argv, files=()):
-    """(exit code, stdout, stderr, files) through ``-m entry`` and the reference.
+    """(exit code, stdout, stderr, files) through ``entry`` and the reference.
 
     Each side runs in its own directory holding ``three.json``; ``files`` are
     read back from it after the process has ended.
     """
     results = []
-    for side, prefix in (("entry", ["-m", entry]), ("reference", REFERENCE)):
+    for side, prefix in (("entry", entry_args(tmp_path, entry)), ("reference", REFERENCE)):
         cwd = tmp_path / side
         cwd.mkdir()
         (cwd / "three.json").write_text(json.dumps(
@@ -54,7 +76,7 @@ def both(tmp_path, entry, argv, files=()):
     return results
 
 
-@pytest.mark.parametrize("entry", ENTRIES)
+@pytest.mark.parametrize("entry", [*ENTRIES, "console-script"])
 @pytest.mark.parametrize("argv, code, files", [
     (["enumerate", "3"], 0, ()),
     (["analyze", "three.json", "--format", "text"], 0, ()),

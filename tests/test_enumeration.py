@@ -4,6 +4,8 @@ import itertools
 import json
 import math
 import os
+import subprocess
+import sys
 import time
 import tracemalloc
 from fractions import Fraction
@@ -906,6 +908,34 @@ class TestCache:
         assert time.perf_counter() - start < 1.0
         assert capsys.readouterr().out == fresh
         assert not path.is_symlink() and path.read_text(encoding="utf-8") == fresh
+
+    def test_cache_dir_that_cannot_be_looked_up_is_a_miss(self, tmp_path, capsys):
+        """A name past the file system's limit (ENAMETOOLONG) neither reads nor
+        writes a cache, and the table is computed as without one."""
+        assert main(["enumerate", "3", "--cache-dir", str(tmp_path / "fresh")]) == 0
+        fresh = capsys.readouterr().out
+        too_long = tmp_path / ("a" * 300)
+        assert count_by_hausdorff(3, cache_dir=too_long) == count_by_hausdorff(3, use_cache=False)
+        assert main(["enumerate", "3", "--cache-dir", str(too_long)]) == 0
+        assert capsys.readouterr() == (fresh, "")
+
+    @pytest.mark.skipif(not hasattr(os, "mkfifo"), reason="no os.mkfifo")
+    def test_fifo_is_recomputed_and_replaced(self, tmp_path):
+        """A FIFO with no writer at the cache path is a miss, not a read that waits
+        for ever; in a subprocess, so that a regression fails at the timeout."""
+        def enumerate_3(cache):
+            return subprocess.run(
+                [sys.executable, "-m", "hausnum", "enumerate", "3", "--cache-dir", str(cache)],
+                stdin=subprocess.DEVNULL, capture_output=True, timeout=30)
+
+        fresh = enumerate_3(tmp_path / "fresh")
+        path = tmp_path / "cache" / "counts-n3-all.json"
+        path.parent.mkdir()
+        os.mkfifo(path)
+        proc = enumerate_3(path.parent)
+        assert fresh.returncode == 0
+        assert (proc.returncode, proc.stdout) == (0, fresh.stdout)
+        assert path.is_file() and path.read_bytes() == fresh.stdout
 
     @pytest.mark.parametrize("flag", ["use_cache", "t0_only"])
     @pytest.mark.parametrize("value", [1, 0, None, "yes", 2.5, [1]])

@@ -306,8 +306,8 @@ WRONG_KIND = {
     "package object: space": (*NO_OBJECT, hausnum.Base(0)),
     "package object: point": (*NO_OBJECT, [1], SPACE),  # [1] cannot be hashed
     "package object: neighborhood": (*NO_OBJECT, SPACE),
-    # a neighbourhood's owner of the other point kind; GUARDED's "package object:
-    # point" rows give its constructor the values of no point kind
+    # a neighbourhood's owner of the other point kind; the "package object: point"
+    # rows give its constructor the values of no point kind
     "package object: base point": (hausnum.Vertical(1),),
     "package object: vertical point": (hausnum.Base(0),),
     # a PointSet over 4 points, given where the space has 3
@@ -470,11 +470,6 @@ SWEEP = [
     ("PointSet.full", "n", "integer", PointOutOfRange, lambda v: hausnum.PointSet.full(v)),
     ("stirling2", "n", "integer", BadParameter, lambda v: hausnum.stirling2(v, 1)),
     ("stirling2", "k", "integer", BadParameter, lambda v: hausnum.stirling2(3, v)),
-]
-
-# The readers of integers, flags, documents and symbolic points that refused every
-# wrong-kind value already; kept here so that every public parameter has a row.
-GUARDED = [
     ("membership", "p", "package object: point", SpaceMismatch,
      lambda v: hausnum.membership(BALL, v)),
     ("t1_status", "p", "package object: point", SpaceMismatch,
@@ -544,7 +539,7 @@ GUARDED = [
      lambda v: hausnum.topology_from_dict(v)),
 ]
 
-# Public callables outside both tables, each with the reason it needs no row.
+# Public callables outside the table, each with the reason it needs no row.
 NOT_SWEPT = {
     **dict.fromkeys(
         ("three_point_example", "filtered_four_point"), "takes no argument"),
@@ -556,30 +551,18 @@ NOT_SWEPT = {
 }
 
 
-def _cases(table):
-    return [pytest.param(call, error, value, id=f"{entry}:{parameter}-{kind}-{value!r}")
-            for entry, parameter, kind, error, call in table for value in WRONG_KIND[kind]]
-
-
-def _refuses(call, error, value):
-    with pytest.raises(error):
-        result = call(value)
-        if isinstance(result, Iterator):  # a generator checks at its first step
-            next(result)
-
-
-@pytest.mark.parametrize("call, error, value", _cases(SWEEP))
+@pytest.mark.parametrize("call, error, value", [
+    pytest.param(call, error, value, id=f"{entry}:{parameter}-{kind}-{value!r}")
+    for entry, parameter, kind, error, call in SWEEP for value in WRONG_KIND[kind]])
 def test_wrong_kind_argument_raises_its_modules_error(call, error, value):
     """Package objects and their members, collections, symbolic numbers, text, paths,
     flags, documents and integers: each public reader refuses a value of the wrong
     kind with a ``TopologyError``, never a bare exception, never stores it, and never
     answers for a space that is not one."""
-    _refuses(call, error, value)
-
-
-@pytest.mark.parametrize("call, error, value", _cases(GUARDED))
-def test_wrong_kind_integer_or_document_raises_its_modules_error(call, error, value):
-    _refuses(call, error, value)
+    with pytest.raises(error):
+        result = call(value)
+        if isinstance(result, Iterator):  # a generator checks at its first step
+            next(result)
 
 
 def parameters(objects: dict) -> set:
@@ -642,7 +625,7 @@ def test_every_public_parameter_has_a_row_or_a_reason():
     assert set(NOT_SWEPT.values()) <= {
         "takes no argument", "a result record, built by the package", "a type alias"}
     public = {name: getattr(hausnum, name) for name in hausnum.__all__}
-    rows = {(entry, parameter) for entry, parameter, *_ in SWEEP + GUARDED}
+    rows = {(entry, parameter) for entry, parameter, *_ in SWEEP}
     listed = {row for row in rows if row[0].split(".")[0] not in hausnum._SUBMODULES}
     assert unswept(public, listed, NOT_SWEPT) == []
     assert listed <= parameters(public)

@@ -42,6 +42,15 @@ def _check_point(n: int, a: int) -> None:
         raise PointOutOfRange(f"point {a!r} not in 0..{n - 1}")
 
 
+def _points_mask(n: int, points: Iterable[int]) -> int:
+    """The mask of a collection of points, each checked as a point of {0..n-1}."""
+    mask = 0
+    for p in collection(points, PointOutOfRange):
+        _check_point(n, p)
+        mask |= 1 << p
+    return mask
+
+
 def _points(mask: int) -> list[int]:
     """The set bits of ``mask``, in ascending order."""
     points = []
@@ -66,11 +75,7 @@ class PointSet(FrozenRecord):
     @classmethod
     def from_points(cls, n: int, points: Iterable[int]) -> "PointSet":
         _check_n(n)
-        mask = 0
-        for p in collection(points, PointOutOfRange):
-            _check_point(n, p)
-            mask |= 1 << p
-        return cls(n, mask)
+        return cls(n, _points_mask(n, points))
 
     @classmethod
     def empty(cls, n: int) -> "PointSet":
@@ -135,7 +140,7 @@ def _as_mask(n: int, s: "PointSet | Iterable[int]") -> int:
             raise PointOutOfRange(
                 f"set over {s.n} points used in a {n}-point space")
         return s.mask
-    return PointSet.from_points(n, s).mask
+    return _points_mask(n, s)
 
 
 def _canonical_masks(masks: Iterable[int]) -> tuple[int, ...]:

@@ -16,7 +16,6 @@ from hausnum.cli import main
 from hausnum.constructions import doubled_point_topology, two_block_topology
 from hausnum.core import Preorder, topology_from_preorder, validate_topology
 from hausnum.enumeration import (
-    CACHE_VERSION,
     CanonicalForm,
     CountsTable,
     _canonical,
@@ -42,26 +41,51 @@ from hausnum.separation import hausdorff_number
 from conftest import UNREADABLE_FILES
 
 
-def _replace_first_row(doc, row):
-    return {**doc, "rows": [row, *doc["rows"][1:]]}
+def _updated_rows(doc, *updates):
+    """``doc`` with ``updates[i]`` merged into its row i."""
+    rows = doc["rows"]
+    return {**doc, "rows": [{**row, **u} for row, u in zip(rows, updates)] + rows[len(updates):]}
 
 
-# Edits of the n = 2 table's document, each a shape that is not a counts-table
-# document: (id, edit returning the new document).
-MALFORMED_COUNTS = [
-    ("json-array", lambda doc: [doc]),
-    ("row-is-a-list", lambda doc: _replace_first_row(doc, list(doc["rows"][0].values()))),
-    ("text-hausdorff-number",
-     lambda doc: _replace_first_row(doc, {**doc["rows"][0], "hausdorff_number": "2"})),
-    ("text-n", lambda doc: {**doc, "n": "2"}),
-    ("missing-t0-only", lambda doc: {k: v for k, v in doc.items() if k != "t0_only"}),
-    ("rows-an-object", lambda doc: {**doc, "rows": {}}),
-    ("bool-count", lambda doc: _replace_first_row(doc, {**doc["rows"][0], "class_count": True})),
-    ("extra-key", lambda doc: {**doc, "extra": 1}),
-    ("duplicate-row", lambda doc: {**doc, "rows": doc["rows"] + doc["rows"][-1:]}),
-    ("row-is-a-number", lambda doc: {**doc, "rows": [1]}),
-    ("empty-object", lambda doc: {}),
+def _without(doc, key):
+    return {k: v for k, v in doc.items() if k != key}
+
+
+# Edits of a table's document that make it no counts-table document, or the
+# document of no consistent table: (id, n, t0_only, edit returning the new
+# document).  One table feeds both the reader's test and the cache's.
+BAD_COUNTS = [
+    ("json-array", 2, False, lambda doc: [doc]),
+    ("row-is-a-list", 2, False,
+     lambda doc: {**doc, "rows": [list(doc["rows"][0].values()), *doc["rows"][1:]]}),
+    ("text-hausdorff-number", 2, False, lambda doc: _updated_rows(doc, {"hausdorff_number": "2"})),
+    ("text-n", 2, False, lambda doc: {**doc, "n": "2"}),
+    ("missing-t0-only", 2, False, lambda doc: _without(doc, "t0_only")),
+    ("rows-an-object", 2, False, lambda doc: {**doc, "rows": {}}),
+    ("bool-count", 2, False, lambda doc: _updated_rows(doc, {"class_count": True})),
+    ("extra-key", 2, False, lambda doc: {**doc, "extra": 1}),
+    ("duplicate-row", 2, False, lambda doc: {**doc, "rows": doc["rows"] + doc["rows"][-1:]}),
+    ("row-is-a-number", 2, False, lambda doc: {**doc, "rows": [1]}),
+    ("empty-object", 2, False, lambda doc: {}),
+    ("stale-version", 2, False,
+     lambda doc: {**doc, "cache_version": "stale", "labeled_total": 999}),
+    ("missing-rows", 2, False, lambda doc: _without(doc, "rows")),
+    ("rows-not-matching-totals", 2, False, lambda doc: _updated_rows(doc, {"labeled_count": 999})),
+    ("text-count", 2, False, lambda doc: _updated_rows(doc, {"class_count": "1"})),
+    # the totals still equal the row sums: 4 = -1 + 5
+    ("count-below-one", 2, False,
+     lambda doc: _updated_rows(doc, {"labeled_count": -1}, {"labeled_count": 5})),
+    ("hausdorff-number-past-n-plus-one", 2, False,
+     lambda doc: _updated_rows(doc, {}, {"hausdorff_number": 4})),
+    # rows (1, 1) and (3, 2) become (1, 2) and (3, 1): the class total holds
+    ("more-classes-than-labeled", 2, False,
+     lambda doc: _updated_rows(doc, {"class_count": 2}, {"class_count": 1})),
+    ("t0-count-past-labeled-total", 3, False, lambda doc: {**doc, "t0_labeled_count": 12345}),
+    ("t0-only-t0-count-below-labeled-total", 3, True,
+     lambda doc: {**doc, "t0_labeled_count": 18}),
 ]
+BAD_COUNTS_CASES = pytest.mark.parametrize(
+    "n, t0_only, edit", [case[1:] for case in BAD_COUNTS], ids=[case[0] for case in BAD_COUNTS])
 
 
 # OEIS, from n = 0: topologies (A000798), their classes (A001930), T0
@@ -610,10 +634,10 @@ class TestCountsTable:
         table = count_by_hausdorff(3, use_cache=False)
         assert CountsTable.from_dict(table.to_dict()) == table
 
-    @pytest.mark.parametrize("edit", [edit for _, edit in MALFORMED_COUNTS],
-                             ids=[name for name, _ in MALFORMED_COUNTS])
-    def test_from_dict_refuses_a_malformed_document(self, edit):
-        doc = count_by_hausdorff(2, use_cache=False).to_dict()
+    @BAD_COUNTS_CASES
+    def test_from_dict_refuses_a_malformed_document(self, n, t0_only, edit):
+        """Every row of ``BAD_COUNTS``, the table the cache's test reads too."""
+        doc = count_by_hausdorff(n, t0_only=t0_only, use_cache=False).to_dict()
         with pytest.raises(ParseError):
             CountsTable.from_dict(edit(doc))
 
@@ -812,70 +836,21 @@ class TestCache:
         again = count_by_hausdorff(3, cache_dir=tmp_path)
         assert first == again
 
-    def test_version_mismatch_recomputes(self, tmp_path):
-        count_by_hausdorff(2, cache_dir=tmp_path)
+    def test_wrong_filter_recomputes(self, tmp_path):
+        """A consistent table of the other filter, which ``from_dict`` accepts."""
+        expected = count_by_hausdorff(3, cache_dir=tmp_path, t0_only=True)
         path = next(tmp_path.glob("counts-*.json"))
-        doc = json.loads(path.read_text())
-        doc["cache_version"] = "stale"
-        doc["labeled_total"] = 999
-        path.write_text(json.dumps(doc))
-        table = count_by_hausdorff(2, cache_dir=tmp_path)
-        assert table.labeled_total == 4
-        refreshed = json.loads(path.read_text())
-        assert refreshed["cache_version"] == CACHE_VERSION
-
-    def corrupt(self, tmp_path, n, edit, t0_only=False):
-        """Cache a table, rewrite its file with ``edit``, then load it again."""
-        expected = count_by_hausdorff(n, cache_dir=tmp_path, t0_only=t0_only)
-        path = next(tmp_path.glob("counts-*.json"))
-        doc = json.loads(path.read_text())
-        edit(doc)
-        path.write_text(json.dumps(doc))
-        assert count_by_hausdorff(n, cache_dir=tmp_path, t0_only=t0_only) == expected
+        path.write_text(json.dumps({**json.loads(path.read_text()), "t0_only": False}))
+        assert count_by_hausdorff(3, cache_dir=tmp_path, t0_only=True) == expected
         assert json.loads(path.read_text()) == expected.to_dict()
 
-    def test_missing_rows_recomputes(self, tmp_path):
-        self.corrupt(tmp_path, 2, lambda doc: doc.pop("rows"))
-
-    def test_rows_not_matching_totals_recomputes(self, tmp_path):
-        self.corrupt(tmp_path, 2, lambda doc: doc["rows"][0].update(labeled_count=999))
-
-    def test_wrong_filter_recomputes(self, tmp_path):
-        self.corrupt(tmp_path, 3, lambda doc: doc.update(t0_only=False), t0_only=True)
-
-    def test_non_integer_count_recomputes(self, tmp_path):
-        self.corrupt(tmp_path, 2, lambda doc: doc["rows"][0].update(class_count="1"))
-
-    def test_count_below_one_recomputes(self, tmp_path):
-        # totals still equal the row sums: 4 = -1 + 5
-        def edit(doc):
-            doc["rows"][0].update(labeled_count=-1)
-            doc["rows"][1].update(labeled_count=5)
-        self.corrupt(tmp_path, 2, edit)
-
-    def test_hausdorff_number_past_n_plus_one_recomputes(self, tmp_path):
-        self.corrupt(tmp_path, 2, lambda doc: doc["rows"][-1].update(hausdorff_number=4))
-
-    def test_more_classes_than_labeled_recomputes(self, tmp_path):
-        # rows (1, 1) and (3, 2) become (1, 2) and (3, 1): the class total holds
-        def edit(doc):
-            doc["rows"][0].update(class_count=2)
-            doc["rows"][1].update(class_count=1)
-        self.corrupt(tmp_path, 2, edit)
-
-    def test_t0_count_past_labeled_total_recomputes(self, tmp_path):
-        self.corrupt(tmp_path, 3, lambda doc: doc.update(t0_labeled_count=12345))
-
-    def test_t0_only_t0_count_below_labeled_total_recomputes(self, tmp_path):
-        self.corrupt(tmp_path, 3, lambda doc: doc.update(t0_labeled_count=18), t0_only=True)
-
-    @pytest.mark.parametrize("edit", [edit for _, edit in MALFORMED_COUNTS],
-                             ids=[name for name, _ in MALFORMED_COUNTS])
-    def test_malformed_document_recomputes(self, tmp_path, edit):
-        expected = count_by_hausdorff(2, cache_dir=tmp_path)
+    @BAD_COUNTS_CASES
+    def test_malformed_document_recomputes(self, tmp_path, n, t0_only, edit):
+        """Every row of ``BAD_COUNTS``, the table the reader's test reads too."""
+        expected = count_by_hausdorff(n, cache_dir=tmp_path, t0_only=t0_only)
         path = next(tmp_path.glob("counts-*.json"))
         path.write_text(json.dumps(edit(json.loads(path.read_text()))))
-        assert count_by_hausdorff(2, cache_dir=tmp_path) == expected
+        assert count_by_hausdorff(n, cache_dir=tmp_path, t0_only=t0_only) == expected
         assert json.loads(path.read_text()) == expected.to_dict()
 
     def test_unparsable_file_recomputes(self, tmp_path):

@@ -378,6 +378,15 @@ class TestT1Status:
             t1_status(T1_ONE, Vertical(1), Vertical(1))
 
 
+def test_witness_failing_re_verification_raises(monkeypatch):
+    """Both re-verifications of a constructed witness raise when membership fails."""
+    monkeypatch.setattr("hausnum.symbolic.membership", lambda nbhd, p: False)
+    with pytest.raises(AssertionError, match="^constructed witness failed exact re-verification$"):
+        separable(T1_ONE, [Base(Fraction(1, 4)), Base(Fraction(3, 4))])
+    with pytest.raises(AssertionError, match="^exclusion witness failed re-verification$"):
+        t1_status(T1_ONE, Base(Fraction(1, 4)), Base(Fraction(3, 4)))
+
+
 class TestStackedNeighborhoodShrinking:
     def test_intersection_expels_fixed_base_points(self, rng):
         # once 1/K drops below a base point's offset from 1/2, U_K excludes it

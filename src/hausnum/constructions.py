@@ -14,7 +14,7 @@ from __future__ import annotations
 from .core import FiniteTopology, _check_n, generate_from_subbasis, validate_topology
 from .errors import BadParameter, ConstructionClaimError, ParseError
 from .jsonio import topology_to_dict
-from .limits import is_int
+from .limits import is_int, shown
 from .separation import analysis_report
 
 
@@ -69,10 +69,10 @@ def two_block_topology(n: int, x0: int = 0) -> FiniteTopology:
     topology degenerates to the discrete one.
     """
     if is_int(n) and n < 2:
-        raise BadParameter(f"need at least 2 points, got {n}")
+        raise BadParameter(f"need at least 2 points, got {shown(n, str)}")
     _check_n(n)  # a non-int n too, before any list of n points is built
     if not is_int(x0) or not 0 <= x0 < n:
-        raise BadParameter(f"base point {x0} not in 0..{n - 1}")
+        raise BadParameter(f"base point {shown(x0, str)} not in 0..{n - 1}")
     full = list(range(n))
     rest = [p for p in full if p != x0]
     return _checked("two-block", validate_topology(n, [[], [x0], rest, full]))
@@ -94,7 +94,7 @@ def doubled_point_topology(n: int, x0: int = 0, x1: int = 1) -> FiniteTopology:
     {x0, x1}, and x0 is the only point without an open singleton.
     """
     if is_int(n) and n < 3:
-        raise BadParameter(f"need at least 3 points, got {n}")
+        raise BadParameter(f"need at least 3 points, got {shown(n, str)}")
     _check_n(n)
     if any(not is_int(x) or not 0 <= x < n for x in (x0, x1)):
         raise BadParameter(f"special points must lie in 0..{n - 1}")
@@ -124,7 +124,7 @@ def build_example(name: str) -> tuple[str, FiniteTopology]:
                 raise ParseError(f"bad size in example name {name!r}") from None
             return f"{prefix}{n}", builder(n)
     raise ParseError(
-        f"unknown example {name!r}; expected three-point, four-point, "
+        f"unknown example {shown(name)}; expected three-point, four-point, "
         "two-block:N, or doubled:N")
 
 

@@ -29,17 +29,17 @@ from .errors import (
     SpaceMismatch,
     TooLarge,
 )
-from .limits import MAX_OPENS, MAX_POINTS, REJECT_MAX_OPENS, collection, instance, is_int
+from .limits import MAX_OPENS, MAX_POINTS, REJECT_MAX_OPENS, collection, instance, is_int, shown
 
 
 def _check_n(n: int) -> None:
     if not is_int(n) or n < 1 or n > MAX_POINTS:
-        raise PointOutOfRange(f"point count must be in 1..{MAX_POINTS}, got {n!r}")
+        raise PointOutOfRange(f"point count must be in 1..{MAX_POINTS}, got {shown(n)}")
 
 
 def _check_point(n: int, a: int) -> None:
     if not is_int(a) or not 0 <= a < n:
-        raise PointOutOfRange(f"point {a!r} not in 0..{n - 1}")
+        raise PointOutOfRange(f"point {shown(a)} not in 0..{n - 1}")
 
 
 def _points_mask(n: int, points: Iterable[int]) -> int:
@@ -69,7 +69,7 @@ class PointSet(FrozenRecord):
     def __init__(self, n: int, mask: int):
         _check_n(n)
         if not is_int(mask) or not 0 <= mask < (1 << n):
-            raise PointOutOfRange(f"mask {mask!r} does not fit in a {n}-point space")
+            raise PointOutOfRange(f"mask {shown(mask)} does not fit in a {n}-point space")
         self._assign(n, mask)
 
     @classmethod
@@ -370,7 +370,7 @@ class Preorder(FrozenRecord):
             for b, v in enumerate(r):
                 if not (isinstance(v, int) and 0 <= v <= 1):  # a bool, 0 or 1
                     raise PointOutOfRange(f"matrix entry ({a}, {b}) must be True, False, "
-                                          f"0 or 1, got {v!r}")
+                                          f"0 or 1, got {shown(v)}")
         return cls(len(mat), [sum(v << b for b, v in enumerate(r)) for r in mat])
 
 

@@ -16,7 +16,7 @@ from pathlib import Path
 from typing import TYPE_CHECKING
 
 from .errors import ParseError
-from .limits import MAX_DOCUMENT_BYTES, MAX_POINTS, is_int
+from .limits import MAX_DOCUMENT_BYTES, MAX_POINTS, is_int, shown
 
 if TYPE_CHECKING:
     from .core import FiniteTopology
@@ -67,7 +67,7 @@ def _point_mask(value, n: int, key: str, i: int) -> int:
     ascending = True
     for p in value:
         if not is_int(p) or not 0 <= p < n:
-            raise ParseError(f'"{key}"[{i}] contains {p!r}, not a point in 0..{n - 1}')
+            raise ParseError(f'"{key}"[{i}] contains {shown(p)}, not a point in 0..{n - 1}')
         if p <= last:
             ascending = False
         last = p

@@ -1,7 +1,7 @@
 """Size caps on every input the package accepts, each with the budget it is set from,
-and the rules for what an integer (``is_int``), a collection (``collection``) and a
-package object (``instance``) are.  Each rule is written once, here, fast path
-included; every module calls it rather than inlining a copy.
+the rules for what an integer (``is_int``), a collection (``collection``) and a package
+object (``instance``) are, and how a message shows an argument (``shown``).  Each rule
+is written once, here, fast path included; every module calls it rather than inlining a copy.
 
 Timings are wall clock on a 2-vCPU VM with Python 3.11.  The modules that
 enforce a cap import it from here under the same name.  This module imports
@@ -44,19 +44,31 @@ def is_int(value) -> bool:
     return type(value) is int or isinstance(value, int) and not isinstance(value, bool)
 
 
+def shown(value, text=repr) -> str:
+    """``text(value)`` for an error message, ``repr`` or ``str`` as the message has it;
+    an int or ``Fraction`` past the interpreter's int-string limit by its size instead."""
+    try:
+        return text(value)
+    except ValueError:  # past the int-string limit, which neither repr nor str passes
+        if not hasattr(value, "denominator"):  # a collection holding such a number
+            return f"a {type(value).__name__} holding a number past the int-string limit"
+        bits = max(value.numerator.bit_length(), value.denominator.bit_length())
+        return f"a {'negative' if value < 0 else 'positive'} {type(value).__name__} of {bits:,} bits"
+
+
 def collection(value, error: type):
     """``value`` if ``iter`` accepts it (a ``str`` too; testing it consumes nothing);
     otherwise ``error``, the calling module's ``TopologyError`` type, is raised."""
     try:
         iter(value)
     except TypeError:
-        raise error(f"expected a collection, got {value!r}") from None
+        raise error(f"expected a collection, got {shown(value)}") from None
     return value
 
 
 def instance(value, kind, error: type, what: str):
     """``value`` if it is an instance of ``kind`` (a class or a tuple of them);
-    otherwise ``error`` is raised with the message ``not a <what>: <value!r>``."""
+    otherwise ``error`` is raised with the message ``not a <what>: <shown(value)>``."""
     if isinstance(value, kind):
         return value
-    raise error(f"not a {what}: {value!r}")
+    raise error(f"not a {what}: {shown(value)}")

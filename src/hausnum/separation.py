@@ -22,7 +22,7 @@ from ._records import FrozenRecord
 from .core import (FiniteTopology, PointSet, _as_mask, _check_point, _point_closures, _points,
                    _topology_arg)
 from .errors import BadParameter, PointOutOfRange, SetTooSmall, SpaceMismatch, TooLarge
-from .limits import ORACLE_MAX_POINTS, collection, instance, is_int
+from .limits import ORACLE_MAX_POINTS, collection, instance, is_int, shown
 
 
 class SeparationWitness(FrozenRecord):
@@ -89,7 +89,7 @@ def verify_witness(topology: FiniteTopology, points: "PointSet | object",
                                     "separation witness").assignments, PointOutOfRange):
         pair = tuple(collection(pair, PointOutOfRange))
         if len(pair) != 2:
-            raise PointOutOfRange(f"expected a (point, point set) pair, got {pair!r}")
+            raise PointOutOfRange(f"expected a (point, point set) pair, got {shown(pair)}")
         _check_point(n, pair[0])
         pairs.append((pair[0], _as_mask(n, pair[1])))
     if {a for a, _ in pairs} != set(_points(a_mask)):
@@ -162,7 +162,7 @@ def hausdorff_number_oracle(topology: FiniteTopology) -> HausdorffNumber:
 def is_n_hausdorff(topology: FiniteTopology, bound: int) -> bool:
     """True iff H(topology) <= bound."""
     if not is_int(bound) or bound < 2:
-        raise BadParameter(f"Hausdorff bounds start at 2, got {bound!r}")
+        raise BadParameter(f"Hausdorff bounds start at 2, got {shown(bound)}")
     return hausdorff_number(topology).value <= bound
 
 

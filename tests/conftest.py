@@ -1,9 +1,14 @@
+import contextlib
+import io
 import os
 import random
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
 
+from hausnum.cli import main
 from hausnum.core import Preorder
 from hausnum.limits import MAX_DOCUMENT_BYTES
 
@@ -15,6 +20,28 @@ def pytest_configure(config):
     src = str(Path(__file__).resolve().parents[1] / "src")
     os.environ["PYTHONPATH"] = os.pathsep.join(
         p for p in (src, os.environ.get("PYTHONPATH")) if p)
+
+
+def run_python(args, timeout: float = 60, **options) -> subprocess.CompletedProcess:
+    """``python args`` in a child, the one way tier-1 starts a process: stdin /dev/null,
+    stdout and stderr captured as bytes unless ``options`` (``text``, ``cwd``, ``env``,
+    ``stdout``, ...; passed on to ``subprocess.run``) say otherwise, and killed with
+    ``TimeoutExpired`` after ``timeout`` seconds."""
+    options = {"stdin": subprocess.DEVNULL, "stdout": subprocess.PIPE,
+               "stderr": subprocess.PIPE, **options}
+    return subprocess.run([sys.executable, *args], timeout=timeout, **options)
+
+
+def run_main(argv, call=main) -> tuple:
+    """(exit code, stdout, stderr) of ``call(argv)``, by default ``hausnum.cli.main``,
+    in process with both streams captured; a ``SystemExit`` gives its code."""
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        try:
+            code = call(argv)
+        except SystemExit as exc:
+            code = exc.code
+    return code, out.getvalue(), err.getvalue()
 
 
 # Files that are not UTF-8 JSON within the interpreter's limits: a UTF-16

@@ -7,8 +7,6 @@ to see the per-criterion lines.
 
 import json
 import random
-import subprocess
-import sys
 import time
 from contextlib import contextmanager
 from fractions import Fraction
@@ -48,7 +46,7 @@ from hausnum.symbolic import (
     t1_status,
 )
 
-from conftest import random_preorder
+from conftest import random_preorder, run_python
 
 
 @contextmanager
@@ -212,11 +210,8 @@ def test_criterion_9_parallel_determinism(tmp_path):
         outputs = []
         for jobs in (1, 8):
             cache = tmp_path / f"cache-{jobs}"
-            proc = subprocess.run(
-                [sys.executable, "-m", "hausnum", "enumerate", "5",
-                 "--jobs", str(jobs), "--format", "json",
-                 "--cache-dir", str(cache)],
-                capture_output=True, timeout=280)
+            proc = run_python(["-m", "hausnum", "enumerate", "5", "--jobs", str(jobs),
+                               "--format", "json", "--cache-dir", str(cache)], timeout=280)
             assert proc.returncode == 0, proc.stderr.decode()
             outputs.append(proc.stdout)
         assert outputs[0] == outputs[1]

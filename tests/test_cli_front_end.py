@@ -8,8 +8,6 @@ namespace or decline, and help and usage errors must print argparse's text.
 """
 
 import argparse
-import contextlib
-import io
 import sys
 
 import pytest
@@ -18,6 +16,7 @@ from hausnum import cli
 from hausnum.cli import _read_plain, build_parser, main
 from hausnum.limits import TABLE_MAX_POINTS
 
+from conftest import run_main
 from test_cli_output import CALLS
 
 
@@ -143,11 +142,8 @@ DECLINED = [
 
 def reference(argv):
     """argparse's namespace for ``argv``, or None where it exits."""
-    with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):
-        try:
-            return vars(reference_parser().parse_args(argv))
-        except SystemExit:
-            return None
+    namespace, _, _ = run_main(argv, lambda argv: vars(reference_parser().parse_args(argv)))
+    return namespace if isinstance(namespace, dict) else None
 
 
 @pytest.mark.parametrize("argv", PLAIN)
@@ -165,23 +161,13 @@ def test_other_argv_is_left_to_argparse(argv):
         assert vars(build_parser().parse_args(argv)) == parsed
 
 
-def outcome(call, argv):
-    out, err = io.StringIO(), io.StringIO()
-    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
-        try:
-            code = call(argv)
-        except SystemExit as exc:
-            code = exc.code
-    return code, out.getvalue(), err.getvalue()
-
-
 HELP_AND_ERRORS = [argv for argv in DECLINED if reference(argv) is None]
 
 
 @pytest.mark.parametrize("argv", HELP_AND_ERRORS)
 def test_help_and_usage_errors_are_argparse_text(argv):
-    got = outcome(main, argv)
-    assert got == outcome(reference_parser().parse_args, argv)
+    got = run_main(argv)
+    assert got == run_main(argv, reference_parser().parse_args)
     assert got[0] in (0, 2) and got[1] + got[2]
 
 
@@ -193,7 +179,7 @@ def test_help_and_error_corpus_covers_every_parser():
 @pytest.mark.parametrize("argv", [["example", "three-point", "--format", "text"],
                                   ["example", "three-point", "--format=text"]])
 def test_main_reads_sys_argv(argv, monkeypatch, capsys):
-    expected = outcome(main, list(argv))
+    expected = run_main(list(argv))
     monkeypatch.setattr(sys, "argv", ["hausnum", *argv])
     assert main() == 0
     captured = capsys.readouterr()

@@ -11,15 +11,13 @@ do not validate, ``too-large`` and bad parameters).  Usage errors and
 After a deliberate output change, the failure message lists the new pins.
 """
 
-import contextlib
 import hashlib
-import io
 import json
 from pathlib import Path
 
 import pytest
 
-from hausnum.cli import main
+from conftest import run_main
 
 DOCS = {
     "three.json": {"format": "finite-topology/v1", "n": 3,
@@ -135,12 +133,8 @@ CALLS = [
 
 
 def run(argv: list[str]) -> str:
-    out, err = io.StringIO(), io.StringIO()
-    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
-        code = main(argv)
     written = Path(argv[argv.index("--out") + 1]) if "--out" in argv else None
-    payload = json.dumps([code, out.getvalue(), err.getvalue(),
-                          written.read_text(encoding="utf-8")
+    payload = json.dumps([*run_main(argv), written.read_text(encoding="utf-8")
                           if written is not None and written.exists() else None])
     return hashlib.sha256(payload.encode("utf-8")).hexdigest()[:16]
 

@@ -4,7 +4,6 @@ import re
 import pytest
 
 from hausnum import constructions
-from hausnum.cli import main
 from hausnum.constructions import (
     build_example,
     check_claims,
@@ -25,6 +24,8 @@ from hausnum.separation import (
     is_n_hausdorff,
     is_separable,
 )
+
+from conftest import run_main
 
 
 class TestThreePointExample:
@@ -211,20 +212,20 @@ class TestClaims:
             ("hausdorff number is 4", False), ("4-hausdorff", False), ("not discrete", True)]
         assert reports == [topology]
 
-    def test_false_claim_exits_two_from_the_cli(self, monkeypatch, capsys):
+    def test_false_claim_exits_two_from_the_cli(self, monkeypatch):
         monkeypatch.setattr(constructions, "analysis_report",
                             lambda topology: {**analysis_report(topology), "compact": False})
-        assert main(["example", "three-point", "--verify"]) == 2
-        captured = capsys.readouterr()
-        assert captured.out == ""
-        assert captured.err.startswith("error (construction-claim): ")
+        code, out, err = run_main(["example", "three-point", "--verify"])
+        assert (code, out) == (2, "")
+        assert err.startswith("error (construction-claim): ")
 
     @pytest.mark.parametrize("name", ["three-point", "four-point", "two-block:2",
                                       "two-block:3", "two-block:64", "doubled:3",
                                       "doubled:12"])
-    def test_constructor_checks_the_verify_labels(self, monkeypatch, capsys, name):
-        assert main(["example", name, "--verify"]) == 0
-        reported = [c["check"] for c in json.loads(capsys.readouterr().out)["checks"]]
+    def test_constructor_checks_the_verify_labels(self, monkeypatch, name):
+        code, out, _ = run_main(["example", name, "--verify"])
+        assert code == 0
+        reported = [c["check"] for c in json.loads(out)["checks"]]
 
         checked = []
 

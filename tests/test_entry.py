@@ -13,15 +13,17 @@ guard selects.
 """
 
 import atexit
+import functools
 import json
 import os
-import subprocess
 import sys
 import threading
 
 import pytest
 
 from hausnum import cli
+
+from conftest import run_python
 
 ENTRIES = ["hausnum", "hausnum.cli"]
 # What ``python -m hausnum`` ran before it had its own exit.
@@ -43,9 +45,7 @@ ENV = {k: v for k, v in os.environ.items() if k not in ("PYTHONUNBUFFERED", "TOP
 
 def python(args, cwd, **kwargs):
     """Exit code, stdout and stderr of ``python args`` run in ``cwd``."""
-    kwargs.setdefault("stdout", subprocess.PIPE)
-    proc = subprocess.run([sys.executable, *args], cwd=cwd, env=ENV, stdin=subprocess.DEVNULL,
-                          stderr=subprocess.PIPE, timeout=60, **kwargs)
+    proc = run_python(args, cwd=cwd, env=ENV, **kwargs)
     return proc.returncode, proc.stdout, proc.stderr
 
 
@@ -59,21 +59,22 @@ def entry_args(tmp_path, entry):
     return [str(script)]
 
 
-def both(tmp_path, entry, argv, files=()):
-    """(exit code, stdout, stderr, files) through ``entry`` and the reference.
+def run_in(cwd, prefix, argv, files):
+    """(exit code, stdout, stderr, files) of ``python prefix argv`` run in ``cwd``, made
+    if missing and given ``three.json``; ``files`` are read back from it after the
+    process has ended."""
+    cwd.mkdir(exist_ok=True)
+    (cwd / "three.json").write_text(json.dumps(
+        {"format": "finite-topology/v1", "n": 3, "opens": [[], [0], [1, 2], [0, 1, 2]]}))
+    return python([*prefix, *argv], cwd) + tuple((cwd / name).read_bytes() for name in files)
 
-    Each side runs in its own directory holding ``three.json``; ``files`` are
-    read back from it after the process has ended.
-    """
-    results = []
-    for side, prefix in (("entry", entry_args(tmp_path, entry)), ("reference", REFERENCE)):
-        cwd = tmp_path / side
-        cwd.mkdir()
-        (cwd / "three.json").write_text(json.dumps(
-            {"format": "finite-topology/v1", "n": 3, "opens": [[], [0], [1, 2], [0, 1, 2]]}))
-        result = python([*prefix, *argv], cwd)
-        results.append(result + tuple((cwd / name).read_bytes() for name in files))
-    return results
+
+@pytest.fixture(scope="module")
+def reference(tmp_path_factory):
+    """``run_in`` of the reference for (argv tuple, files), once per pair in the module and
+    each in a directory of its own: it does not depend on the entry compared with it."""
+    return functools.cache(lambda argv, files: run_in(
+        tmp_path_factory.mktemp("reference"), REFERENCE, argv, files))
 
 
 @pytest.mark.parametrize("entry", [*ENTRIES, "console-script"])
@@ -89,9 +90,9 @@ def both(tmp_path, entry, argv, files=()):
     (["--help"], 0, ()),
 ], ids=["enumerate", "analyze-text", "analyze-out", "example-out", "symbolic",
         "too-large", "missing-file", "usage", "help"])
-def test_same_as_plain_exit(tmp_path, entry, argv, code, files):
-    entry_result, reference = both(tmp_path, entry, argv, files)
-    assert entry_result == reference
+def test_same_as_plain_exit(reference, tmp_path, entry, argv, code, files):
+    entry_result = run_in(tmp_path, entry_args(tmp_path, entry), argv, files)
+    assert entry_result == reference(tuple(argv), files)
     assert entry_result[0] == code
 
 
@@ -106,13 +107,13 @@ def test_exit_code_one(tmp_path):
 
 
 @pytest.mark.parametrize("entry", ENTRIES)
-def test_cold_cache_file_is_complete(tmp_path, entry):
-    argv = ["enumerate", "4", "--cache-dir", "cache"]
-    entry_result, reference = both(tmp_path, entry, argv, files=("cache/counts-n4-all.json",))
-    assert entry_result == reference
+def test_cold_cache_file_is_complete(reference, tmp_path, entry):
+    argv, files = ("enumerate", "4", "--cache-dir", "cache"), ("cache/counts-n4-all.json",)
+    entry_result = run_in(tmp_path, entry_args(tmp_path, entry), argv, files)
+    assert entry_result == reference(argv, files)
     table = json.loads(entry_result[3])
     assert table["labeled_total"] == 355
-    assert python(["-m", entry, *argv], tmp_path / "entry")[1] == entry_result[1]
+    assert python(["-m", entry, *argv], tmp_path)[1] == entry_result[1]
 
 
 @pytest.mark.parametrize("entry", ENTRIES)
@@ -195,11 +196,9 @@ def lost_stdout_run(tmp_path, argv, stdout, unbuffered):
         {"format": "finite-topology/v1", "n": 3, "opens": [[], [0], [1, 2], [0, 1, 2]]}))
     fd = stdout()
     try:
-        proc = subprocess.run(
-            [sys.executable, "-m", "hausnum", *argv], cwd=tmp_path, stdin=subprocess.DEVNULL,
-            stdout=fd, stderr=subprocess.PIPE, timeout=60,
-            env={**ENV, "PYTHONUNBUFFERED": "1"} if unbuffered else ENV,
-            preexec_fn=(lambda: os.close(1)) if fd is None else None)
+        proc = run_python(["-m", "hausnum", *argv], cwd=tmp_path, stdout=fd,
+                          env={**ENV, "PYTHONUNBUFFERED": "1"} if unbuffered else ENV,
+                          preexec_fn=(lambda: os.close(1)) if fd is None else None)
     finally:
         if fd is not None:
             os.close(fd)

@@ -4,15 +4,12 @@ import itertools
 import json
 import math
 import os
-import subprocess
-import sys
 import time
 import tracemalloc
 from fractions import Fraction
 
 import pytest
 
-from hausnum.cli import main
 from hausnum.constructions import doubled_point_topology, two_block_topology
 from hausnum.core import Preorder, topology_from_preorder, validate_topology
 from hausnum.enumeration import (
@@ -38,7 +35,7 @@ from hausnum.errors import BadParameter, ParseError, PointOutOfRange, TooLarge
 from hausnum.limits import TABLE_MAX_POINTS
 from hausnum.separation import hausdorff_number
 
-from conftest import UNREADABLE_FILES
+from conftest import UNREADABLE_FILES, random_preorder, run_main, run_python
 
 
 def _updated_rows(doc, *updates):
@@ -376,7 +373,6 @@ class TestCanonicalForm:
     def test_invariance_at_six_points(self, rng):
         from hausnum.core import topology_from_preorder
 
-        from conftest import random_preorder
 
         for _ in range(10):
             t = topology_from_preorder(random_preorder(6, rng))
@@ -392,7 +388,6 @@ class TestCanonicalForm:
         reference's bytes and is invariant under relabelings."""
         import random
 
-        from conftest import random_preorder
 
         rng = random.Random(1008)
         # two of the slowest searches over one member per n = 8 class, then seeded samples
@@ -449,7 +444,6 @@ class TestCanonicalAgainstPerBit:
     def test_seeded_samples(self, n, samples):
         import random
 
-        from conftest import random_preorder
 
         rng = random.Random(1000 + n)
         cases = [tuple(1 << a for a in range(n)), tuple((1 << n) - 1 for _ in range(n))]
@@ -463,7 +457,6 @@ class TestCanonicalAgainstPerBit:
         # every preorder for n <= 5, the seeded samples above for n = 6, 7
         import random
 
-        from conftest import random_preorder
 
         if samples:
             rng = random.Random(1000 + n)
@@ -860,48 +853,44 @@ class TestCache:
         assert count_by_hausdorff(2, cache_dir=tmp_path) == expected
 
     @pytest.mark.parametrize("name", sorted(UNREADABLE_FILES))
-    def test_undecodable_file_is_recomputed(self, tmp_path, capsys, name):
-        assert main(["enumerate", "3", "--cache-dir", str(tmp_path / "fresh")]) == 0
-        fresh = capsys.readouterr().out
+    def test_undecodable_file_is_recomputed(self, tmp_path, name):
+        code, fresh, _ = run_main(["enumerate", "3", "--cache-dir", str(tmp_path / "fresh")])
+        assert code == 0
         path = tmp_path / "cache" / "counts-n3-all.json"
         path.parent.mkdir()
         path.write_bytes(UNREADABLE_FILES[name])
         start = time.perf_counter()
-        assert main(["enumerate", "3", "--cache-dir", str(path.parent)]) == 0
+        assert run_main(["enumerate", "3", "--cache-dir", str(path.parent)])[:2] == (0, fresh)
         assert time.perf_counter() - start < 1.0
-        assert capsys.readouterr().out == fresh
         assert path.read_text(encoding="utf-8") == fresh
 
-    def test_file_past_the_cap_is_recomputed(self, tmp_path, capsys, place_oversized):
-        assert main(["enumerate", "3", "--cache-dir", str(tmp_path / "fresh")]) == 0
-        fresh = capsys.readouterr().out
+    def test_file_past_the_cap_is_recomputed(self, tmp_path, place_oversized):
+        code, fresh, _ = run_main(["enumerate", "3", "--cache-dir", str(tmp_path / "fresh")])
+        assert code == 0
         path = tmp_path / "cache" / "counts-n3-all.json"
         path.parent.mkdir()
         place_oversized(path, fresh.encode())  # a right table, past the cap
         start = time.perf_counter()
-        assert main(["enumerate", "3", "--cache-dir", str(path.parent)]) == 0
+        assert run_main(["enumerate", "3", "--cache-dir", str(path.parent)])[:2] == (0, fresh)
         assert time.perf_counter() - start < 1.0
-        assert capsys.readouterr().out == fresh
         assert not path.is_symlink() and path.read_text(encoding="utf-8") == fresh
 
-    def test_cache_dir_that_cannot_be_looked_up_is_a_miss(self, tmp_path, capsys):
+    def test_cache_dir_that_cannot_be_looked_up_is_a_miss(self, tmp_path):
         """A name past the file system's limit (ENAMETOOLONG) neither reads nor
         writes a cache, and the table is computed as without one."""
-        assert main(["enumerate", "3", "--cache-dir", str(tmp_path / "fresh")]) == 0
-        fresh = capsys.readouterr().out
+        code, fresh, _ = run_main(["enumerate", "3", "--cache-dir", str(tmp_path / "fresh")])
+        assert code == 0
         too_long = tmp_path / ("a" * 300)
         assert count_by_hausdorff(3, cache_dir=too_long) == count_by_hausdorff(3, use_cache=False)
-        assert main(["enumerate", "3", "--cache-dir", str(too_long)]) == 0
-        assert capsys.readouterr() == (fresh, "")
+        assert run_main(["enumerate", "3", "--cache-dir", str(too_long)]) == (0, fresh, "")
 
     @pytest.mark.skipif(not hasattr(os, "mkfifo"), reason="no os.mkfifo")
     def test_fifo_is_recomputed_and_replaced(self, tmp_path):
         """A FIFO with no writer at the cache path is a miss, not a read that waits
         for ever; in a subprocess, so that a regression fails at the timeout."""
         def enumerate_3(cache):
-            return subprocess.run(
-                [sys.executable, "-m", "hausnum", "enumerate", "3", "--cache-dir", str(cache)],
-                stdin=subprocess.DEVNULL, capture_output=True, timeout=30)
+            return run_python(["-m", "hausnum", "enumerate", "3", "--cache-dir", str(cache)],
+                              timeout=30)
 
         fresh = enumerate_3(tmp_path / "fresh")
         path = tmp_path / "cache" / "counts-n3-all.json"
@@ -925,18 +914,17 @@ class TestCache:
             count_by_hausdorff(3, cache_dir="a\0b")
         assert str(raised.value) == "cache dir must be a path, got 'a\\x00b'"
 
-    def test_failed_rename_leaves_no_temp_file(self, tmp_path, capsys, monkeypatch):
+    def test_failed_rename_leaves_no_temp_file(self, tmp_path, monkeypatch):
         """A directory where the cache file goes: the read fails, the temp file is
         written, its rename fails and it is removed; the table is still right."""
-        assert main(["enumerate", "3", "--cache-dir", str(tmp_path / "fresh")]) == 0
-        fresh = capsys.readouterr()
+        fresh = run_main(["enumerate", "3", "--cache-dir", str(tmp_path / "fresh")])
+        assert fresh[0] == 0
         cache = tmp_path / "cache"
         (cache / "counts-n3-all.json").mkdir(parents=True)
         renamed, replace = [], os.replace
         monkeypatch.setattr(os, "replace", lambda src, dst: renamed.append(src) or replace(src, dst))
         assert count_by_hausdorff(3, cache_dir=cache) == count_by_hausdorff(3, use_cache=False)
-        assert main(["enumerate", "3", "--cache-dir", str(cache)]) == 0
-        assert capsys.readouterr() == fresh
+        assert run_main(["enumerate", "3", "--cache-dir", str(cache)]) == fresh
         assert len(renamed) == 2 and not any(map(os.path.exists, renamed))
         assert [p.name for p in cache.iterdir()] == ["counts-n3-all.json"]
 
@@ -950,10 +938,11 @@ class TestCache:
         (["4"], "counts-n4-all.json"),
         (["3", "--t0-only"], "counts-n3-t0.json"),
     ])
-    def test_cache_file_is_the_json_output(self, tmp_path, capsys, argv, name):
-        code = main(["enumerate", *argv, "--format", "json", "--cache-dir", str(tmp_path)])
+    def test_cache_file_is_the_json_output(self, tmp_path, argv, name):
+        code, out, _ = run_main(["enumerate", *argv, "--format", "json",
+                                 "--cache-dir", str(tmp_path)])
         assert code == 0
-        assert (tmp_path / name).read_bytes() == capsys.readouterr().out.encode()
+        assert (tmp_path / name).read_bytes() == out.encode()
 
     def test_cache_file_takes_the_umasks_mode(self, tmp_path):
         """A new file's mode, 0o666 & ~umask, so a shared cache serves every user."""

@@ -145,6 +145,7 @@ def test_validate_equals_direct_loader_output():
     ([[], [1, 1], [0, 1, 2]], '"opens"[1] is not strictly ascending'),
     ([[], 5, [0, 1, 2]], '"opens"[1] must be an array'),
     ([[], (0,), [0, 1, 2]], '"opens"[1] must be an array'),
+    ([[], [10**5000]], '"opens"[1] contains a positive int of 16,610 bits, not a point in 0..2'),
 ])
 def test_first_defect_is_named(opens, message):
     with pytest.raises(ParseError) as err:

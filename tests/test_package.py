@@ -4,10 +4,9 @@ import ast
 import importlib
 import inspect
 import math
-import subprocess
-import sys
 from collections.abc import Iterator
 from decimal import Decimal
+from fractions import Fraction
 from functools import reduce
 from pathlib import Path
 from types import FunctionType
@@ -16,6 +15,9 @@ import pytest
 
 import hausnum
 from hausnum.errors import BadParameter, ParseError, PointOutOfRange, SpaceMismatch, TooLarge
+from hausnum.limits import shown
+
+from conftest import run_python
 
 SRC = Path(hausnum.__file__).resolve().parent
 
@@ -50,10 +52,9 @@ def test_dir_lists_every_export():
 def test_submodules_resolve_after_plain_import():
     # A fresh interpreter, so no test has imported the submodules already.
     names = sorted(hausnum._SUBMODULES)
-    proc = subprocess.run(
-        [sys.executable, "-c", "import hausnum\n"
-         f"print(*(getattr(hausnum, name).__name__ for name in {names!r}))"],
-        capture_output=True, text=True)
+    proc = run_python(["-c", "import hausnum\n"
+                       f"print(*(getattr(hausnum, name).__name__ for name in {names!r}))"],
+                      text=True)
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout.split() == [f"hausnum.{name}" for name in names]
 
@@ -539,6 +540,27 @@ SWEEP = [
      lambda v: hausnum.topology_from_dict(v)),
 ]
 
+# For each integer or number parameter with a range, an out-of-range value past the
+# interpreter's int-string limit: the error must name it without converting it to text.
+LONG = 10 ** 5000
+OUT_OF_RANGE = {**dict.fromkeys([
+    ("verify_witness", "witness"), ("FiniteTopology", "n"), ("PointSet", "n"),
+    ("PointSet", "mask"), ("PointSet.empty", "n"), ("PointSet.full", "n"),
+    ("PointSet.from_points", "n"), ("PointSet.singleton", "n"), ("Preorder", "n"),
+    ("Preorder.leq", "a"), ("validate_topology", "n"), ("generate_from_subbasis", "n"),
+    ("two_block_topology", "n"), ("two_block_topology", "x0"), ("doubled_point_topology", "n"),
+    ("doubled_point_topology", "x0"), ("minimal_neighborhood", "a"), ("count_by_hausdorff", "n"),
+    ("enumerate_classes", "n"), ("enumerate_labeled", "n"), ("enumerate_preorders", "n"),
+    ("labeled_and_t0_counts", "n"), ("naive_counts", "n"), ("stirling_consistency", "n"),
+    ("Base", "q")], LONG), **dict.fromkeys([
+    ("Cardinal", "value"), ("Finite", "k"), ("PointSet.singleton", "point"), ("Preorder.leq", "b"),
+    ("doubled_point_topology", "x1"), ("count_by_hausdorff", "jobs"), ("is_n_hausdorff", "bound"),
+    ("BugEyedSpace", "vertical_count"), ("Vertical", "m"), ("VerticalPoint", "index"),
+    ("neighborhood_of", "param"), ("grid_witness_search", "max_param"), ("restrict", "n"),
+    ("BasePoint", "coordinate")], -LONG)}
+# Integer parameters that take every value: an index tested for membership, Stirling's n and k.
+NO_RANGE = {("BugEyedSpace.has_vertical", "index"), ("stirling2", "n"), ("stirling2", "k")}
+
 # Public callables outside the table, each with the reason it needs no row.
 NOT_SWEPT = {
     **dict.fromkeys(
@@ -553,16 +575,26 @@ NOT_SWEPT = {
 
 @pytest.mark.parametrize("call, error, value", [
     pytest.param(call, error, value, id=f"{entry}:{parameter}-{kind}-{value!r}")
-    for entry, parameter, kind, error, call in SWEEP for value in WRONG_KIND[kind]])
+    for entry, parameter, kind, error, call in SWEEP for value in WRONG_KIND[kind]] + [
+    pytest.param(call, error, OUT_OF_RANGE[entry, parameter], id=f"{entry}:{parameter}-{kind}-"
+                 f"{'-' * (OUT_OF_RANGE[entry, parameter] < 0)}10**5000")
+    for entry, parameter, kind, error, call in SWEEP
+    if kind in ("integer", "number") and (entry, parameter) in OUT_OF_RANGE])
 def test_wrong_kind_argument_raises_its_modules_error(call, error, value):
     """Package objects and their members, collections, symbolic numbers, text, paths,
-    flags, documents and integers: each public reader refuses a value of the wrong
-    kind with a ``TopologyError``, never a bare exception, never stores it, and never
-    answers for a space that is not one."""
+    flags, documents and integers, and integers out of range past the int-string limit:
+    each public reader refuses a value of the wrong kind with a ``TopologyError``, never
+    a bare exception, never stores it, and never answers for a space that is not one."""
     with pytest.raises(error):
         result = call(value)
         if isinstance(result, Iterator):  # a generator checks at its first step
             next(result)
+
+
+def test_a_number_past_the_int_string_limit_is_shown_by_its_size():
+    assert [shown(v) for v in (-LONG, Fraction(1, LONG), [LONG], "b:1")] == [
+        "a negative int of 16,610 bits", "a positive Fraction of 16,610 bits",
+        "a list holding a number past the int-string limit", "'b:1'"]
 
 
 def parameters(objects: dict) -> set:
@@ -622,6 +654,7 @@ def test_every_public_parameter_has_a_row_or_a_reason():
     """Every parameter of a public callable, and of a public method of an exported
     class, needs a row, or its callable one of the closed list of reasons on
     ``NOT_SWEPT``; a row names a parameter that its entry has."""
+    assert {(e, p) for e, p, kind, *_ in SWEEP if kind == "integer"} - NO_RANGE <= set(OUT_OF_RANGE)
     assert set(NOT_SWEPT.values()) <= {
         "takes no argument", "a result record, built by the package", "a type alias"}
     public = {name: getattr(hausnum, name) for name in hausnum.__all__}

@@ -18,6 +18,8 @@ the call's own work.
 
 from operator import attrgetter
 
+from .limits import shown
+
 
 class Record:
     __slots__ = ()
@@ -42,7 +44,7 @@ class Record:
         return NotImplemented
 
     def __repr__(self) -> str:
-        fields = ", ".join(f"{name}={getattr(self, name)!r}" for name in self._fields)
+        fields = ", ".join(f"{name}={shown(getattr(self, name))}" for name in self._fields)
         return f"{type(self).__qualname__}({fields})"
 
 

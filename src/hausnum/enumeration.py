@@ -389,17 +389,16 @@ def _posets(n: int) -> Iterator[tuple[tuple[int, ...], list[tuple[int, ...]]]]:
         parents = level
 
 
-def _classes(n: int, t0_only: bool = False):
+def _classes(n: int):
     """Each homeomorphism class on n points once, as (rows, sizes, labeled, H).
 
-    ``rows`` is a T0 quotient P on k points, read once from the ``_posets``
-    stream, and ``sizes`` its block sizes, a composition of n into k parts.
-    Block sizes in one Aut(P)-orbit give the same class, taken at the least
-    of them; that class has ``labeled`` = n!/(prod s_i! * |Stab s|) labelings
-    and Hausdorff number H = 1 + max over b of the sizes of the blocks at or
-    below b.  T0 classes are k = n, the only ones with ``t0_only``.
+    ``rows`` is a T0 quotient P on k points, read once from the ``_posets`` stream, and
+    ``sizes`` its block sizes, a composition of n into k parts.  Block sizes in one
+    Aut(P)-orbit give the same class, taken at the least of them; that class has
+    ``labeled`` = n!/(prod s_i! * |Stab s|) labelings and Hausdorff number H = 1 + max
+    over b of the sizes of the blocks at or below b.  T0 classes are k = n.
     """
-    compositions = {k: [] for k in range(n if t0_only else 1, n + 1)}  # by part count
+    compositions = {k: [] for k in range(1, n + 1)}  # by part count
     for k, parts in compositions.items():
         for cuts in combinations(range(1, n), k - 1):
             sizes = tuple(hi - lo for lo, hi in zip((0,) + cuts, cuts + (n,)))
@@ -408,12 +407,24 @@ def _classes(n: int, t0_only: bool = False):
         # the largest sums are at the maximal points
         unders = [[a for a in range(b + 1) if rows[a] >> b & 1]
                   for b, row in enumerate(rows) if row == 1 << b]
-        for sizes, labelings in compositions.get(len(rows), ()):
+        for sizes, labelings in compositions[len(rows)]:
             fixing = _stabilizer(sizes, autos)
             if fixing is None:
                 continue
             h = 1 + max(sum(map(sizes.__getitem__, under)) for under in unders)
             yield rows, sizes, labelings // len(fixing), h
+
+
+def _tables(n: int) -> "tuple[CountsTable, CountsTable]":
+    """The all and T0 tables on n points from one ``_classes`` pass (T0: n-point quotients)."""
+    hists = ({}, {})  # all, T0: H -> (labeled count, class count)
+    for rows, _, labeled, h in _classes(n):
+        for hist in hists[:1 + (len(rows) == n)]:
+            lab, count = hist.get(h, (0, 0))
+            hist[h] = (lab + labeled, count + 1)
+    t0_count = sum(lab for lab, _ in hists[1].values())
+    return tuple(CountsTable(n, dict(sorted(hist.items())), *map(sum, zip(*hist.values())),
+                             t0_count, t0_only) for hist, t0_only in zip(hists, (False, True)))
 
 
 def resolve_cache_dir(explicit: "str | os.PathLike | None" = None) -> Path:
@@ -466,11 +477,11 @@ def count_by_hausdorff(n: int, jobs: int = 1,
                        t0_only: bool = False) -> CountsTable:
     """Count every topology (and class) on n points by Hausdorff number.
 
-    Results are cached as JSON keyed by (n, filter, cache version); a stale
-    or malformed file triggers recomputation.  ``t0_only`` restricts the
-    histogram and class counts to T0 topologies; ``t0_labeled_count`` is
-    always the count of T0 topologies among all of them.  ``jobs`` is
-    accepted for compatibility; the computation is serial.
+    Results are cached as JSON keyed by (n, filter, cache version); a stale or malformed
+    file triggers recomputation.  A miss computes the tables of both filters in one pass
+    and caches both.  ``t0_only`` restricts the histogram and class counts to T0
+    topologies; ``t0_labeled_count`` is always the count of T0 topologies among all of
+    them.  ``jobs`` is accepted for compatibility; the computation is serial.
     """
     _check_cap(n, TABLE_MAX_POINTS)
     if not is_int(jobs) or jobs < 1:
@@ -478,30 +489,17 @@ def count_by_hausdorff(n: int, jobs: int = 1,
     for name, flag in (("use_cache", use_cache), ("t0_only", t0_only)):
         if type(flag) is not bool:
             raise BadParameter(f"{name} must be True or False, got {shown(flag)}")
-    tag = "t0" if t0_only else "all"
-    cache_path = resolve_cache_dir(cache_dir) / f"counts-n{n}-{tag}.json"
-    if use_cache:
-        cached = _read_cache(cache_path, n, t0_only)
-        if cached is not None:
-            return cached
-
-    hist, class_hist, t0_count = {}, {}, 0
-    for rows, _, labeled, h in _classes(n, t0_only):
-        hist[h] = hist.get(h, 0) + labeled
-        class_hist[h] = class_hist.get(h, 0) + 1
-        if len(rows) == n:
-            t0_count += labeled
-    table = CountsTable(
-        n=n,
-        rows={k: (hist[k], class_hist[k]) for k in sorted(hist)},
-        labeled_total=sum(hist.values()),
-        class_total=sum(class_hist.values()),
-        t0_labeled_count=t0_count,
-        t0_only=t0_only,
-    )
-    if use_cache:
-        _write_cache(cache_path, table)
-    return table
+    directory = resolve_cache_dir(cache_dir)
+    paths = [directory / f"counts-n{n}-{tag}.json" for tag in ("all", "t0")]
+    if not use_cache:
+        return _tables(n)[t0_only]
+    cached = _read_cache(paths[t0_only], n, t0_only)
+    if cached is not None:
+        return cached
+    tables = _tables(n)
+    for path, table in zip(paths, tables):
+        _write_cache(path, table)
+    return tables[t0_only]
 
 
 def labeled_and_t0_counts(n: int) -> tuple[int, int]:

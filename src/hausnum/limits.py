@@ -20,9 +20,9 @@ REJECT_MAX_OPENS = 1 << 12
 # k <= n, 34 s), the 4,535 classes 1.3-2.0 s.  With the cap at 8, the 35,979 classes
 # take 15 s (28 MB peak RSS), 9 s of it their representatives.
 ENUM_MAX_POINTS = 7
-# Count tables, pinned by tests up to here; the poset engine takes 1.0-1.7 s at
-# n = 8, and 12-19 s with an 83 MB peak at n = 9.  Canonical forms: at n = 8 one
-# takes 0.1 ms on average over the classes, 1.2 ms at worst (a row is one byte).
+# Count tables, pinned by tests up to here; one poset engine pass gives both (all
+# and T0): 1.0-1.7 s at n = 8, 12-19 s with an 83 MB peak at n = 9.  Canonical forms:
+# at n = 8 one takes 0.1 ms on average over the classes, 1.2 ms at worst (one byte a row).
 TABLE_MAX_POINTS = 8
 # Naive filter over 2**(2**n - 2) families: 16,384 at n = 4 (0.06 s), 2**30 at n = 5.
 NAIVE_MAX_POINTS = 4
@@ -45,7 +45,7 @@ def is_int(value) -> bool:
 
 
 def shown(value, text=repr) -> str:
-    """``text(value)`` for an error message, ``repr`` or ``str`` as the message has it;
+    """``text(value)`` for a message or a repr, ``repr`` or ``str`` as the text has it;
     an int or ``Fraction`` past the interpreter's int-string limit by its size instead."""
     try:
         return text(value)

@@ -462,8 +462,8 @@ def _neighborhood_dict(nbhd: BasisNeighborhood) -> dict:
 
 def format_point(p: SymbolicPoint) -> str:
     if isinstance(p, BasePoint):
-        return f"b:{p.coordinate}"
-    return f"v:{p.index}"
+        return f"b:{shown(p.coordinate, str)}"
+    return f"v:{shown(p.index, str)}"
 
 
 def _check_digits(text: str, what: str) -> None:

@@ -20,6 +20,7 @@ from hausnum.enumeration import (
     _invariant_cells,
     _least_rows,
     _posets,
+    _tables,
     _walk,
     canonical_form,
     count_by_hausdorff,
@@ -131,9 +132,20 @@ NINE_T0 = ({2: 1, 3: 293607, 4: 66203028, 5: 1151604468, 6: 5406567894,
 
 
 @functools.cache
+def engine_tables(n):
+    """The all and T0 tables of one engine pass, computed once per test run."""
+    return _tables(n)
+
+
 def engine_table(n, t0_only):
-    """``count_by_hausdorff(n)`` without the cache, computed once per test run."""
-    return count_by_hausdorff(n, use_cache=False, t0_only=t0_only)
+    """``count_by_hausdorff(n)`` without the cache, from ``engine_tables``."""
+    return engine_tables(n)[t0_only]
+
+
+@functools.cache
+def engine_classes(n):
+    """``_classes(n)`` as a list, one engine pass per test run."""
+    return list(_classes(n))
 
 
 def permute_topology(t, perm):
@@ -581,7 +593,7 @@ class TestCountsTable:
 
     @pytest.mark.parametrize("t0_only, expected", [(False, SIX_ALL), (True, SIX_T0)])
     def test_six_points_pinned(self, t0_only, expected):
-        table = count_by_hausdorff(6, use_cache=False, t0_only=t0_only)
+        table = engine_table(6, t0_only)
         assert {h: c for h, (c, _) in table.rows.items()} == expected[0]
         assert {h: c for h, (_, c) in table.rows.items()} == expected[1]
         assert table.t0_labeled_count == 130023
@@ -711,8 +723,10 @@ class TestDuality:
     @pytest.mark.parametrize("n", range(1, 9))
     def test_h_and_the_dual_h_share_their_histograms(self, n, t0_only):
         hist, dual_hist, differ = {}, {}, 0
-        for rows, sizes, labeled, h in _classes(n, t0_only):
+        for rows, sizes, labeled, h in engine_classes(n):
             k = len(rows)
+            if t0_only and k < n:
+                continue
             dual = 1 + max(sum(sizes[b] for b in range(k) if rows[a] >> b & 1)
                            for a in range(k)
                            if not any(rows[b] >> a & 1 for b in range(k) if b != a))
@@ -824,15 +838,15 @@ class TestRowIdentities:
 class TestCache:
     def test_cache_roundtrip(self, tmp_path):
         first = count_by_hausdorff(3, cache_dir=tmp_path)
-        files = list(tmp_path.glob("counts-*.json"))
-        assert len(files) == 1
+        files = sorted(p.name for p in tmp_path.glob("counts-*.json"))
+        assert files == ["counts-n3-all.json", "counts-n3-t0.json"]  # a miss writes both
         again = count_by_hausdorff(3, cache_dir=tmp_path)
         assert first == again
 
     def test_wrong_filter_recomputes(self, tmp_path):
         """A consistent table of the other filter, which ``from_dict`` accepts."""
         expected = count_by_hausdorff(3, cache_dir=tmp_path, t0_only=True)
-        path = next(tmp_path.glob("counts-*.json"))
+        path = tmp_path / "counts-n3-t0.json"
         path.write_text(json.dumps({**json.loads(path.read_text()), "t0_only": False}))
         assert count_by_hausdorff(3, cache_dir=tmp_path, t0_only=True) == expected
         assert json.loads(path.read_text()) == expected.to_dict()
@@ -841,14 +855,14 @@ class TestCache:
     def test_malformed_document_recomputes(self, tmp_path, n, t0_only, edit):
         """Every row of ``BAD_COUNTS``, the table the reader's test reads too."""
         expected = count_by_hausdorff(n, cache_dir=tmp_path, t0_only=t0_only)
-        path = next(tmp_path.glob("counts-*.json"))
+        path = tmp_path / f"counts-n{n}-{'t0' if t0_only else 'all'}.json"
         path.write_text(json.dumps(edit(json.loads(path.read_text()))))
         assert count_by_hausdorff(n, cache_dir=tmp_path, t0_only=t0_only) == expected
         assert json.loads(path.read_text()) == expected.to_dict()
 
     def test_unparsable_file_recomputes(self, tmp_path):
         expected = count_by_hausdorff(2, cache_dir=tmp_path)
-        path = next(tmp_path.glob("counts-*.json"))
+        path = tmp_path / "counts-n2-all.json"
         path.write_text('{"rows": [')
         assert count_by_hausdorff(2, cache_dir=tmp_path) == expected
 
@@ -916,7 +930,8 @@ class TestCache:
 
     def test_failed_rename_leaves_no_temp_file(self, tmp_path, monkeypatch):
         """A directory where the cache file goes: the read fails, the temp file is
-        written, its rename fails and it is removed; the table is still right."""
+        written, its rename fails and it is removed; the table is still right.  Each
+        miss also writes the T0 file, by a rename that succeeds."""
         fresh = run_main(["enumerate", "3", "--cache-dir", str(tmp_path / "fresh")])
         assert fresh[0] == 0
         cache = tmp_path / "cache"
@@ -925,8 +940,32 @@ class TestCache:
         monkeypatch.setattr(os, "replace", lambda src, dst: renamed.append(src) or replace(src, dst))
         assert count_by_hausdorff(3, cache_dir=cache) == count_by_hausdorff(3, use_cache=False)
         assert run_main(["enumerate", "3", "--cache-dir", str(cache)]) == fresh
-        assert len(renamed) == 2 and not any(map(os.path.exists, renamed))
-        assert [p.name for p in cache.iterdir()] == ["counts-n3-all.json"]
+        assert len(renamed) == 4 and not any(map(os.path.exists, renamed))
+        assert sorted(p.name for p in cache.iterdir()) == [
+            "counts-n3-all.json", "counts-n3-t0.json"]
+
+    @pytest.mark.parametrize("t0_only", [False, True])
+    def test_a_miss_serves_the_other_filter(self, tmp_path, monkeypatch, t0_only):
+        """One cold call runs the engine once and caches both filters, so that the
+        other filter is then a hit, in the library and on the command line."""
+        other = not t0_only
+        expected = count_by_hausdorff(4, use_cache=False, t0_only=other)
+        passes = []
+        monkeypatch.setattr("hausnum.enumeration._classes",
+                            lambda n: passes.append(n) or _classes(n))
+        count_by_hausdorff(4, cache_dir=tmp_path, t0_only=t0_only)
+        assert passes == [4]
+
+        def no_pass(n):
+            raise AssertionError("a cache hit runs the engine")
+
+        monkeypatch.setattr("hausnum.enumeration._classes", no_pass)
+        assert count_by_hausdorff(4, cache_dir=tmp_path, t0_only=other) == expected
+        argv = ["enumerate", "4", *["--t0-only"] * other, "--format", "json",
+                "--cache-dir", str(tmp_path)]
+        code, out, err = run_main(argv)
+        cached = tmp_path / f"counts-n4-{'t0' if other else 'all'}.json"
+        assert (code, out.encode(), err) == (0, cached.read_bytes(), "")
 
     def test_write_leaves_no_temp_files(self, tmp_path):
         count_by_hausdorff(2, cache_dir=tmp_path)

@@ -597,6 +597,17 @@ def test_a_number_past_the_int_string_limit_is_shown_by_its_size():
         "a list holding a number past the int-string limit", "'b:1'"]
 
 
+@pytest.mark.parametrize("call, text", [
+    (lambda: repr(hausnum.Vertical(LONG)), "VerticalPoint(index=a positive int of 16,610 bits)"),
+    (lambda: hausnum.t1_status(hausnum.BugEyedSpace(LONG, t1_variant=False),
+                               hausnum.Vertical(LONG), hausnum.Base(Fraction(1, 2))).explanation,
+     "every basic neighborhood of v:a positive int of 16,610 bits contains b:1/2"),
+], ids=["repr-Vertical", "t1_status-explanation"])
+def test_a_value_past_the_int_string_limit_is_printed_by_its_size(call, text):
+    """A record's repr and a point's text name such a value as ``shown`` does."""
+    assert call() == text
+
+
 def parameters(objects: dict) -> set:
     """(entry, parameter) for each parameter of each callable in ``objects`` (name ->
     value) and of each public plain, class or static method of a class among them,

@@ -5,8 +5,9 @@ and structural equality of topologies is plain tuple equality once the open
 family is stored in canonical order (ascending cardinality, ties by ascending
 mask value).
 
-Every type here is immutable after construction and every operation is a
-pure function, so values can be shared freely across threads or processes.
+Every type here is immutable after construction (a topology may derive its open
+family on first read, the same in any thread) and every operation is a pure
+function, so values can be shared freely across threads or processes.
 """
 
 from __future__ import annotations
@@ -130,10 +131,6 @@ class PointSet(FrozenRecord):
         return f"PointSet({self.n}, {{{', '.join(map(str, self))}}})"
 
 
-_set_n = PointSet.n.__set__
-_set_mask = PointSet.mask.__set__
-
-
 def _as_mask(n: int, s: "PointSet | Iterable[int]") -> int:
     if isinstance(s, PointSet):
         if s.n != n:
@@ -157,12 +154,12 @@ class FiniteTopology(FrozenRecord):
     its arguments, n as a point count and ``opens`` as a collection of
     :class:`PointSet` over n points, stored as a tuple.
 
-    The fields are ``n`` and ``opens``.  Every topology also holds, from
-    construction, ``_masks`` (the open masks, in the order of ``opens``) and
-    ``_rows`` (``rows[a]``, the mask of the minimal neighbourhood of a); the
-    builders of this module pass in what they already know, and ``__init__``
-    derives both from ``opens``.  It memoizes nothing else.  Equality,
-    hashing, the repr and pickling see the fields only.
+    The fields are ``n`` and ``opens``.  Every topology also holds ``_masks``
+    (the open masks, in the order of ``opens``) and ``_rows`` (``rows[a]``, the
+    mask of the minimal neighbourhood of a), derived by ``__init__``.  A package
+    builder sets ``n`` and ``_rows`` and may leave ``_masks`` and ``opens`` to
+    their first read, which stores them (equal values, from any thread).  Equality,
+    hashing, the repr and pickling see the fields only, so derive ``opens`` first.
     """
 
     __slots__ = ("n", "opens", "_masks", "_rows")
@@ -173,6 +170,14 @@ class FiniteTopology(FrozenRecord):
                       for u in collection(opens, PointOutOfRange))
         masks = tuple(_as_mask(n, u) for u in opens)
         self._assign(n, opens, masks, _rows_from_masks(n, masks))
+
+    def __getattr__(self, name: str):  # reached only for a slot left unset
+        if name not in ("_masks", "opens"):
+            raise AttributeError(f"{type(self).__name__!r} object has no attribute {name!r}")
+        value = (_canonical_masks(_up_sets(self._rows)) if name == "_masks"
+                 else tuple(PointSet(self.n, mask) for mask in self._masks))
+        object.__setattr__(self, name, value)
+        return value
 
     @property
     def open_masks(self) -> tuple[int, ...]:
@@ -190,24 +195,21 @@ def _topology_arg(topology: FiniteTopology) -> FiniteTopology:
     return instance(topology, FiniteTopology, SpaceMismatch, "finite topology")
 
 
-def _topology(n: int, masks: tuple[int, ...], rows: tuple[int, ...]) -> FiniteTopology:
-    """The topology with these canonical, in-range open masks and their
-    minimal rows, built without re-deriving either or checking its PointSets."""
-    opens = []
-    for mask in masks:
-        s = object.__new__(PointSet)
-        _set_n(s, n)
-        _set_mask(s, mask)
-        opens.append(s)
+def _topology(n: int, rows: tuple[int, ...], masks: tuple[int, ...] | None = None) -> FiniteTopology:
+    """The topology with these preorder rows and, if given, their canonical open
+    masks, built unchecked; it derives what it is not given on first read."""
     topology = object.__new__(FiniteTopology)
-    topology._assign(n, tuple(opens), masks, rows)
+    object.__setattr__(topology, "n", n)
+    object.__setattr__(topology, "_rows", rows)
+    if masks is not None:
+        object.__setattr__(topology, "_masks", masks)
     return topology
 
 
 def _from_rows(n: int, rows: tuple[int, ...]) -> FiniteTopology:
     """The topology whose minimal rows are the preorder rows ``rows``: every
     union of them.  Raises :class:`TooLarge` past ``MAX_OPENS`` open sets."""
-    return _topology(n, _canonical_masks(_up_sets(rows)), rows)
+    return _topology(n, rows, _canonical_masks(_up_sets(rows)))
 
 
 def validate_topology(n: int, family: Iterable["PointSet | Iterable[int]"]) -> FiniteTopology:
@@ -238,7 +240,7 @@ def _validated(n: int, masks: Iterable[int]) -> FiniteTopology:
     rows = _rows_from_masks(n, masks)
     if 0 in mask_set and all(mask_set.issuperset(map(or_, masks, repeat(row)))
                              for row in set(rows)):
-        return _topology(n, masks, rows)
+        return _topology(n, rows, masks)
     if len(masks) > REJECT_MAX_OPENS:
         raise TooLarge(f"not a topology; defects are located only in families of up "
                        f"to {REJECT_MAX_OPENS} open sets, this one has {len(masks)}")

@@ -255,7 +255,7 @@ def _canonical(rows) -> tuple[tuple[int, ...], list[list[int]]]:
 
 def enumerate_preorders(n: int) -> Iterator[Preorder]:
     """Every specialization preorder on n points, in ascending matrix order; at n = 7
-    the 9,535,241 of them take 42 s on a 2-vCPU VM, the bare walk 30 s."""
+    the 9,535,241 of them take 26-42 s on a 2-vCPU VM, the bare walk 15-30 s."""
     _check_cap(n, ENUM_MAX_POINTS)
     from .core import _preorder
 
@@ -264,13 +264,13 @@ def enumerate_preorders(n: int) -> Iterator[Preorder]:
 
 
 def enumerate_labeled(n: int) -> Iterator[FiniteTopology]:
-    """Every topology on n labeled points once, in ``enumerate_preorders`` order.  Each
-    is built with its open family: 230 s at n = 7 on a 2-vCPU VM, 5.5x the preorders."""
+    """Every topology on n labeled points once, in ``enumerate_preorders`` order, each
+    deriving its open family on first read: 21-25 s at n = 7 on a 2-vCPU VM."""
     _check_cap(n, ENUM_MAX_POINTS)
-    from .core import _from_rows
+    from .core import _topology
 
     for rows in _walk(n):
-        yield _from_rows(n, tuple(rows))
+        yield _topology(n, tuple(rows))
 
 
 def canonical_form(topology: FiniteTopology) -> CanonicalForm:
@@ -291,7 +291,7 @@ def enumerate_classes(n: int) -> Iterator[tuple[CanonicalForm, FiniteTopology]]:
     representative from one cell.
     """
     _check_cap(n, ENUM_MAX_POINTS)
-    from .core import _from_rows
+    from .core import _topology
 
     classes = []
     for quotient, sizes, _, _ in _classes(n):
@@ -301,7 +301,7 @@ def enumerate_classes(n: int) -> Iterator[tuple[CanonicalForm, FiniteTopology]]:
         form = _least_rows(member, _invariant_cells(member))[0]
         classes.append((form, _least_rows(member, [(1 << n) - 1])[0]))
     for enc, rows in sorted(classes):
-        yield CanonicalForm(bytes(enc)), _from_rows(n, rows)
+        yield CanonicalForm(bytes(enc)), _topology(n, rows)
 
 
 def _stabilizer(values: tuple, autos: list) -> "list | None":

@@ -67,7 +67,7 @@ def _point_mask(value, n: int, key: str, i: int) -> int:
     ascending = True
     for p in value:
         if not is_int(p) or not 0 <= p < n:
-            raise ParseError(f'"{key}"[{i}] contains {shown(p)}, not a point in 0..{n - 1}')
+            raise ParseError(f'"{key}"[{i}] contains {shown(p)}, not a point in 0..{shown(n - 1, str)}')
         if p <= last:
             ascending = False
         last = p

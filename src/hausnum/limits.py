@@ -16,7 +16,7 @@ MAX_OPENS = 1 << 16
 # at most 1.1 s for 4,096 sets, 4x per doubling.
 REJECT_MAX_OPENS = 1 << 12
 # Labeled walk, classes, Stirling check; at n = 7 the walk's 9,535,241 leaves take
-# 24-39 s bare, 42 s built as preorders and 230 s as topologies (Stirling, a walk per
+# 15-39 s bare, 26-42 s built as preorders and 21-25 s as topologies (Stirling, a walk per
 # k <= n, 34 s), the 4,535 classes 1.3-2.0 s.  With the cap at 8, the 35,979 classes
 # take 15 s (28 MB peak RSS), 9 s of it their representatives.
 ENUM_MAX_POINTS = 7

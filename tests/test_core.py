@@ -1,5 +1,7 @@
+import copy
 import itertools
 import operator
+import pickle
 import random
 
 import pytest
@@ -16,7 +18,7 @@ from hausnum.core import (
     topology_from_preorder,
     validate_topology,
 )
-from hausnum.enumeration import enumerate_labeled, enumerate_preorders
+from hausnum.enumeration import enumerate_classes, enumerate_labeled, enumerate_preorders
 from hausnum.errors import (
     EmptySubset,
     InvalidTopology,
@@ -586,8 +588,10 @@ class TestImmutability:
 
 
 class TestCarriedRows:
-    """Every topology holds its open masks and minimal rows from construction,
-    and they agree with its opens, however it was made."""
+    """Every topology holds its minimal rows from construction, and its open masks
+    from construction too, but for ``enumerate_labeled`` and ``enumerate_classes``:
+    theirs, and every package builder's ``opens``, are derived on first read.  They
+    agree with its opens, however it was made."""
 
     @staticmethod
     def check(t) -> None:
@@ -634,6 +638,70 @@ class TestCarriedRows:
             self.check(load_topology(path)[0])
         path.write_text('{"format": "finite-topology/v1", "n": 4, "subbasis": [[2], [0, 1]]}')
         self.check(load_topology(path)[0])
+
+    @staticmethod
+    def enumerated():
+        """Every topology the walk yields for n <= 4, every class representative for n <= 5."""
+        for n in range(1, 5):
+            yield from enumerate_labeled(n)
+        for n in range(1, 6):
+            yield from (t for _, t in enumerate_classes(n))
+
+    READS = {"check": None, "open_masks": operator.attrgetter("open_masks"),
+             "eq": lambda t: t, "hash": hash, "repr": repr, "copy": copy.copy,
+             "deepcopy": copy.deepcopy, "pickle": lambda t: pickle.loads(pickle.dumps(t))}
+
+    @staticmethod
+    def unset(t) -> set:
+        """The slots of ``t`` left to first read, looked up past ``__getattr__``."""
+        missing = set()
+        for name in ("opens", "_masks"):
+            try:
+                getattr(FiniteTopology, name).__get__(t)
+            except AttributeError:
+                missing.add(name)
+        return missing
+
+    @pytest.mark.parametrize("read", READS.values(), ids=READS)
+    def test_enumerated_topology_derives_on_first_read(self, read):
+        """Each holds only n and its rows until read; whatever reads it first, it then
+        equals the topology built from its opens in equality, hash, repr and copies."""
+        for t, twin in zip(self.enumerated(), self.enumerated()):
+            eager = FiniteTopology(twin.n, twin.opens)
+            assert self.unset(t) == {"opens", "_masks"}
+            if read is None:
+                self.check(t)
+            else:
+                assert read(t) == read(eager)
+            assert self.unset(t) == ({"opens"} if read is self.READS["open_masks"] else set())
+            assert t == eager and hash(t) == hash(eager) and repr(t) == repr(eager)
+            self.check(t)
+            assert t._rows == eager._rows
+
+    def test_threads_that_derive_at_once_read_equal_values(self):
+        """Threads that read the same topologies' open families at once each read the
+        family of the topology built from its opens, and leave it stored."""
+        import sys
+        import threading
+
+        shared = list(self.enumerated())
+        eager = [FiniteTopology(t.n, t.opens) for t in self.enumerated()]
+        reads = [[] for _ in range(4)]
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            threads = [threading.Thread(target=lambda out=out: out.extend(
+                (t.opens, t.open_masks) for t in shared)) for out in reads]
+            for thread in threads:
+                thread.start()
+            for thread in threads:
+                thread.join(timeout=60)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(thread.is_alive() for thread in threads)
+        for out in reads:
+            assert out == [(e.opens, e.open_masks) for e in eager]
+        assert shared == eager and [hash(t) for t in shared] == [hash(e) for e in eager]
 
     def test_bare_topology_derives_at_construction(self):
         from hausnum.core import FiniteTopology

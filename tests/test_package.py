@@ -597,14 +597,28 @@ def test_a_number_past_the_int_string_limit_is_shown_by_its_size():
         "a list holding a number past the int-string limit", "'b:1'"]
 
 
+def long_n_parse_error(key: str) -> str:
+    """The text of the ``ParseError`` for a bad point in a document's ``key`` family
+    over ``LONG`` points."""
+    with pytest.raises(ParseError) as caught:
+        hausnum.topology_from_dict({"format": "finite-topology/v1", "n": LONG, key: [[-1]]})
+    return str(caught.value)
+
+
 @pytest.mark.parametrize("call, text", [
     (lambda: repr(hausnum.Vertical(LONG)), "VerticalPoint(index=a positive int of 16,610 bits)"),
     (lambda: hausnum.t1_status(hausnum.BugEyedSpace(LONG, t1_variant=False),
                                hausnum.Vertical(LONG), hausnum.Base(Fraction(1, 2))).explanation,
      "every basic neighborhood of v:a positive int of 16,610 bits contains b:1/2"),
-], ids=["repr-Vertical", "t1_status-explanation"])
+    (lambda: long_n_parse_error("opens"),
+     '"opens"[0] contains -1, not a point in 0..a positive int of 16,610 bits'),
+    (lambda: long_n_parse_error("subbasis"),
+     '"subbasis"[0] contains -1, not a point in 0..a positive int of 16,610 bits'),
+], ids=["repr-Vertical", "t1_status-explanation", "topology_from_dict-opens",
+        "topology_from_dict-subbasis"])
 def test_a_value_past_the_int_string_limit_is_printed_by_its_size(call, text):
-    """A record's repr and a point's text name such a value as ``shown`` does."""
+    """A record's repr, a point's text and a document error name such a value as
+    ``shown`` does."""
     assert call() == text
 
 

@@ -377,9 +377,11 @@ class Preorder(FrozenRecord):
 
 
 def _preorder(n: int, rows: tuple[int, ...]) -> Preorder:
-    """The preorder with these rows, known reflexive and transitive, built unchecked."""
+    """The preorder with these rows, known reflexive and transitive, built unchecked;
+    once per walk leaf, so its slots are set directly, at half the cost of ``_assign``."""
     preorder = object.__new__(Preorder)
-    preorder._assign(n, rows)
+    object.__setattr__(preorder, "n", n)
+    object.__setattr__(preorder, "rows", rows)
     return preorder
 
 

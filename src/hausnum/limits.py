@@ -15,14 +15,14 @@ MAX_OPENS = 1 << 16
 # A rejected family, scanned pair by pair to name its first failing pairs;
 # at most 1.1 s for 4,096 sets, 4x per doubling.
 REJECT_MAX_OPENS = 1 << 12
-# Labeled walk, classes, Stirling check; at n = 7 the walk's 9,535,241 leaves take
-# 15-39 s bare, 26-42 s built as preorders and 21-25 s as topologies (Stirling, a walk per
-# k <= n, 34 s), the 4,535 classes 1.3-2.0 s.  With the cap at 8, the 35,979 classes
-# take 15 s (28 MB peak RSS), 9 s of it their representatives.
+# Labeled walk and Stirling check; at n = 7 the walk's 9,535,241 leaves take 15-39 s
+# bare, 21-40 s built as preorders and 21-36 s as topologies (Stirling, a walk per
+# k <= n, 34 s); n = 8 has 67x the leaves.
 ENUM_MAX_POINTS = 7
-# Count tables, pinned by tests up to here; one poset engine pass gives both (all
-# and T0): 1.0-1.7 s at n = 8, 12-19 s with an 83 MB peak at n = 9.  Canonical forms:
-# at n = 8 one takes 0.1 ms on average over the classes, 1.2 ms at worst (one byte a row).
+# Count tables, pinned by tests up to here; one poset engine pass gives both (all and
+# T0): 0.8-1.1 s at n = 8, 9-15 s with a 79-82 MB peak at n = 9.  Class lists: 0.8 s at
+# n = 7, 8-11 s (28 MB peak RSS) at n = 8, most of it the representatives.  Canonical forms
+# (one byte a row): at n = 8 one takes 0.1 ms on average over the classes, 1.2 ms at worst.
 TABLE_MAX_POINTS = 8
 # Naive filter over 2**(2**n - 2) families: 16,384 at n = 4 (0.06 s), 2**30 at n = 5.
 NAIVE_MAX_POINTS = 4

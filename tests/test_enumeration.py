@@ -366,6 +366,13 @@ class TestEnumerateLabeled:
 
 
 class TestCanonicalForm:
+    def test_cap_fits_one_byte_a_row(self):
+        # the cap that ``canonical_form`` and ``enumerate_classes`` read
+        assert TABLE_MAX_POINTS <= 8, (
+            "CanonicalForm.encoding holds each row as one byte, so forms fit at most 8 "
+            f"points, not TABLE_MAX_POINTS = {TABLE_MAX_POINTS}: widen the encoding or "
+            "give canonical forms a cap of their own")
+
     def test_discrete_fixed_under_permutations(self):
         from hausnum.core import generate_from_subbasis
 
@@ -498,7 +505,7 @@ class TestCanonicalAgainstPerBit:
 
 
 class TestEnumerateClasses:
-    @pytest.mark.parametrize("n", [1, 2, 3, 4, 5, 6, 7])
+    @pytest.mark.parametrize("n", [1, 2, 3, 4, 5, 6, 7, 8])
     def test_class_counts(self, n):
         assert len(classes(n)) == CLASSES[n]
 
@@ -529,10 +536,20 @@ class TestEnumerateClasses:
             digest.update(line.encode())
         assert digest.hexdigest() == expected[n]
 
-    def test_eight_points_refused_at_first_next(self):
-        pairs = enumerate_classes(8)
+    def test_eight_points_pinned(self):
+        # sha256 over the lines of ``enumerate_classes(8)``, computed with its cap
+        # lifted to TABLE_MAX_POINTS = 8 before it read that cap
+        digest = hashlib.sha256()
+        for line in class_lines(8):
+            digest.update(line.encode())
+        assert digest.hexdigest() == (
+            "0111174e35d1e64ae5447135ed391ccc3c030110ba19ad8156d35f6fd78502ca")
+
+    def test_past_the_cap_refused_at_first_next(self):
+        pairs = enumerate_classes(TABLE_MAX_POINTS + 1)
         start = time.perf_counter()
-        with pytest.raises(TooLarge):
+        with pytest.raises(TooLarge, match=f"supported up to {TABLE_MAX_POINTS} points here, "
+                                            f"got {TABLE_MAX_POINTS + 1}$"):
             next(pairs)
         assert time.perf_counter() - start < 1.0
 

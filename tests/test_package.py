@@ -85,7 +85,7 @@ def test_readme_states_the_caps_of_limits():
                    f"independent ground truth (n <= {ORACLE_MAX_POINTS})",
                    f"`MAX_OPENS` = {MAX_OPENS:,} sets",
                    f"rejected family of up to `REJECT_MAX_OPENS` = {REJECT_MAX_OPENS:,} sets",
-                   f"homeomorphism classes on up to {ENUM_MAX_POINTS} points",
+                   f"homeomorphism classes on up to {TABLE_MAX_POINTS} points",
                    f"canonical forms of topologies on up to {TABLE_MAX_POINTS} points",
                    f"`COORDINATE_MAX_DIGITS` = {COORDINATE_MAX_DIGITS:,} digits",
                    f"`MAX_DOCUMENT_BYTES` = {MAX_DOCUMENT_BYTES:,} bytes"):

@@ -232,7 +232,7 @@ COMMANDS = {
     "analyze": ("separation report for a topology file", _cmd_analyze, [
         ("input", {"help": "finite-topology/v1 JSON file"}),
         ("--oracle", {"action": "store_true",
-                      "help": "cross-check with the exhaustive oracle (n <= 5)"}),
+                      "help": f"cross-check with the exhaustive oracle (n <= {ORACLE_MAX_POINTS})"}),
         _FORMAT,
         ("--out", {"help": "write the report here instead of stdout"}),
     ], None),

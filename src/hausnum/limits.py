@@ -15,12 +15,12 @@ MAX_OPENS = 1 << 16
 # A rejected family, scanned pair by pair to name its first failing pairs;
 # at most 1.1 s for 4,096 sets, 4x per doubling.
 REJECT_MAX_OPENS = 1 << 12
-# Labeled walk and Stirling check; at n = 7 the walk's 9,535,241 leaves take 15-39 s
-# bare, 21-40 s built as preorders and 21-36 s as topologies (Stirling, a walk per
-# k <= n, 34 s); n = 8 has 67x the leaves.
+# Labeled walk (it checks this for every client) and Stirling check (before its walks of
+# k < n): at n = 7 the walk's 9,535,241 leaves take 14-20 s bare, 19-31 s as preorders and
+# 17-24 s as topologies (Stirling, a walk per k <= n, 19-23 s); n = 8 has 67x the leaves.
 ENUM_MAX_POINTS = 7
 # Count tables, pinned by tests up to here; one poset engine pass gives both (all and
-# T0): 0.8-1.1 s at n = 8, 9-15 s with a 79-82 MB peak at n = 9.  Class lists: 0.8 s at
+# T0): 0.8-1.1 s at n = 8, 10-13 s with a 79 MB peak at n = 9.  Class lists: 0.8 s at
 # n = 7, 8-11 s (28 MB peak RSS) at n = 8, most of it the representatives.  Canonical forms
 # (one byte a row): at n = 8 one takes 0.1 ms on average over the classes, 1.2 ms at worst.
 TABLE_MAX_POINTS = 8

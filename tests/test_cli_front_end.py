@@ -14,7 +14,7 @@ import pytest
 
 from hausnum import cli
 from hausnum.cli import _read_plain, build_parser, main
-from hausnum.limits import TABLE_MAX_POINTS
+from hausnum.limits import ORACLE_MAX_POINTS, TABLE_MAX_POINTS
 
 from conftest import run_main
 from test_cli_output import CALLS
@@ -30,7 +30,7 @@ def reference_parser() -> argparse.ArgumentParser:
     analyze = sub.add_parser("analyze", help="separation report for a topology file")
     analyze.add_argument("input", help="finite-topology/v1 JSON file")
     analyze.add_argument("--oracle", action="store_true",
-                         help="cross-check with the exhaustive oracle (n <= 5)")
+                         help=f"cross-check with the exhaustive oracle (n <= {ORACLE_MAX_POINTS})")
     analyze.add_argument("--format", choices=("json", "text"), default="json")
     analyze.add_argument("--out", help="write the report here instead of stdout")
     analyze.set_defaults(func=cli._cmd_analyze)

@@ -118,7 +118,7 @@ EIGHT_ALL = ({2: 1, 3: 80963, 4: 5919312, 5: 49717479, 6: 139724074, 7: 19799941
 EIGHT_T0 = ({2: 1, 3: 41392, 4: 3532256, 5: 32985624, 6: 97295870, 7: 137695208,
              8: 111134156, 9: 49038872},
             {2: 1, 3: 21, 4: 292, 5: 1577, 6: 3807, 7: 5094, 8: 4162, 9: 2045})
-# n = 9 rows of the poset engine as of canonical augmentation, which takes 16-21 s
+# n = 9 rows of the poset engine as of canonical augmentation, which takes 10-13 s
 # there and is not run by the tests; ``TestRowIdentities`` checks their totals,
 # the rows H <= 3 and the row H = 10 against closed forms (all topologies, then T0).
 # ``reference_table`` gave the same rows and T0 count once by hand (about 130 s)
@@ -168,7 +168,7 @@ def walk_classes(n):
     """
     first = {}
     for rows in _walk(n):
-        first.setdefault(_canonical(rows)[0], tuple(rows))
+        first.setdefault(_canonical(rows)[0], rows)
     return [(CanonicalForm(bytes(enc)), topology_from_preorder(Preorder(n, first[enc])))
             for enc in sorted(first)]
 
@@ -302,6 +302,26 @@ def test_bool_and_non_int_counts_refused(call, error, message):
     with pytest.raises(error) as info:
         call()
     assert str(info.value) == message
+
+
+class TestWalk:
+    @pytest.mark.parametrize("n", [1, 2, 3, 4, 5])
+    def test_kept_leaves_are_distinct_and_ascending(self, n):
+        # each leaf is a tuple of its own, kept as it was yielded
+        leaves = list(_walk(n))
+        assert len(set(leaves)) == len(leaves) == LABELED[n]
+        assert leaves == sorted(leaves)
+
+    @pytest.mark.parametrize("call", [
+        lambda: next(_walk(8)),
+        lambda: next(enumerate_preorders(8)),
+        lambda: next(enumerate_labeled(8)),
+        lambda: labeled_and_t0_counts(8),
+    ], ids=["walk", "preorders", "labeled", "counts"])
+    def test_past_the_cap_refused_before_a_leaf(self, call):
+        with pytest.raises(TooLarge) as info:
+            call()
+        assert str(info.value) == "supported up to 7 points here, got 8"
 
 
 class TestEnumerateLabeled:

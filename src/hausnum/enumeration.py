@@ -65,12 +65,20 @@ def _check_cap(n: int, cap: int) -> None:
 
 
 class CanonicalForm(FrozenRecord):
-    """Relabeling-invariant identity of a topology: minimal matrix bytes."""
+    """Relabeling-invariant identity of a topology: its least rows, each row as
+    ``(n + 7) // 8`` big-endian bytes (one byte a row for n <= 8), as ``_encode`` writes them."""
 
     __slots__ = ("encoding",)
 
     def __init__(self, encoding: bytes):
         self._assign(encoding)
+
+
+def _encode(rows) -> bytes:
+    """The bytes of a form: each row as ``(n + 7) // 8`` big-endian bytes, so ``bytes(rows)``
+    for n <= 8, and for one n the encodings sort as the row tuples do."""
+    width = (len(rows) + 7) // 8
+    return b"".join(row.to_bytes(width, "big") for row in rows)
 
 
 class CountsTable(Record):
@@ -191,15 +199,19 @@ def _least_rows(rows, cells: list[int], every: bool = False) -> tuple[tuple, lis
     puts the points above p first, so row i is exact and the least p allows.
     Only the least rows i over all states and all p go on.  Also returns the
     labelings that reach the least tuple: with ``every`` all, ascending.
-    Without it, of two points of the first cell whose swap is an automorphism
-    (equal rows, or incomparable with the same points above and below) only
-    one is tried, as the swap fixes the state.
+    Without it, the first cell's points are tried once per key: the points strictly
+    above the point's block, those strictly below it, and the block's size.  Swapping
+    two blocks of one key is an automorphism fixing every cell and labeled point (a
+    labeled block-mate would have split them), so it maps one branch onto the other.
     """
     n = len(rows)
     points = [[q for q in range(n) if row >> q & 1] for row in rows]
-    if not every:  # the points above and below each point, itself left out
-        twins = [(up ^ 1 << q, sum(1 << a for a in range(n) if rows[a] >> q & 1) ^ 1 << q)
-                 for q, up in enumerate(rows)]
+    if not every:
+        downs = [0] * n
+        for a, above in enumerate(points):
+            for q in above:
+                downs[q] |= 1 << a
+        keys = [(up & ~down, down & ~up, (up & down).bit_count()) for up, down in zip(rows, downs)]
     starts = accumulate([cell.bit_count() for cell in cells], initial=0)
     states = [([0] * n, list(zip(starts, cells)))]
     least = []
@@ -211,8 +223,7 @@ def _least_rows(rows, cells: list[int], every: bool = False) -> tuple[tuple, lis
                 head, rest = runs[0][1], runs[1:]
                 first = [q for q in range(n) if head >> q & 1]
                 if not every:
-                    first = {rows[q]: q for q in first}.values()
-                    first = {twins[q]: q for q in first}.values()
+                    first = {keys[q]: q for q in first}.values()
             else:
                 head, rest, first = 0, runs, [bits.index(bit)]
             for p in first:
@@ -278,7 +289,7 @@ def canonical_form(topology: FiniteTopology) -> CanonicalForm:
     from .core import _topology_arg
 
     _check_cap(_topology_arg(topology).n, TABLE_MAX_POINTS)
-    return CanonicalForm(bytes(_least_rows(topology._rows, _invariant_cells(topology._rows))[0]))
+    return CanonicalForm(_encode(_least_rows(topology._rows, _invariant_cells(topology._rows))[0]))
 
 
 def enumerate_classes(n: int) -> Iterator[tuple[CanonicalForm, FiniteTopology]]:
@@ -301,7 +312,7 @@ def enumerate_classes(n: int) -> Iterator[tuple[CanonicalForm, FiniteTopology]]:
         form = _least_rows(member, _invariant_cells(member))[0]
         classes.append((form, _least_rows(member, [(1 << n) - 1])[0]))
     for enc, rows in sorted(classes):
-        yield CanonicalForm(bytes(enc)), _topology(n, rows)
+        yield CanonicalForm(_encode(enc)), _topology(n, rows)
 
 
 def _stabilizer(values: tuple, autos: list) -> "list | None":

@@ -21,8 +21,8 @@ REJECT_MAX_OPENS = 1 << 12
 ENUM_MAX_POINTS = 7
 # Count tables, pinned by tests up to here; one poset engine pass gives both (all and
 # T0): 0.8-1.1 s at n = 8, 10-13 s with a 79 MB peak at n = 9.  Class lists: 0.8 s at
-# n = 7, 8-11 s (28 MB peak RSS) at n = 8, most of it the representatives.  Canonical forms
-# (one byte a row): at n = 8 one takes 0.1 ms on average over the classes, 1.2 ms at worst.
+# n = 7, 8-11 s (28 MB peak RSS) at n = 8, most of it the representatives.  Canonical forms:
+# at n = 8 one takes 0.05 ms on average over one member per class, 0.6 ms at worst.
 TABLE_MAX_POINTS = 8
 # Naive filter over 2**(2**n - 2) families: 16,384 at n = 4 (0.06 s), 2**30 at n = 5.
 NAIVE_MAX_POINTS = 4

@@ -17,6 +17,7 @@ from hausnum.enumeration import (
     CountsTable,
     _canonical,
     _classes,
+    _encode,
     _invariant_cells,
     _least_rows,
     _posets,
@@ -169,7 +170,7 @@ def walk_classes(n):
     first = {}
     for rows in _walk(n):
         first.setdefault(_canonical(rows)[0], rows)
-    return [(CanonicalForm(bytes(enc)), topology_from_preorder(Preorder(n, first[enc])))
+    return [(CanonicalForm(_encode(enc)), topology_from_preorder(Preorder(n, first[enc])))
             for enc in sorted(first)]
 
 
@@ -386,12 +387,26 @@ class TestEnumerateLabeled:
 
 
 class TestCanonicalForm:
-    def test_cap_fits_one_byte_a_row(self):
-        # the cap that ``canonical_form`` and ``enumerate_classes`` read
-        assert TABLE_MAX_POINTS <= 8, (
-            "CanonicalForm.encoding holds each row as one byte, so forms fit at most 8 "
-            f"points, not TABLE_MAX_POINTS = {TABLE_MAX_POINTS}: widen the encoding or "
-            "give canonical forms a cap of their own")
+    def test_encoding_is_one_byte_a_row_to_eight_points_then_wider_in_row_order(self):
+        """Engine-free: ``bytes(rows)`` for n <= 8; n * ceil(n / 8) bytes at n = 9 and 16,
+        where the encodings sort as their row tuples do."""
+        import random
+
+
+        rng = random.Random(1016)
+        for n in (*range(1, 10), 16):
+            full = (1 << n) - 1
+            cases = [tuple(full >> a << a for a in range(n)),  # the chain
+                     tuple(1 << a for a in range(n))]  # the antichain
+            cases += [random_preorder(n, rng).rows for _ in range(30)]
+            for rows in cases:
+                assert len(_encode(rows)) == n * ((n + 7) // 8)
+                if n <= 8:
+                    assert _encode(rows) == bytes(rows)
+            assert sorted(map(_encode, cases)) == list(map(_encode, sorted(cases)))
+        # the 9-point chain: its row 0, 511, does not fit one byte
+        assert _encode(tuple(511 >> a << a for a in range(9))).hex() == (
+            "01ff01fe01fc01f801f001e001c001800100")
 
     def test_discrete_fixed_under_permutations(self):
         from hausnum.core import generate_from_subbasis
@@ -451,7 +466,7 @@ class TestCanonicalForm:
         for preorder in cases:
             t = topology_from_preorder(preorder)
             reference = canonical_form(t)
-            assert reference.encoding == bytes(canonical_per_bit(preorder.rows)[0])
+            assert reference.encoding == _encode(canonical_per_bit(preorder.rows)[0])
             for _ in range(3):
                 perm = list(range(8))
                 rng.shuffle(perm)
@@ -504,6 +519,22 @@ class TestCanonicalAgainstPerBit:
         cases += [random_preorder(n, rng).rows for _ in range(samples)]
         for rows in cases:
             assert _canonical(rows) == canonical_per_bit(rows), rows
+
+    @pytest.mark.parametrize("rows", [
+        (3, 3, 12, 12, 48, 48, 192, 192),
+        (15, 15, 15, 15, 240, 240, 240, 240),
+        (255, 6, 6, 24, 24, 96, 96, 128),
+    ], ids=["four-pairs", "two-quads", "three-pairs-and-a-point-over-a-bottom"])
+    def test_interchangeable_blocks_are_tried_once(self, rows):
+        # indiscrete blocks of one size with the same points above and below are
+        # interchangeable, so one labeling reaches the least rows, not 4!, 2! or 3!
+        for cells in (_invariant_cells(rows), [(1 << 8) - 1]):
+            least, labelings = _least_rows(rows, cells)
+            assert least == _least_rows(rows, cells, every=True)[0]
+            assert len(labelings) == 1
+            perm = labelings[0]
+            assert least == tuple(sum((rows[perm[i]] >> perm[j] & 1) << j for j in range(8))
+                                  for i in range(8))
 
     @pytest.mark.parametrize("n, samples", [(1, 0), (2, 0), (3, 0), (4, 0), (5, 0),
                                             (6, 150), (7, 60)])
@@ -815,13 +846,25 @@ class TestRowIdentities:
     space with H = n + 1 is a poset with a greatest element: n * A001035(n-1)
     labelings and A000112(n-1) classes.
 
-    The rows H = 4..n have no closed form here.  For n <= 7 each is checked
+    H = n means that some closure misses exactly one point x and none misses
+    nothing.  Then x is a one-point block in no other closure, a block B of
+    s >= 1 points has closure X - {x}, the rest Z is any topology on n - 1 - s
+    points and cl{x} - {x} any closed set of Z; two choices of x occur just when
+    both have every other point in their closure.  So the row has n * sum_{s=1}^{n-1}
+    C(n-1, s) * O(n-1-s) - C(n, 2) * A000798(n-2) labelings, where O(m) counts
+    the pairs (topology on m labeled points, open set), and its T0 part (s = 1)
+    n(n-1) * O0(n-2) - C(n, 2) * A001035(n-2), where O0(k) counts the pairs
+    (poset on k labeled points, down-set).  O0 sums the down-sets of
+    ``reference_posets``, and O(m) = sum_k S(m, k) * O0(k).  The class counts
+    of the row are not covered: they need the orbits of the closed sets of Z.
+
+    The rows H = 4..n - 1 have no closed form here.  For n <= 7 each is checked
     against ``reference_table``, a second derivation of the tables
     (``TestReferenceTables``), and for n <= 5 against the direct walk too;
     ``TestDuality`` checks the histograms of H and its dual for n <= 8.  At n = 8
     the engine's rows equal pins that ``reference_table`` also gave once by hand.
     At n = 9 the rows are the pins of ``NINE_ALL`` and ``NINE_T0``, which it gave
-    too, and only their totals, their rows H <= 3 and their row H = 10 are checked.
+    too, and only their totals and their rows H <= 3, H = 9 and H = 10 are checked.
     """
 
     N = range(1, 9)
@@ -879,6 +922,29 @@ class TestRowIdentities:
                 sum(math.comb(n, u) * (n - u) ** u for u in range(1, n)), partitions[n] - 1)
             assert (labeled_rows[n + 1], class_rows[n + 1]) == (
                 n * A001035[n - 1], A000112[n - 1])
+
+    def test_h_equals_n(self):
+        o0 = []  # O0(k): the down-sets of the labeled posets on k points
+        for k in range(8):
+            total = 0
+            for rows, autos in reference_posets(k):
+                ups = [0]  # the up-sets; a point joins after every point above it
+                for a in sorted(range(k), key=lambda a: rows[a].bit_count()):
+                    ups += [u | 1 << a for u in ups if rows[a] & ~u == 1 << a]
+                total += math.factorial(k) // len(autos) * len(ups)
+            o0.append(total)
+        o = [sum(stirling2(m, k) * o0[k] for k in range(m + 1)) for m in range(8)]
+        assert o == [1, 2, 12, 130, 2338, 66304, 2871582, 185726958]
+        assert o0 == [1, 2, 10, 98, 1678, 46922, 2049550, 135499898]
+        for n in range(2, 10):
+            if n == 9:
+                labeled, t0 = NINE_ALL[0][9], NINE_T0[0][9]
+            else:
+                labeled, t0 = (engine_table(n, t0_only).rows[n][0] for t0_only in (False, True))
+            pairs = math.comb(n, 2)  # spaces counted twice, once for each choice of x
+            assert labeled == n * sum(math.comb(n - 1, s) * o[n - 1 - s]
+                                      for s in range(1, n)) - pairs * A000798[n - 2]
+            assert t0 == n * (n - 1) * o0[n - 2] - pairs * A001035[n - 2]
 
     def test_nine_point_totals(self):
         labeled_rows, class_rows = NINE_ALL

@@ -157,9 +157,9 @@ class FiniteTopology(FrozenRecord):
     The fields are ``n`` and ``opens``.  Every topology also holds ``_masks``
     (the open masks, in the order of ``opens``) and ``_rows`` (``rows[a]``, the
     mask of the minimal neighbourhood of a), derived by ``__init__``.  A package
-    builder sets ``n`` and ``_rows`` and may leave ``_masks`` and ``opens`` to
-    their first read, which stores them (equal values, from any thread).  Equality,
-    hashing, the repr and pickling see the fields only, so derive ``opens`` first.
+    builder sets ``n`` and ``_rows`` and may leave ``_masks`` and ``opens`` to their first
+    read, which stores them (equal values, from any thread).  Equality, hashing and
+    pickling see the fields only, so derive ``opens`` first; the repr counts ``_masks``.
     """
 
     __slots__ = ("n", "opens", "_masks", "_rows")
@@ -187,7 +187,7 @@ class FiniteTopology(FrozenRecord):
         return _as_mask(self.n, s) in self._masks
 
     def __repr__(self) -> str:
-        return f"FiniteTopology(n={self.n}, opens={len(self.opens)})"
+        return f"FiniteTopology(n={self.n}, opens={len(self._masks)})"
 
 
 def _topology_arg(topology: FiniteTopology) -> FiniteTopology:

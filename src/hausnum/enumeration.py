@@ -14,7 +14,7 @@ by construction), ``labeled_and_t0_counts`` counts the leaves and the T0 ones
 The tests keep their own class map on the walk, the first leaf of each canonical form.
 One search, ``_least_rows``, relabels: the least row tuple over the labelings
 that keep given cells of points on their runs of labels gives canonical forms
-(from the invariant cells), automorphism cosets and class representatives.
+(from its default, the invariant cells), automorphism cosets and class representatives.
 
 The count tables and ``enumerate_classes`` come from T0 quotients instead.
 Every topology is a set partition into k blocks plus a partial order on the
@@ -188,29 +188,40 @@ def _walk(n: int):
             stack.pop()
 
 
-def _least_rows(rows, cells: list[int], every: bool = False) -> tuple[tuple, list]:
+def _least_rows(rows, cells: "list[int] | None" = None, every: bool = False) -> tuple[tuple, list]:
     """The least row tuple over the labelings that keep each of ``cells`` on its own run.
 
-    Labeling ``perm`` puts point perm[i] at label i; row i has bit j iff
-    perm[i] <= perm[j], and the cells (masks) own consecutive runs of labels.
-    A state holds bits[q] = 1 << the label of q, for points labeled or alone in
-    a cell, and the other cells as (first label, mask).  Label i goes to a
-    point p of the cell starting at i, or to the point holding it; every cell
-    puts the points above p first, so row i is exact and the least p allows.
-    Only the least rows i over all states and all p go on.  Also returns the
-    labelings that reach the least tuple: with ``every`` all, ascending.
-    Without it, the first cell's points are tried once per key: the points strictly
-    above the point's block, those strictly below it, and the block's size.  Swapping
-    two blocks of one key is an automorphism fixing every cell and labeled point (a
-    labeled block-mate would have split them), so it maps one branch onto the other.
+    Labeling ``perm`` puts point perm[i] at label i; row i has bit j iff perm[i] <= perm[j],
+    and the cells (masks) own consecutive runs of labels: by default the invariant cells,
+    points of equal (row popcount, column popcount) in key order.  A state holds
+    bits[q] = 1 << the label of q, for points labeled or alone in a cell, and the other
+    cells as (first label, mask).  Label i goes to a point p of the cell starting at i,
+    or to the point holding it; every cell puts the points above p first, so row i is
+    exact and the least p allows.  Only the least rows i over all states and all p go
+    on.  Also returns the labelings that reach the least tuple: with ``every`` all,
+    ascending.  Without it, the first cell's points are tried once per key: the points
+    strictly above the point's block, those strictly below it, and the block's size.
+    Swapping two blocks of one key is an automorphism fixing every cell and labeled
+    point (a labeled block-mate would have split them), so it maps one branch onto the
+    other.
     """
     n = len(rows)
-    points = [[q for q in range(n) if row >> q & 1] for row in rows]
+    points, downs = [], [0] * n  # each point's above-list and column mask, from one pass
+    for a, row in enumerate(rows):
+        above = []
+        while row:
+            q = (row & -row).bit_length() - 1
+            above.append(q)
+            downs[q] |= 1 << a
+            row &= row - 1
+        points.append(above)
+    if cells is None:
+        keyed: dict[tuple[int, int], int] = {}
+        for a, (up, down) in enumerate(zip(rows, downs)):
+            key = (up.bit_count(), down.bit_count())
+            keyed[key] = keyed.get(key, 0) | 1 << a
+        cells = [keyed[key] for key in sorted(keyed)]
     if not every:
-        downs = [0] * n
-        for a, above in enumerate(points):
-            for q in above:
-                downs[q] |= 1 << a
         keys = [(up & ~down, down & ~up, (up & down).bit_count()) for up, down in zip(rows, downs)]
     starts = accumulate([cell.bit_count() for cell in cells], initial=0)
     states = [([0] * n, list(zip(starts, cells)))]
@@ -249,21 +260,12 @@ def _least_rows(rows, cells: list[int], every: bool = False) -> tuple[tuple, lis
     return tuple(least), [sorted(range(n), key=bits.__getitem__) for bits, _ in states]
 
 
-def _invariant_cells(rows) -> list[int]:
-    """The points as cells of equal (row popcount, column popcount), in key order."""
-    cells: dict[tuple[int, int], int] = {}
-    for a, row in enumerate(rows):
-        key = (row.bit_count(), sum(r >> a & 1 for r in rows))
-        cells[key] = cells.get(key, 0) | 1 << a
-    return [cells[key] for key in sorted(cells)]
-
-
 def _canonical(rows) -> tuple[tuple[int, ...], list[list[int]]]:
     """The least rows from the invariant cells, and every labeling that reaches them.
 
     The invariant is relabeling-covariant: equal rows iff homeomorphic; |Aut| labelings.
     """
-    return _least_rows(rows, _invariant_cells(rows), every=True)
+    return _least_rows(rows, every=True)
 
 
 def enumerate_preorders(n: int) -> Iterator[Preorder]:
@@ -289,7 +291,7 @@ def canonical_form(topology: FiniteTopology) -> CanonicalForm:
     from .core import _topology_arg
 
     _check_cap(_topology_arg(topology).n, TABLE_MAX_POINTS)
-    return CanonicalForm(_encode(_least_rows(topology._rows, _invariant_cells(topology._rows))[0]))
+    return CanonicalForm(_encode(_least_rows(topology._rows)[0]))
 
 
 def enumerate_classes(n: int) -> Iterator[tuple[CanonicalForm, FiniteTopology]]:
@@ -299,7 +301,7 @@ def enumerate_classes(n: int) -> Iterator[tuple[CanonicalForm, FiniteTopology]]:
     the first member the walk meets, i.e. the one with the least row tuple.
     ``_least_rows`` of one member of each class of ``_classes`` (block i on
     consecutive labels) gives its form from the invariant cells and its
-    representative from one cell: 8-11 s for the 35,979 classes at n = 8 on a 2-vCPU VM.
+    representative from one cell: 7-12 s for the 35,979 classes at n = 8 on a 2-vCPU VM.
     """
     _check_cap(n, TABLE_MAX_POINTS)
     from .core import _topology
@@ -309,7 +311,7 @@ def enumerate_classes(n: int) -> Iterator[tuple[CanonicalForm, FiniteTopology]]:
         block_of = [i for i, size in enumerate(sizes) for _ in range(size)]
         member = [sum(1 << b for b, j in enumerate(block_of) if quotient[i] >> j & 1)
                   for i in block_of]
-        form = _least_rows(member, _invariant_cells(member))[0]
+        form = _least_rows(member)[0]
         classes.append((form, _least_rows(member, [(1 << n) - 1])[0]))
     for enc, rows in sorted(classes):
         yield CanonicalForm(_encode(enc)), _topology(n, rows)
@@ -321,8 +323,6 @@ def _stabilizer(values: tuple, autos: list) -> "list | None":
     ``values`` holds one entry per point, and ``auto`` maps it to the tuple of
     ``values[auto[a]]``.  The search stops at the first smaller image.
     """
-    if len(autos) == 1:
-        return autos
     fixing = []
     for auto in autos:
         image = tuple(map(values.__getitem__, auto))

@@ -673,10 +673,17 @@ class TestCarriedRows:
                 self.check(t)
             else:
                 assert read(t) == read(eager)
-            assert self.unset(t) == ({"opens"} if read is self.READS["open_masks"] else set())
+            assert self.unset(t) == ({"opens"} if read in (self.READS["open_masks"], repr)
+                                     else set())
             assert t == eager and hash(t) == hash(eager) and repr(t) == repr(eager)
             self.check(t)
             assert t._rows == eager._rows
+
+    def test_repr_leaves_the_open_family_unset(self):
+        """The repr counts the open masks; it builds no ``PointSet`` of the family."""
+        for t, twin in zip(enumerate_labeled(3), enumerate_labeled(3)):
+            assert repr(t) == repr(FiniteTopology(twin.n, twin.opens))
+            assert self.unset(t) == {"opens"}
 
     def test_threads_that_derive_at_once_read_equal_values(self):
         """Threads that read the same topologies' open families at once each read the

@@ -18,7 +18,6 @@ from hausnum.enumeration import (
     _canonical,
     _classes,
     _encode,
-    _invariant_cells,
     _least_rows,
     _posets,
     _tables,
@@ -528,7 +527,7 @@ class TestCanonicalAgainstPerBit:
     def test_interchangeable_blocks_are_tried_once(self, rows):
         # indiscrete blocks of one size with the same points above and below are
         # interchangeable, so one labeling reaches the least rows, not 4!, 2! or 3!
-        for cells in (_invariant_cells(rows), [(1 << 8) - 1]):
+        for cells in (None, [(1 << 8) - 1]):
             least, labelings = _least_rows(rows, cells)
             assert least == _least_rows(rows, cells, every=True)[0]
             assert len(labelings) == 1
@@ -550,7 +549,7 @@ class TestCanonicalAgainstPerBit:
         else:
             cases = _walk(n)
         for rows in cases:
-            for cells in (_invariant_cells(rows), [(1 << n) - 1]):
+            for cells in (None, [(1 << n) - 1]):
                 assert (_least_rows(rows, cells)[0]
                         == _least_rows(rows, cells, every=True)[0]), (rows, cells)
 
@@ -595,6 +594,29 @@ class TestEnumerateClasses:
             digest.update(line.encode())
         assert digest.hexdigest() == (
             "0111174e35d1e64ae5447135ed391ccc3c030110ba19ad8156d35f6fd78502ca")
+
+    def test_eight_point_representatives_by_brute_force(self):
+        """Five seeded representatives on 8 points are each the least row tuple over all
+        8! relabelings, taken by brute force without ``_least_rows``.  At least one holds
+        two blocks of one key (the points strictly above, strictly below, the block's
+        size), which the pruned search tries once."""
+        import random
+
+
+        reps = classes(8)
+        tied = 0
+        for i in random.Random(8).sample(range(len(reps)), 5):
+            rows = reps[i][1]._rows
+            assert rows == min(
+                tuple(sum((rows[p] >> q & 1) << j for j, q in enumerate(perm)) for p in perm)
+                for perm in itertools.permutations(range(8))), rows
+            blocks = {}
+            for a, up in enumerate(rows):
+                down = sum(1 << b for b, row in enumerate(rows) if row >> a & 1)
+                key = (up & ~down, down & ~up, (up & down).bit_count())
+                blocks.setdefault(key, set()).add(up & down)
+            tied += max(map(len, blocks.values())) > 1
+        assert tied >= 1
 
     def test_past_the_cap_refused_at_first_next(self):
         pairs = enumerate_classes(TABLE_MAX_POINTS + 1)

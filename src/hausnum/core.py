@@ -13,7 +13,7 @@ function, so values can be shared freely across threads or processes.
 from __future__ import annotations
 
 from itertools import repeat
-from operator import or_
+from operator import and_, or_
 from typing import Iterable, Iterator, NamedTuple, Sequence
 
 from ._records import FrozenRecord
@@ -221,10 +221,10 @@ def validate_topology(n: int, family: Iterable["PointSet | Iterable[int]"]) -> F
     union of the N(a), the full set among them, and each member is the union
     of the N(a) of its points, so it is closed under union and intersection.
     That is O(n * |family|), stopping at the first union missing.  Only a
-    rejected family is scanned pair by pair, so that :class:`InvalidTopology`
-    names every defect found and the first failing pair in canonical order.
-    Raises :class:`TooLarge` past ``MAX_OPENS`` distinct sets, and for a
-    rejected family past ``REJECT_MAX_OPENS``, before the scan.
+    rejected family is searched pair by pair, once per rule, so that
+    :class:`InvalidTopology` names every defect found and each rule's first
+    failing pair in canonical order.  Raises :class:`TooLarge` past ``MAX_OPENS``
+    distinct sets, and for a rejected family past ``REJECT_MAX_OPENS``, before the search.
     """
     _check_n(n)
     return _validated(n, [_as_mask(n, s) for s in collection(family, PointOutOfRange)])
@@ -251,21 +251,12 @@ def _validated(n: int, masks: Iterable[int]) -> FiniteTopology:
     if full not in mask_set:
         issues.append(MissingFullSet())
 
-    union_issue = intersection_issue = None
-    for i, u in enumerate(masks):
-        for v in masks[i + 1:]:
-            if union_issue is None and (u | v) not in mask_set:
-                union_issue = NotClosedUnderUnion(
-                    first=tuple(_points(u)), second=tuple(_points(v)))
-            if intersection_issue is None and (u & v) not in mask_set:
-                intersection_issue = NotClosedUnderIntersection(
-                    first=tuple(_points(u)), second=tuple(_points(v)))
-        if union_issue is not None and intersection_issue is not None:
-            break
-    if union_issue is not None:
-        issues.append(union_issue)
-    if intersection_issue is not None:
-        issues.append(intersection_issue)
+    for defect, op in ((NotClosedUnderUnion, or_), (NotClosedUnderIntersection, and_)):
+        for i, u in enumerate(masks):
+            if not mask_set.issuperset(map(op, masks[i + 1:], repeat(u))):
+                v = next(v for v in masks[i + 1:] if op(u, v) not in mask_set)
+                issues.append(defect(first=tuple(_points(u)), second=tuple(_points(v))))
+                break
     raise InvalidTopology(issues)
 
 

@@ -12,8 +12,8 @@ nothing, so reading a cap loads no other part of the package.
 MAX_POINTS = 64
 # Every built or read open family; one of 2**16 opens validates in under 1 s.
 MAX_OPENS = 1 << 16
-# A rejected family, scanned pair by pair to name its first failing pairs;
-# at most 1.1 s for 4,096 sets, 4x per doubling.
+# A rejected family, searched pair by pair once per rule to name its first failing
+# pairs; 0.8-1.0 s for 4,096 sets when both searches pass every pair, 4x per doubling.
 REJECT_MAX_OPENS = 1 << 12
 # Labeled walk (it checks this for every client) and Stirling check (before its walks of
 # k < n): at n = 7 the walk's 9,535,241 leaves take 14-20 s bare, 19-31 s as preorders and

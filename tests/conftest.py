@@ -26,10 +26,13 @@ def run_python(args, timeout: float = 60, **options) -> subprocess.CompletedProc
     """``python args`` in a child, the one way tier-1 starts a process: stdin /dev/null,
     stdout and stderr captured as bytes unless ``options`` (``text``, ``cwd``, ``env``,
     ``stdout``, ...; passed on to ``subprocess.run``) say otherwise, and killed with
-    ``TimeoutExpired`` after ``timeout`` seconds."""
+    ``TimeoutExpired`` after ``timeout`` seconds.  The child gets this interpreter's
+    ``-X dev`` and ``-W`` options, so a suite run under ``-X dev -W error::ResourceWarning``
+    checks its children the same way."""
     options = {"stdin": subprocess.DEVNULL, "stdout": subprocess.PIPE,
                "stderr": subprocess.PIPE, **options}
-    return subprocess.run([sys.executable, *args], timeout=timeout, **options)
+    flags = ["-X", "dev"] * sys.flags.dev_mode + [f"-W{w}" for w in sys.warnoptions]
+    return subprocess.run([sys.executable, *flags, *args], timeout=timeout, **options)
 
 
 def run_main(argv, call=main) -> tuple:

@@ -270,6 +270,15 @@ class TestRejectionCap:
             "the full set is missing; family is not closed under union: {1} and {12}; "
             "family is not closed under intersection: {0, 1} and {0, 2}")
 
+    def test_at_the_cap_a_closed_family_searches_every_pair(self):
+        # on 13 points: every set holding point 0, closed under both rules but for ∅
+        family = [PointSet(13, m) for m in range(1, 1 << 13, 2)]
+        assert len(family) == REJECT_MAX_OPENS
+        with pytest.raises(InvalidTopology) as info:
+            validate_topology(13, family)
+        assert info.value.issues == (MissingEmptySet(),)
+        assert str(info.value) == "the empty set is missing"
+
     def test_just_above_the_cap_is_too_large(self):
         family = [PointSet(13, m) for m in range(REJECT_MAX_OPENS + 1)]
         with pytest.raises(TooLarge) as info:

@@ -26,12 +26,13 @@ down-set that is least in its orbit, and the child is kept only when the new
 point is its canonical deletion, the maximal point with the largest
 down-set.  The group of a kept child is the stabilizer of the down-set,
 composed with the swaps of the new point and its twins (maximal points over
-the same down-set), if any; only other ties call ``_canonical``.  A poset
-with block sizes s is one class of n!/(prod s_i! * |Stab s|) labeled
-topologies.  ``_classes`` yields each class once as the posets stream by
-level, only the level the next grows from kept.  The tests check the two
-routes against each other (the Hausdorff histogram of the walk is their own
-reference), and the naive open-family filter at the end against both.
+the same down-set), if any; only other ties take the full search,
+``_least_rows(child, every=True)``.  A poset with block sizes s is one class
+of n!/(prod s_i! * |Stab s|) labeled topologies.  ``_classes`` yields each
+class once as the posets stream by level, only the level the next grows from
+kept.  The tests check the two routes against each other (the Hausdorff
+histogram of the walk is their own reference), and the naive open-family
+filter at the end against both.
 """
 
 from __future__ import annotations
@@ -193,17 +194,20 @@ def _least_rows(rows, cells: "list[int] | None" = None, every: bool = False) -> 
 
     Labeling ``perm`` puts point perm[i] at label i; row i has bit j iff perm[i] <= perm[j],
     and the cells (masks) own consecutive runs of labels: by default the invariant cells,
-    points of equal (row popcount, column popcount) in key order.  A state holds
-    bits[q] = 1 << the label of q, for points labeled or alone in a cell, and the other
-    cells as (first label, mask).  Label i goes to a point p of the cell starting at i,
-    or to the point holding it; every cell puts the points above p first, so row i is
-    exact and the least p allows.  Only the least rows i over all states and all p go
+    points of equal (row popcount, column popcount) in key order.  They are
+    relabeling-covariant, so from them equal least rows mean homeomorphic.  A state
+    holds bits[q] = 1 << the label of q, for points labeled or alone in a cell, and the
+    other cells as (first label, mask).  Label i goes to a point p of the cell starting
+    at i, or to the point holding it; every cell puts the points above p first, so row i
+    is exact and the least p allows.  Only the least rows i over all states and all p go
     on.  Also returns the labelings that reach the least tuple: with ``every`` all,
-    ascending.  Without it, the first cell's points are tried once per key: the points
-    strictly above the point's block, those strictly below it, and the block's size.
-    Swapping two blocks of one key is an automorphism fixing every cell and labeled
-    point (a labeled block-mate would have split them), so it maps one branch onto the
-    other.
+    ascending, |Aut| of them from the default cells.  Without it, the first cell's
+    points are tried once per key: the points strictly above the point's block, those
+    strictly below it, and the block's size.  Swapping two blocks of one key is an
+    automorphism fixing every cell and labeled point (a labeled block-mate would have
+    split them), so it maps one branch onto the other.  Its uses: canonical forms
+    (default cells, pruned), a child's group in ``_posets`` (``every=True``) and class
+    representatives (one cell, pruned).
     """
     n = len(rows)
     points, downs = [], [0] * n  # each point's above-list and column mask, from one pass
@@ -258,14 +262,6 @@ def _least_rows(rows, cells: "list[int] | None" = None, every: bool = False) -> 
         least.append(best)
         states = kept
     return tuple(least), [sorted(range(n), key=bits.__getitem__) for bits, _ in states]
-
-
-def _canonical(rows) -> tuple[tuple[int, ...], list[list[int]]]:
-    """The least rows from the invariant cells, and every labeling that reaches them.
-
-    The invariant is relabeling-covariant: equal rows iff homeomorphic; |Aut| labelings.
-    """
-    return _least_rows(rows, every=True)
 
 
 def enumerate_preorders(n: int) -> Iterator[Preorder]:
@@ -349,9 +345,9 @@ def _posets(n: int) -> Iterator[tuple[tuple[int, ...], list[tuple[int, ...]]]]:
     parent's down-sets.  When every tie (a maximal point with a down-set as
     large as D) is a twin of x, maximal over D too, Aut(child) is the
     stabilizer of D composed with the swaps of x and each twin; with no tie it
-    fixes x.  Any other tie goes to ``_canonical``: the tied point of least
-    canonical position is the deletion, x must share its orbit, and the
-    child's group comes from the reaching permutations.
+    fixes x.  Any other tie goes to ``_least_rows(child, every=True)``: the
+    tied point of least canonical position is the deletion, x must share its
+    orbit, and the child's group comes from the reaching permutations.
     """
     parents = [((), [()])]  # level 1 grows from the empty poset
     for k in range(1, n + 1):
@@ -387,7 +383,7 @@ def _posets(n: int) -> Iterator[tuple[tuple[int, ...], list[tuple[int, ...]]]]:
                             swapped[x], swapped[t] = auto[t], x
                             group.append(tuple(swapped))
                 else:
-                    reaching = _canonical(child)[1]
+                    reaching = _least_rows(child, every=True)[1]
                     # position[p] is the canonical label of p
                     position = sorted(range(k), key=reaching[0].__getitem__)
                     least = min(position[t] for t in (*ties, x))

@@ -9,7 +9,7 @@ from pathlib import Path
 import pytest
 
 from hausnum.cli import main
-from hausnum.core import Preorder
+from hausnum.core import Preorder, validate_topology
 from hausnum.limits import MAX_DOCUMENT_BYTES
 
 
@@ -103,6 +103,10 @@ def random_preorder(n: int, rng: random.Random) -> Preorder:
         b = rng.randrange(n)
         rows[a] |= 1 << b
     return Preorder(n, transitive_closure(rows))
+
+
+def topo(n, *sets):
+    return validate_topology(n, [list(s) for s in sets])
 
 
 @pytest.fixture

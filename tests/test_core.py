@@ -35,11 +35,7 @@ from hausnum.errors import (
 from hausnum.limits import REJECT_MAX_OPENS
 from hausnum.separation import is_separable
 
-from conftest import random_preorder
-
-
-def topo(n, *sets):
-    return validate_topology(n, [list(s) for s in sets])
+from conftest import random_preorder, topo
 
 
 SIERPINSKI = ((), (0,), (0, 1))

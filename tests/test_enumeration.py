@@ -15,7 +15,6 @@ from hausnum.core import Preorder, topology_from_preorder, validate_topology
 from hausnum.enumeration import (
     CanonicalForm,
     CountsTable,
-    _canonical,
     _classes,
     _encode,
     _least_rows,
@@ -168,7 +167,7 @@ def walk_classes(n):
     """
     first = {}
     for rows in _walk(n):
-        first.setdefault(_canonical(rows)[0], rows)
+        first.setdefault(_least_rows(rows, every=True)[0], rows)
     return [(CanonicalForm(_encode(enc)), topology_from_preorder(Preorder(n, first[enc])))
             for enc in sorted(first)]
 
@@ -199,7 +198,7 @@ def walk_histograms(n, t0_only, classes=True):
         hist[h] = hist.get(h, 0) + 1
         if not classes:
             continue
-        enc = _canonical(rows)[0]
+        enc = _least_rows(rows, every=True)[0]
         if enc not in seen:
             seen.add(enc)
             class_hist[h] = class_hist.get(h, 0) + 1
@@ -212,9 +211,9 @@ def reference_posets(k):
 
     The second derivation of the tables, which shares nothing with the engine
     but ``_least_rows``: each poset on k - 1 points grows by a new maximal
-    point over each of its down-sets, and one child per ``_canonical`` form is
-    kept, that form itself.  Aut(P) is the set of labelings that ``_canonical``
-    returns for P, as P is its own least relabeling.
+    point over each of its down-sets, and one child per canonical form is kept,
+    that form itself.  Aut(P) is the set of labelings that
+    ``_least_rows(P, every=True)`` returns, as P is its own least relabeling.
     """
     if k == 0:
         return [((), [()])]
@@ -225,8 +224,8 @@ def reference_posets(k):
             if all(below[b] & ~d == 0 for b in range(x) if d >> b & 1):  # a down-set
                 child = tuple(row | 1 << x if d >> a & 1 else row
                               for a, row in enumerate(rows)) + (1 << x,)
-                children.setdefault(_canonical(child)[0], None)
-    return [(form, _canonical(form)[1]) for form in children]
+                children.setdefault(_least_rows(child, every=True)[0], None)
+    return [(form, _least_rows(form, every=True)[1]) for form in children]
 
 
 def compositions(n, k):
@@ -473,7 +472,7 @@ class TestCanonicalForm:
 
 
 def canonical_per_bit(rows):
-    """The reference for ``_canonical``: each permuted row built bit by bit."""
+    """The reference for ``_least_rows(rows, every=True)``: each permuted row built bit by bit."""
     n = len(rows)
     colpc = [0] * n
     for row in rows:
@@ -501,12 +500,12 @@ def canonical_per_bit(rows):
 
 
 class TestCanonicalAgainstPerBit:
-    """``_canonical`` gives the reference's bytes and reaching permutations."""
+    """``_least_rows(rows, every=True)`` gives the reference's bytes and reaching permutations."""
 
     @pytest.mark.parametrize("n", [1, 2, 3, 4, 5])
     def test_every_preorder(self, n):
         for rows in _walk(n):
-            assert _canonical(rows) == canonical_per_bit(rows), rows
+            assert _least_rows(rows, every=True) == canonical_per_bit(rows), rows
 
     @pytest.mark.parametrize("n, samples", [(6, 150), (7, 60)])
     def test_seeded_samples(self, n, samples):
@@ -517,7 +516,7 @@ class TestCanonicalAgainstPerBit:
         cases = [tuple(1 << a for a in range(n)), tuple((1 << n) - 1 for _ in range(n))]
         cases += [random_preorder(n, rng).rows for _ in range(samples)]
         for rows in cases:
-            assert _canonical(rows) == canonical_per_bit(rows), rows
+            assert _least_rows(rows, every=True) == canonical_per_bit(rows), rows
 
     @pytest.mark.parametrize("rows", [
         (3, 3, 12, 12, 48, 48, 192, 192),

@@ -4,6 +4,7 @@ import ast
 import importlib
 import inspect
 import math
+import re
 from collections.abc import Iterator
 from decimal import Decimal
 from fractions import Fraction
@@ -90,6 +91,24 @@ def test_readme_states_the_caps_of_limits():
                    f"`COORDINATE_MAX_DIGITS` = {COORDINATE_MAX_DIGITS:,} digits",
                    f"`MAX_DOCUMENT_BYTES` = {MAX_DOCUMENT_BYTES:,} bytes"):
         assert phrase in text
+
+
+def test_readme_library_comments_are_the_reprs(tmp_path, monkeypatch):
+    """Each line of the README's library block runs, and a comment that opens with a
+    class name and a parenthesis is the ``repr`` of the line's value."""
+    monkeypatch.setenv("TOPO_CACHE_DIR", str(tmp_path))  # count_by_hausdorff writes its cache
+    readme = Path(__file__).resolve().parents[1] / "README.md"
+    [block] = re.findall(r"```python\n(.*?)```", readme.read_text(encoding="utf-8"), re.S)
+    namespace, checked = {}, 0
+    for line in block.splitlines():
+        code, _, comment = line.partition("#")
+        comment = comment.strip()
+        if re.match(r"[A-Z][a-z]\w*\(", comment):
+            assert repr(eval(code, namespace)) == comment, line
+            checked += 1
+        else:
+            exec(code, namespace)
+    assert checked == 2
 
 
 def unused_imports(source: str) -> list[str]:

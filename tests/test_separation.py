@@ -28,11 +28,7 @@ from hausnum.separation import (
     verify_witness,
 )
 
-from conftest import random_preorder
-
-
-def topo(n, *sets):
-    return validate_topology(n, [list(s) for s in sets])
+from conftest import random_preorder, topo
 
 
 def discrete(n):

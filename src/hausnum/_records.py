@@ -1,14 +1,15 @@
 """Value semantics for the package's record types, read from ``__slots__``.
 
 A record lists its fields in ``__slots__`` (a subclass lists only the fields
-it adds) and writes its own ``__init__`` taking them in that order.  A slot
+it adds) and writes its own ``__init__`` taking them in that order; it sets
+every slot in order, the fields then the caches, with ``_assign``.  A slot
 whose name starts with an underscore is not a field: a record may keep data
 derived from its fields there (a cache), which equality, hashing, the repr,
 ``__match_args__`` and pickling leave out.
-``Record`` compares two records of the same class field by field and prints
-``Name(field=value, ...)``.  ``FrozenRecord`` also hashes like the tuple of
-its fields and refuses assignment, so its ``__init__`` sets every slot in
-order, the fields then the caches, with ``_assign``.
+``FrozenRecord`` compares two records of the same class field by field,
+hashes like the tuple of their fields, prints ``Name(field=value, ...)``,
+refuses assignment and deletion, and copies and pickles through its
+constructor.  A record whose fields hold a dict or a list does not hash.
 
 Records are written this way, not with the standard library's record
 decorator, because importing that module (it loads ``inspect`` and ``ast``)
@@ -21,7 +22,7 @@ from operator import attrgetter
 from .limits import shown
 
 
-class Record:
+class FrozenRecord:
     __slots__ = ()
 
     def __init_subclass__(cls, **kwargs):
@@ -38,25 +39,21 @@ class Record:
         elif fields:
             cls._astuple = staticmethod(attrgetter(*fields))
 
+    def _assign(self, *values) -> None:
+        for name, value in zip(self._slots, values):
+            object.__setattr__(self, name, value)
+
     def __eq__(self, other):
         if other.__class__ is self.__class__:
             return self._astuple(self) == self._astuple(other)
         return NotImplemented
 
+    def __hash__(self) -> int:
+        return hash(self._astuple(self))
+
     def __repr__(self) -> str:
         fields = ", ".join(f"{name}={shown(getattr(self, name))}" for name in self._fields)
         return f"{type(self).__qualname__}({fields})"
-
-
-class FrozenRecord(Record):
-    __slots__ = ()
-
-    def _assign(self, *values) -> None:
-        for name, value in zip(self._slots, values):
-            object.__setattr__(self, name, value)
-
-    def __hash__(self) -> int:
-        return hash(self._astuple(self))
 
     def __setattr__(self, name, value):
         raise AttributeError(f"cannot assign to field {name!r}")

@@ -44,7 +44,7 @@ from math import factorial, prod
 from pathlib import Path
 from typing import TYPE_CHECKING, Iterator
 
-from ._records import FrozenRecord, Record
+from ._records import FrozenRecord
 from .errors import BadParameter, ParseError, TooLarge
 from .jsonio import dumps_canonical, read_json
 from .limits import ENUM_MAX_POINTS, NAIVE_MAX_POINTS, TABLE_MAX_POINTS, is_int, shown
@@ -82,19 +82,15 @@ def _encode(rows) -> bytes:
     return b"".join(row.to_bytes(width, "big") for row in rows)
 
 
-class CountsTable(Record):
+class CountsTable(FrozenRecord):
     """Topology counts on n points classified by Hausdorff number."""
 
     __slots__ = ("n", "rows", "labeled_total", "class_total", "t0_labeled_count", "t0_only")
 
     def __init__(self, n: int, rows: dict[int, tuple[int, int]], labeled_total: int,
                  class_total: int, t0_labeled_count: int, t0_only: bool = False):
-        self.n = n
-        self.rows = rows  # H -> (labeled_count, class_count)
-        self.labeled_total = labeled_total
-        self.class_total = class_total
-        self.t0_labeled_count = t0_labeled_count
-        self.t0_only = t0_only
+        # rows: H -> (labeled_count, class_count)
+        self._assign(n, rows, labeled_total, class_total, t0_labeled_count, t0_only)
 
     def to_dict(self) -> dict:
         return {
@@ -536,16 +532,13 @@ def stirling2(n: int, k: int) -> int:
     return table[k]
 
 
-class StirlingReport(Record):
+class StirlingReport(FrozenRecord):
     __slots__ = ("n", "holds", "topology_count", "combination_total", "terms")
 
     def __init__(self, n: int, holds: bool, topology_count: int, combination_total: int,
                  terms: list[tuple[int, int, int]] | None = None):
-        self.n = n
-        self.holds = holds
-        self.topology_count = topology_count
-        self.combination_total = combination_total
-        self.terms = [] if terms is None else terms  # (k, S(n,k), T0(k))
+        # terms: (k, S(n,k), T0(k))
+        self._assign(n, holds, topology_count, combination_total, [] if terms is None else terms)
 
     def to_dict(self) -> dict:
         return {

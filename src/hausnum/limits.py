@@ -20,7 +20,7 @@ REJECT_MAX_OPENS = 1 << 12
 # 17-24 s as topologies (Stirling, a walk per k <= n, 19-23 s); n = 8 has 67x the leaves.
 ENUM_MAX_POINTS = 7
 # Count tables, pinned by tests up to here; one poset engine pass gives both (all and
-# T0): 0.8-1.2 s at n = 8, 10-14 s with a 79 MB peak at n = 9.  Class lists: 0.7-1.1 s
+# T0): 0.8-1.2 s at n = 8, 10-17 s with an 82 MB peak at n = 9.  Class lists: 0.7-1.1 s
 # at n = 7, 7-12 s (28 MB peak RSS) at n = 8, most of it the representatives.  Canonical forms:
 # at n = 8 one takes 0.05 ms on average over one member per class, 0.5 ms at worst.
 TABLE_MAX_POINTS = 8

@@ -47,18 +47,15 @@ HALF = Fraction(1, 2)
 
 
 class _Omega:
-    """Sentinel: countably many stacked points."""
+    """Sentinel: countably many stacked points.  Copies and pickles are ``OMEGA`` itself."""
 
     __slots__ = ()
-    _instance = None
-
-    def __new__(cls):
-        if cls._instance is None:
-            cls._instance = super().__new__(cls)
-        return cls._instance
 
     def __repr__(self):
         return "omega"
+
+    def __reduce__(self):
+        return "OMEGA"
 
 
 OMEGA = _Omega()

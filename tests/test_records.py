@@ -1,9 +1,11 @@
 """Value semantics of every record type, pinned type by type.
 
 Each record is built positionally and by keyword, then compared, hashed,
-assigned to, copied and printed.  Equality holds only between instances of
-one class; a frozen record hashes like the tuple of its fields and refuses
-assignment; a mutable one does not hash.
+assigned to, copied, pickled under every protocol and printed.  Equality holds
+only between instances of one class; every record refuses assignment and
+deletion and hashes like the tuple of its fields, so the two whose fields hold
+a dict or a list do not hash.  The sentinel ``OMEGA`` stays itself through
+every copy and pickle, and so does the space of countably many stacked points.
 """
 
 import copy
@@ -35,6 +37,7 @@ from hausnum.separation import (
 )
 from hausnum.symbolic import (
     OMEGA,
+    OMEGA_ONE,
     BallNeighborhood,
     BasePoint,
     BugEyedSpace,
@@ -44,6 +47,7 @@ from hausnum.symbolic import (
     T1Result,
     VerticalNeighborhood,
     VerticalPoint,
+    hausdorff_number_symbolic,
 )
 
 SPACE = BugEyedSpace(2, False)
@@ -58,7 +62,7 @@ BALL_REPR = f"BallNeighborhood(space={SPACE_REPR}, owner={THIRD_REPR}, radius=Fr
 BASIC_REPR = f"VerticalNeighborhood(space={SPACE_REPR}, owner={STACKED_REPR}, k=3)"
 
 # (class, field names, field values, repr of the record built from them)
-FROZEN = [
+HASHABLE = [
     (ValidationIssue, ("code",), ("missing-empty-set",),
      "ValidationIssue(code='missing-empty-set')"),
     (MissingEmptySet, ("code",), ("missing-empty-set",),
@@ -107,7 +111,7 @@ FROZEN = [
     (CanonicalForm, ("encoding",), (b"\x01\x03",), "CanonicalForm(encoding=b'\\x01\\x03')"),
 ]
 
-MUTABLE = [
+UNHASHABLE = [
     (CountsTable, ("n", "rows", "labeled_total", "class_total", "t0_labeled_count",
                    "t0_only"),
      (2, {2: (1, 1), 3: (3, 2)}, 4, 3, 3, False),
@@ -119,11 +123,21 @@ MUTABLE = [
      "terms=[(1, 1, 1), (2, 1, 3)])"),
 ]
 
-ALL = FROZEN + MUTABLE
+ALL = HASHABLE + UNHASHABLE
+OMEGA_SPACE = BugEyedSpace(OMEGA, False)
+OMEGA_BASIC = VerticalNeighborhood(OMEGA_SPACE, STACKED, 3)
 
 
 def ids(cases):
     return [case[0].__name__ for case in cases]
+
+
+def round_trips(value):
+    """``value`` after a shallow copy, a deep copy and a pickle under every protocol."""
+    yield copy.copy(value)
+    yield copy.deepcopy(value)
+    for protocol in range(pickle.HIGHEST_PROTOCOL + 1):
+        yield pickle.loads(pickle.dumps(value, protocol))
 
 
 @pytest.mark.parametrize("cls, names, values, text", ALL, ids=ids(ALL))
@@ -147,16 +161,21 @@ class TestEveryRecord:
 
     def test_copy_and_pickle_round_trip(self, cls, names, values, text):
         record = cls(*values)
-        for twin in (copy.copy(record), copy.deepcopy(record),
-                     pickle.loads(pickle.dumps(record))):
+        for twin in round_trips(record):
             assert type(twin) is cls and twin == record
 
 
-@pytest.mark.parametrize("cls, names, values, text", FROZEN, ids=ids(FROZEN))
 class TestFrozenRecords:
+    @pytest.mark.parametrize("cls, names, values, text", HASHABLE, ids=ids(HASHABLE))
     def test_hash_is_the_hash_of_the_fields(self, cls, names, values, text):
         assert hash(cls(*values)) == hash(values)
 
+    @pytest.mark.parametrize("cls, names, values, text", UNHASHABLE, ids=ids(UNHASHABLE))
+    def test_unhashable(self, cls, names, values, text):
+        with pytest.raises(TypeError):
+            hash(cls(*values))
+
+    @pytest.mark.parametrize("cls, names, values, text", ALL, ids=ids(ALL))
     def test_assignment_and_deletion_raise(self, cls, names, values, text):
         record = cls(*values)
         for name in names:
@@ -164,22 +183,25 @@ class TestFrozenRecords:
                 setattr(record, name, values[0])
             with pytest.raises(AttributeError):
                 delattr(record, name)
+        with pytest.raises(AttributeError):
+            record.extra = 1
         assert tuple(getattr(record, name) for name in names) == values
 
 
-@pytest.mark.parametrize("cls, names, values, text", MUTABLE, ids=ids(MUTABLE))
-class TestMutableRecords:
-    def test_unhashable(self, cls, names, values, text):
-        with pytest.raises(TypeError):
-            hash(cls(*values))
+class TestOmegaRoundTrip:
+    def test_omega_stays_the_sentinel(self):
+        for twin in round_trips(OMEGA):
+            assert twin is OMEGA
 
-    def test_assignment_changes_equality(self, cls, names, values, text):
-        record = cls(*values)
-        setattr(record, names[0], None)
-        assert getattr(record, names[0]) is None
-        assert record != cls(*values)
-        with pytest.raises(AttributeError):
-            record.extra = 1
+    @pytest.mark.parametrize("value", [OMEGA_SPACE, OMEGA_BASIC], ids=["space", "neighborhood"])
+    def test_omega_records_equal_themselves(self, value):
+        for twin in round_trips(value):
+            assert type(twin) is type(value) and twin == value
+
+    def test_round_tripped_space_keeps_its_hausdorff_number(self):
+        for twin in round_trips(OMEGA_SPACE):
+            assert twin.vertical_count is OMEGA
+            assert hausdorff_number_symbolic(twin) == OMEGA_ONE
 
 
 class TestDefaults:

@@ -5,10 +5,12 @@ configuration files: flags plus the TOPO_CACHE_DIR environment variable.
 JSON and CSV outputs are byte-stable for fixed inputs and flags; text output
 is for humans and carries no stability guarantee.
 
-Exit codes: 0 on success (queries that answer "no" still succeed), 1 when a
-requested check fails (--verify violations, --oracle disagreement), 2 on
-usage, parse, or validation errors, 120 when stdout is closed or its reader
-has gone away (the code the interpreter gives a failed final flush).
+Exit codes: 0 on success (queries that answer "no" still succeed), 1 only
+when an oracle cross-check disagrees (``analyze --oracle``, and ``example
+--verify`` up to ORACLE_MAX_POINTS points), 2 on usage, parse, or validation
+errors, a false construction claim among them (``construction-claim``: it
+stops the build), 120 when stdout is closed or its reader has gone away (the
+code the interpreter gives a failed final flush).
 ``run``, the entry of ``python -m hausnum`` and the ``hausnum`` script, ends
 the process with that code without the interpreter's final garbage
 collection and teardown, unless a tracer, profiler, ``-i`` prompt, other
@@ -136,11 +138,12 @@ def _cmd_enumerate(args) -> int:
 
 
 def _verification_checks(name: str, topology) -> list[dict]:
-    from .constructions import check_claims
+    from .constructions import CLAIMS
     from .separation import hausdorff_number, hausdorff_number_oracle
 
-    checks = [{"check": label, "passed": passed}
-              for label, passed in check_claims(name.split(":")[0], topology)]
+    # build_example raised ConstructionClaimError (exit 2) on any false claim
+    checks = [{"check": label, "passed": True}
+              for label, _ in CLAIMS[name.split(":")[0]](topology.n)]
     if topology.n <= ORACLE_MAX_POINTS:
         oracle = hausdorff_number_oracle(topology).value
         checks.append({"check": "oracle agrees with closed form",

@@ -1,11 +1,12 @@
 """Named example topologies and the claims each one makes.
 
 ``CLAIMS`` holds every construction's claims, the one place they are written
-down, and ``check_claims`` the one place they are evaluated, on one
+down, and ``_checked`` the one place they are evaluated, on one
 ``analysis_report``.  Each constructor checks all of its claims before
-returning, so importing and calling these doubles as a regression test of the
-claimed Hausdorff numbers, and ``hausnum example NAME --verify`` reports the
-same claims.  Point naming for the four-point space is fixed as
+returning and raises ``ConstructionClaimError`` on the first false one, so
+importing and calling these doubles as a regression test of the claimed
+Hausdorff numbers, and ``hausnum example NAME --verify`` reports the verdicts
+the constructor reached.  Point naming for the four-point space is fixed as
 (w, x, y, z) = (0, 1, 2, 3).
 """
 
@@ -41,16 +42,11 @@ CLAIMS = {
 }
 
 
-def check_claims(kind: str, topology: FiniteTopology) -> list[tuple[str, bool]]:
-    """(label, passed) for each claim of ``kind``, in order, on one ``analysis_report``."""
-    report = analysis_report(topology)
-    return [(label, bool(holds(report))) for label, holds in CLAIMS[kind](topology.n)]
-
-
 def _checked(kind: str, topology: FiniteTopology) -> FiniteTopology:
-    """``topology``, once every claim of ``kind`` holds on its report."""
-    for label, passed in check_claims(kind, topology):
-        if not passed:
+    """``topology``, once every claim of ``kind`` holds on its one ``analysis_report``."""
+    report = analysis_report(topology)
+    for label, holds in CLAIMS[kind](topology.n):
+        if not holds(report):
             raise ConstructionClaimError(
                 f"{kind} on {topology.n} points fails its claim {label!r}")
     return topology

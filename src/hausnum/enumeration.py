@@ -167,8 +167,8 @@ def _row_candidates(rows: tuple[int, ...], full: int):
 
 
 def _walk(n: int):
-    """The direct walk: every preorder's row tuple on n points, ascending; at n = 7
-    its 9,535,241 leaves take 14-20 s on a 2-vCPU VM."""
+    """The direct walk: every preorder's row tuple on n points, ascending, for n up to
+    ``ENUM_MAX_POINTS`` (whose comment gives the time at the cap)."""
     _check_cap(n, ENUM_MAX_POINTS)
     full = (1 << n) - 1
     stack = [((), _row_candidates((), full))]
@@ -261,8 +261,8 @@ def _least_rows(rows, cells: "list[int] | None" = None, every: bool = False) -> 
 
 
 def enumerate_preorders(n: int) -> Iterator[Preorder]:
-    """Every specialization preorder on n points, in ascending matrix order; at n = 7
-    the 9,535,241 of them take 19-31 s on a 2-vCPU VM."""
+    """Every specialization preorder on n points, in ascending matrix order, for n up
+    to ``ENUM_MAX_POINTS`` (whose comment gives the time at the cap)."""
     from .core import _preorder
 
     for rows in _walk(n):
@@ -271,7 +271,7 @@ def enumerate_preorders(n: int) -> Iterator[Preorder]:
 
 def enumerate_labeled(n: int) -> Iterator[FiniteTopology]:
     """Every topology on n labeled points once, in ``enumerate_preorders`` order, each
-    deriving its open family on first read: 17-24 s at n = 7 on a 2-vCPU VM."""
+    deriving its open family on first read; n is capped by ``ENUM_MAX_POINTS``."""
     from .core import _topology
 
     for rows in _walk(n):
@@ -289,11 +289,11 @@ def canonical_form(topology: FiniteTopology) -> CanonicalForm:
 def enumerate_classes(n: int) -> Iterator[tuple[CanonicalForm, FiniteTopology]]:
     """One (canonical form, representative) pair per homeomorphism class.
 
-    Pairs come in ascending order of encoding.  A class's representative is
-    the first member the walk meets, i.e. the one with the least row tuple.
-    ``_least_rows`` of one member of each class of ``_classes`` (block i on
-    consecutive labels) gives its form from the invariant cells and its
-    representative from one cell: 7-12 s for the 35,979 classes at n = 8 on a 2-vCPU VM.
+    Pairs come in ascending order of encoding.  A class's representative is the first
+    member the walk meets, i.e. the one with the least row tuple.  ``_least_rows`` of
+    one member of each class of ``_classes`` (block i on consecutive labels) gives its
+    form from the invariant cells and its representative from one cell.  n is capped
+    by ``TABLE_MAX_POINTS``, whose comment gives the time at the cap.
     """
     _check_cap(n, TABLE_MAX_POINTS)
     from .core import _topology

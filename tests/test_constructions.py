@@ -6,7 +6,6 @@ import pytest
 from hausnum import constructions
 from hausnum.constructions import (
     build_example,
-    check_claims,
     doubled_point_topology,
     export_example,
     filtered_four_point,
@@ -197,20 +196,36 @@ class TestClaims:
         with pytest.raises(ConstructionClaimError, match=re.escape(f"claim {label!r}")):
             build(*args)
 
-    def test_check_claims_evaluates_every_claim_on_one_report(self, monkeypatch):
-        topology = two_block_topology(4)
+    def test_every_claim_is_evaluated_on_one_report(self, monkeypatch):
         labels = [label for label, _ in constructions.CLAIMS["two-block"](4)]
-        assert check_claims("two-block", topology) == [(label, True) for label in labels]
-        reports = []
+        reports, checked = [], []
 
-        def forced(topology):
+        def recording(topology):
             reports.append(topology)
-            return {**analysis_report(topology), "hausdorff_number": 5}
+            return analysis_report(topology)
 
-        monkeypatch.setattr(constructions, "analysis_report", forced)
-        assert check_claims("two-block", topology) == [
-            ("hausdorff number is 4", False), ("4-hausdorff", False), ("not discrete", True)]
+        monkeypatch.setattr(constructions, "analysis_report", recording)
+        monkeypatch.setattr(constructions, "CLAIMS", {
+            kind: lambda n, claims=claims: [
+                (label, lambda report, label=label, holds=holds:
+                 checked.append(label) or holds(report))
+                for label, holds in claims(n)]
+            for kind, claims in constructions.CLAIMS.items()})
+        topology = two_block_topology(4)
+        assert checked == labels
         assert reports == [topology]
+
+    @pytest.mark.parametrize("argv", [
+        ["example", "two-block:4", "--verify"], ["example", "doubled:6", "--verify"],
+        ["example", "two-block:4"], ["example", "doubled:6"], ["example", "three-point"]])
+    def test_one_report_per_example(self, monkeypatch, argv):
+        # the --verify checks are the verdicts the constructor reached, not a second report
+        calls = []
+        monkeypatch.setattr(constructions, "analysis_report",
+                            lambda topology: calls.append(topology) or analysis_report(topology))
+        code, _, _ = run_main(argv)
+        assert code == 0
+        assert len(calls) == 1
 
     def test_false_claim_exits_two_from_the_cli(self, monkeypatch):
         monkeypatch.setattr(constructions, "analysis_report",

@@ -88,10 +88,12 @@ BAD_COUNTS_CASES = pytest.mark.parametrize(
 
 # OEIS, from n = 0: topologies (A000798), their classes (A001930), T0
 # topologies (A001035) and posets (A000112).
-A000798 = (1, 1, 4, 29, 355, 6942, 209527, 9535241, 642779354, 63260289423)
-A001930 = (1, 1, 3, 9, 33, 139, 718, 4535, 35979, 363083)
-A001035 = (1, 1, 3, 19, 219, 4231, 130023, 6129859, 431723379, 44511042511)
-A000112 = (1, 1, 2, 5, 16, 63, 318, 2045, 16999, 183231)
+A000798 = (1, 1, 4, 29, 355, 6942, 209527, 9535241, 642779354, 63260289423,
+           8977053873043)
+A001930 = (1, 1, 3, 9, 33, 139, 718, 4535, 35979, 363083, 4717687)
+A001035 = (1, 1, 3, 19, 219, 4231, 130023, 6129859, 431723379, 44511042511,
+           6611065248783)
+A000112 = (1, 1, 2, 5, 16, 63, 318, 2045, 16999, 183231, 2567284)
 LABELED = dict(enumerate(A000798))
 CLASSES = dict(enumerate(A001930))
 T0_LABELED = dict(enumerate(A001035))
@@ -129,6 +131,18 @@ NINE_T0 = ({2: 1, 3: 293607, 4: 66203028, 5: 1151604468, 6: 5406567894,
             7: 11271399174, 8: 13194146196, 9: 9535317732, 10: 3885510411},
            {2: 1, 3: 29, 4: 719, 5: 6450, 6: 23785, 7: 45132, 8: 51836, 9: 38280,
             10: 16999})
+# n = 10 rows of the same engine, one pass of 148-177 s with a 742 MB peak RSS, not
+# run by the tests; ``TestRowIdentities`` checks them as it checks the n = 9 pins
+TEN_ALL = ({2: 1, 3: 4910785, 4: 2429692570, 5: 69923673940, 6: 486077089218,
+            7: 1427920707654, 8: 2317580516490, 9: 2382845027370, 10: 1627554232660,
+            11: 662718022355},
+           {2: 1, 3: 82, 4: 3987, 5: 56277, 6: 290445, 7: 747193, 8: 1156385,
+            9: 1199406, 10: 859410, 11: 404501})
+TEN_T0 = ({2: 1, 3: 2237920, 4: 1403138025, 5: 46612382640, 6: 350877006060,
+           7: 1069937442252, 8: 1749908559210, 9: 1774748361000, 10: 1172465696565,
+           11: 445110425110},
+          {2: 1, 3: 41, 4: 1764, 5: 27285, 6: 155203, 7: 421262, 8: 659694,
+           9: 667392, 10: 451411, 11: 183231})
 
 
 @functools.cache
@@ -885,27 +899,28 @@ class TestRowIdentities:
     ``TestDuality`` checks the histograms of H and its dual for n <= 8.  At n = 8
     the engine's rows equal pins that ``reference_table`` also gave once by hand.
     At n = 9 the rows are the pins of ``NINE_ALL`` and ``NINE_T0``, which it gave
-    too, and only their totals and their rows H <= 3, H = 9 and H = 10 are checked.
+    too, and at n = 10 those of ``TEN_ALL`` and ``TEN_T0``; of these only the
+    totals and the rows H <= 3, H = n and H = n + 1 are checked.
     """
 
     N = range(1, 9)
 
     def rows(self, n):
-        """({H: labeled count}, {H: class count}): the engine's, or at n = 9 the pins."""
-        if n == 9:
-            return NINE_ALL
+        """({H: labeled count}, {H: class count}): the engine's, or at n = 9, 10 the pins."""
+        if n >= 9:
+            return {9: NINE_ALL, 10: TEN_ALL}[n]
         rows = engine_table(n, False).rows
         return {h: c for h, (c, _) in rows.items()}, {h: c for h, (_, c) in rows.items()}
 
     def t0_rows(self, n):
-        """The T0 rows, as ``rows``: the direct walk's for n <= 5, the pins for n = 6..9."""
+        """The T0 rows, as ``rows``: the direct walk's for n <= 5, the pins for n = 6..10."""
         if n <= 5:
             hist, _, class_hist = walk_histograms(n, True)
             return hist, class_hist
-        return {6: SIX_T0, 7: SEVEN_T0, 8: EIGHT_T0, 9: NINE_T0}[n]
+        return {6: SIX_T0, 7: SEVEN_T0, 8: EIGHT_T0, 9: NINE_T0, 10: TEN_T0}[n]
 
     def test_at_most_three(self):
-        terms = 10
+        terms = 11
         f = [Fraction(0), Fraction(1), Fraction(1, 2)] + [Fraction(0)] * (terms - 3)
         for k in range(2, terms):  # x(e^x - 1)
             f[k] += Fraction(1, math.factorial(k - 1))
@@ -914,27 +929,27 @@ class TestRowIdentities:
         for m in (1, 2, *range(2, terms)):  # one factor 1/(1 - x^m) each
             for i in range(m, terms):
                 classes[i] += classes[i - m]
-        assert labeled[1:] == [1, 4, 13, 62, 311, 1822, 11593, 80964, 608833]
-        assert classes[1:] == [1, 3, 4, 8, 11, 19, 26, 41, 56]
-        for n in (*self.N, 9):
+        assert labeled[1:] == [1, 4, 13, 62, 311, 1822, 11593, 80964, 608833, 4910786]
+        assert classes[1:] == [1, 3, 4, 8, 11, 19, 26, 41, 56, 83]
+        for n in (*self.N, 9, 10):
             labeled_rows, class_rows = self.rows(n)
             assert (sum(c for h, c in labeled_rows.items() if h <= 3),
                     sum(c for h, c in class_rows.items() if h <= 3)) == (labeled[n], classes[n])
 
     def test_top_row(self):
-        for n in (*self.N, 9):
+        for n in (*self.N, 9, 10):
             labeled_rows, class_rows = self.rows(n)
             assert (labeled_rows[n + 1], class_rows[n + 1]) == (
                 sum(math.comb(n, j) * A000798[n - j] for j in range(1, n + 1)),
                 sum(A001930[m] for m in range(n)))
 
     def test_t0_rows(self):
-        partitions = [1] + [0] * 9
-        for m in range(1, 10):
-            for i in range(m, 10):
+        partitions = [1] + [0] * 10
+        for m in range(1, 11):
+            for i in range(m, 11):
                 partitions[i] += partitions[i - m]
-        assert partitions[8:] == [22, 30]
-        for n in range(1, 10):
+        assert partitions[8:] == [22, 30, 42]
+        for n in range(1, 11):
             labeled_rows, class_rows = self.t0_rows(n)
             assert (sum(labeled_rows.values()), sum(class_rows.values())) == (
                 A001035[n], A000112[n])
@@ -954,12 +969,16 @@ class TestRowIdentities:
                     ups += [u | 1 << a for u in ups if rows[a] & ~u == 1 << a]
                 total += math.factorial(k) // len(autos) * len(ups)
             o0.append(total)
-        o = [sum(stirling2(m, k) * o0[k] for k in range(m + 1)) for m in range(8)]
-        assert o == [1, 2, 12, 130, 2338, 66304, 2871582, 185726958]
-        assert o0 == [1, 2, 10, 98, 1678, 46922, 2049550, 135499898]
-        for n in range(2, 10):
-            if n == 9:
-                labeled, t0 = NINE_ALL[0][9], NINE_T0[0][9]
+        # O0(8) is pinned, since reference_posets(8) takes 5-11 s: the loop above gave it
+        # once by hand at k = 8.  The O(8) it gives below, 17,634,654,080 (the open sets
+        # of the labeled topologies on 8 points), matches an independent earlier count.
+        o0.append(13243258318)
+        o = [sum(stirling2(m, k) * o0[k] for k in range(m + 1)) for m in range(9)]
+        assert o == [1, 2, 12, 130, 2338, 66304, 2871582, 185726958, 17634654080]
+        assert o0[:8] == [1, 2, 10, 98, 1678, 46922, 2049550, 135499898]
+        for n in range(2, 11):
+            if n >= 9:
+                labeled, t0 = self.rows(n)[0][n], self.t0_rows(n)[0][n]
             else:
                 labeled, t0 = (engine_table(n, t0_only).rows[n][0] for t0_only in (False, True))
             pairs = math.comb(n, 2)  # spaces counted twice, once for each choice of x
@@ -972,6 +991,11 @@ class TestRowIdentities:
         assert sum(labeled_rows.values()) == A000798[9] == 63260289423
         assert sum(class_rows.values()) == A001930[9] == 363083
         assert (labeled_rows[10], class_rows[10]) == (6146805142, 41418)
+
+    def test_ten_point_totals(self):
+        labeled_rows, class_rows = TEN_ALL
+        assert sum(labeled_rows.values()) == A000798[10] == 8977053873043
+        assert sum(class_rows.values()) == A001930[10] == 4717687
 
 
 class TestCache:

@@ -1,8 +1,8 @@
 """Value semantics for the package's record types, read from ``__slots__``.
 
 A record lists its fields in ``__slots__`` (a subclass lists only the fields
-it adds) and writes its own ``__init__`` taking them in that order; it sets
-every slot in order, the fields then the caches, with ``_assign``.  A slot
+it adds) and writes its own ``__init__`` taking them in that order; it sets the
+fields, then the caches it fills at once, in slot order with ``_assign``.  A slot
 whose name starts with an underscore is not a field: a record may keep data
 derived from its fields there (a cache), which equality, hashing, the repr,
 ``__match_args__`` and pickling leave out.

@@ -154,15 +154,16 @@ class FiniteTopology(FrozenRecord):
     its arguments, n as a point count and ``opens`` as a collection of
     :class:`PointSet` over n points, stored as a tuple.
 
-    The fields are ``n`` and ``opens``.  Every topology also holds ``_masks``
-    (the open masks, in the order of ``opens``) and ``_rows`` (``rows[a]``, the
-    mask of the minimal neighbourhood of a), derived by ``__init__``.  A package
-    builder sets ``n`` and ``_rows`` and may leave ``_masks`` and ``opens`` to their first
-    read, which stores them (equal values, from any thread).  Equality, hashing and
+    The fields are ``n`` and ``opens``.  The caches are ``_masks`` (the open masks,
+    in the order of ``opens``), ``_rows`` (``rows[a]``, the mask of the minimal
+    neighbourhood of a) and ``_closures`` (``closures[x]`` = {a : x in N(a)}, the
+    closure of the point x).  ``__init__`` derives ``_masks`` and ``_rows``; a package
+    builder sets ``n`` and ``_rows``.  What is left unset is derived on its first read
+    and stored (equal values, from any thread).  Equality, hashing, copies and
     pickling see the fields only, so derive ``opens`` first; the repr counts ``_masks``.
     """
 
-    __slots__ = ("n", "opens", "_masks", "_rows")
+    __slots__ = ("n", "opens", "_masks", "_rows", "_closures")
 
     def __init__(self, n: int, opens: tuple[PointSet, ...]):
         _check_n(n)
@@ -172,10 +173,16 @@ class FiniteTopology(FrozenRecord):
         self._assign(n, opens, masks, _rows_from_masks(n, masks))
 
     def __getattr__(self, name: str):  # reached only for a slot left unset
-        if name not in ("_masks", "opens"):
+        if name == "_masks":
+            value = _canonical_masks(_up_sets(self._rows))
+        elif name == "opens":
+            value = tuple(PointSet(self.n, mask) for mask in self._masks)
+        elif name == "_closures":
+            rows = self._rows
+            value = tuple(sum(1 << a for a, row in enumerate(rows) if row >> x & 1)
+                          for x in range(self.n))
+        else:
             raise AttributeError(f"{type(self).__name__!r} object has no attribute {name!r}")
-        value = (_canonical_masks(_up_sets(self._rows)) if name == "_masks"
-                 else tuple(PointSet(self.n, mask) for mask in self._masks))
         object.__setattr__(self, name, value)
         return value
 
@@ -294,13 +301,6 @@ def _rows_from_masks(n: int, masks: Sequence[int]) -> tuple[int, ...]:
                 row &= u
         rows.append(row)
     return tuple(rows)
-
-
-def _point_closures(topology: FiniteTopology) -> tuple[int, ...]:
-    """``closures[x]`` = {a : x in N(a)}, the closure of the point x."""
-    rows = _topology_arg(topology)._rows
-    return tuple(sum(1 << a for a, row in enumerate(rows) if row >> x & 1)
-                 for x in range(len(rows)))
 
 
 def _up_sets(rows: Iterable[int]) -> set[int]:

@@ -19,8 +19,7 @@ intersection), hence H >= 2 always, and H = 2 on a one-point space.
 from __future__ import annotations
 
 from ._records import FrozenRecord
-from .core import (FiniteTopology, PointSet, _as_mask, _check_point, _point_closures, _points,
-                   _topology_arg)
+from .core import FiniteTopology, PointSet, _as_mask, _check_point, _points, _topology_arg
 from .errors import BadParameter, PointOutOfRange, SetTooSmall, SpaceMismatch, TooLarge
 from .limits import ORACLE_MAX_POINTS, collection, instance, is_int, shown
 
@@ -110,7 +109,7 @@ def hausdorff_number(topology: FiniteTopology) -> HausdorffNumber:
     witness point x, so H = 1 + max |S_x|; the maximizing S_x is the largest
     non-separable set.
     """
-    closures = _point_closures(topology)
+    closures = _topology_arg(topology)._closures
     n = topology.n
     best_x = max(range(n), key=lambda x: closures[x].bit_count())
     return HausdorffNumber(1 + closures[best_x].bit_count(),
@@ -186,7 +185,7 @@ def axioms_report(topology: FiniteTopology) -> AxiomsReport:
     singleton {a} is open iff N(a) = {a}, so the space is discrete iff it is
     T1.
     """
-    closures = _point_closures(topology)
+    closures = _topology_arg(topology)._closures
     n = topology.n
     rows = topology._rows
     t1 = all(rows[a] == 1 << a for a in range(n))

@@ -1,4 +1,5 @@
 import copy
+import functools
 import itertools
 import operator
 import pickle
@@ -660,7 +661,7 @@ class TestCarriedRows:
     def unset(t) -> set:
         """The slots of ``t`` left to first read, looked up past ``__getattr__``."""
         missing = set()
-        for name in ("opens", "_masks"):
+        for name in ("opens", "_masks", "_closures"):
             try:
                 getattr(FiniteTopology, name).__get__(t)
             except AttributeError:
@@ -673,13 +674,14 @@ class TestCarriedRows:
         equals the topology built from its opens in equality, hash, repr and copies."""
         for t, twin in zip(self.enumerated(), self.enumerated()):
             eager = FiniteTopology(twin.n, twin.opens)
-            assert self.unset(t) == {"opens", "_masks"}
+            assert self.unset(t) == {"opens", "_masks", "_closures"}
             if read is None:
                 self.check(t)
             else:
                 assert read(t) == read(eager)
-            assert self.unset(t) == ({"opens"} if read in (self.READS["open_masks"], repr)
-                                     else set())
+            assert self.unset(t) == ({"opens", "_closures"}
+                                     if read in (self.READS["open_masks"], repr)
+                                     else {"_closures"})
             assert t == eager and hash(t) == hash(eager) and repr(t) == repr(eager)
             self.check(t)
             assert t._rows == eager._rows
@@ -688,7 +690,7 @@ class TestCarriedRows:
         """The repr counts the open masks; it builds no ``PointSet`` of the family."""
         for t, twin in zip(enumerate_labeled(3), enumerate_labeled(3)):
             assert repr(t) == repr(FiniteTopology(twin.n, twin.opens))
-            assert self.unset(t) == {"opens"}
+            assert self.unset(t) == {"opens", "_closures"}
 
     def test_threads_that_derive_at_once_read_equal_values(self):
         """Threads that read the same topologies' open families at once each read the
@@ -714,6 +716,53 @@ class TestCarriedRows:
         for out in reads:
             assert out == [(e.opens, e.open_masks) for e in eager]
         assert shared == eager and [hash(t) for t in shared] == [hash(e) for e in eager]
+
+    def test_closures_are_the_columns_of_the_rows(self):
+        """``closures[x]`` is column x of the specialization matrix, and the complement
+        of every open set missing x."""
+        for t in self.enumerated():
+            n, full = t.n, (1 << t.n) - 1
+            matrix = specialization_preorder(t).matrix()
+            columns = tuple(sum(matrix[a][x] << a for a in range(n)) for x in range(n))
+            assert self.unset(t) == {"opens", "_masks", "_closures"}
+            assert t._closures == columns
+            missing = [[u for u in t._masks if not u >> x & 1] for x in range(n)]
+            assert columns == tuple(full & ~functools.reduce(operator.or_, us, 0)
+                                    for us in missing)
+
+    def test_threads_that_derive_closures_at_once_read_equal_values(self):
+        """Threads that read the same topologies' point closures at once each read the
+        closures of the topology built from its opens, and leave them stored."""
+        import sys
+        import threading
+
+        shared = list(self.enumerated())
+        eager = [FiniteTopology(t.n, t.opens)._closures for t in self.enumerated()]
+        reads = [[] for _ in range(4)]
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            threads = [threading.Thread(target=lambda out=out: out.extend(
+                t._closures for t in shared)) for out in reads]
+            for thread in threads:
+                thread.start()
+            for thread in threads:
+                thread.join(timeout=60)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(thread.is_alive() for thread in threads)
+        assert all(out == eager for out in reads)
+        assert all(self.unset(t) == {"opens", "_masks"} for t in shared)
+
+    def test_copies_leave_the_closures_unset(self):
+        """Copies and pickles go through the fields, so a read closure table is not
+        carried over, and the copy derives an equal one."""
+        t = generate_from_subbasis(4, [[0], [1, 2], [2, 3]])
+        closures = t._closures
+        for twin in (copy.copy(t), copy.deepcopy(t), pickle.loads(pickle.dumps(t))):
+            assert twin == t and hash(twin) == hash(t) and repr(twin) == repr(t)
+            assert self.unset(twin) == {"_closures"}
+            assert twin._closures == closures and not self.unset(twin)
 
     def test_bare_topology_derives_at_construction(self):
         from hausnum.core import FiniteTopology

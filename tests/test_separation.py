@@ -1,4 +1,5 @@
 import hashlib
+import json
 import random
 
 import pytest
@@ -383,3 +384,49 @@ class TestAnalysisReport:
                     digest.update(dumps_canonical(analysis_report(topology)).encode())
         assert digest.hexdigest() == (
             "2ce34c7b58420ae49094637b10753e9454c5e6bae0c3573b185feb65dbd61f4a")
+
+
+class TestOneClosureTable:
+    """A topology derives its point closures once, however many reports read them."""
+
+    @pytest.fixture
+    def derivations(self, monkeypatch):
+        """The topologies whose ``_closures`` reach ``__getattr__``, in the order read."""
+        from hausnum.core import FiniteTopology
+
+        reads, derive = [], FiniteTopology.__getattr__
+
+        def counted(self, name):
+            if name == "_closures":
+                reads.append(self)
+            return derive(self, name)
+
+        monkeypatch.setattr(FiniteTopology, "__getattr__", counted)
+        return reads
+
+    def test_report_then_both_functions(self, derivations):
+        for t in (generate_from_subbasis(5, [[0, 1], [1, 2], [3]]), EXAMPLE_3PT, discrete(4),
+                  topology_from_preorder(Preorder(3, (0b111, 0b110, 0b100)))):
+            fresh = validate_topology(t.n, t.opens)
+            report = analysis_report(fresh)
+            assert hausdorff_number(fresh).value == report["hausdorff_number"]
+            assert axioms_report(fresh).regular == report["regular"]
+            assert len(derivations) == 1 and derivations.pop() is fresh
+
+    def test_example_verify(self, derivations):
+        from conftest import run_main
+
+        code, out, _ = run_main(["example", "two-block:4", "--verify"])
+        assert code == 0 and json.loads(out)["passed"] is True
+        assert len(derivations) == 1 and derivations[0].n == 4
+
+    def test_analyze(self, derivations, tmp_path):
+        from conftest import run_main
+        from hausnum.jsonio import topology_to_json
+
+        path = tmp_path / "space.json"
+        path.write_text(topology_to_json(filtered_four_point()))
+        derivations.clear()  # the constructor's own report
+        code, out, _ = run_main(["analyze", str(path)])
+        assert code == 0 and json.loads(out)["hausdorff_number"] == 3
+        assert len(derivations) == 1 and derivations[0].n == 4
